@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from . import __version__
 from .core import CallSignal, ConsumerParams, Prices, Report, check_consumption_cap
 from .oracle import GridSpec, grid_best_report, grid_best_response, max_feasible_case_payoff
 from .scenario import Scenario, ScenarioError, SweepSpec, default_sweep, load_scenario
-from .simulation import run_monte_carlo
+from .simulation import MonteCarloResult, run_monte_carlo
 from .strategy import (
     best_report,
     best_response_called,
@@ -46,13 +47,17 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
+def _write_chunks(path: str | None, chunks: Iterable[str]) -> None:
+    """Write text chunks one by one to ``path``, or to stdout when None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+
+
+def _write_lines(path: str | None, lines: list[str]) -> None:
+    _write_chunks(path, ["\n".join(lines) + "\n"])
 
 
 def _log_run(scenario: Scenario, seed: int) -> None:
@@ -313,6 +318,36 @@ def _sibling_path(out: str, suffix: str) -> str:
     return f"{stem}.{suffix}.csv"
 
 
+def _record_chunks(result: MonteCarloResult) -> Iterator[str]:
+    """The records CSV: the header, then one chunk of rows per trial.
+
+    Each consumer's row after the trial column is formatted once per signal;
+    trial t's chunk picks one of the two by ``result.called[:, t]``.
+    """
+    table = result.outcomes
+    rows = [
+        [
+            ",".join(
+                [cid, str(s), _fmt(report.baseline), _fmt(report.committed),
+                 _fmt(q[s]), _fmt(paid[s]), _fmt(gained[s])]
+            ) + "\n"
+            for s in (0, 1)
+        ]
+        for cid, report, q, paid, gained in zip(
+            table.consumer_ids,
+            table.reports,
+            table.consumption.tolist(),
+            table.payment.tolist(),
+            table.profit.tolist(),
+        )
+    ]
+    yield RECORDS_HEADER + "\n"
+    for t in range(result.trials):
+        prefix = f"{t},"
+        picked = zip(rows, result.called[:, t].tolist())
+        yield "".join([prefix + row[called] for row, called in picked])
+
+
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else scenario.seed
@@ -327,23 +362,6 @@ def cmd_simulate(args) -> int:
         reduction_target=scenario.reduction_target,
         master_seed=seed,
     )
-    records = [RECORDS_HEADER]
-    for trial, event in enumerate(result.records):
-        for rec in event:
-            records.append(
-                ",".join(
-                    [
-                        str(trial),
-                        rec.consumer_id,
-                        str(int(rec.signal)),
-                        _fmt(rec.report.baseline),
-                        _fmt(rec.report.committed),
-                        _fmt(rec.consumption),
-                        _fmt(rec.payment),
-                        _fmt(rec.profit),
-                    ]
-                )
-            )
     summaries = [SUMMARIES_HEADER]
     for trial, summary in enumerate(result.summaries):
         summaries.append(
@@ -373,13 +391,13 @@ def cmd_simulate(args) -> int:
                 ]
             )
         )
-    _write_lines(args.out, records)
+    _write_chunks(args.out, _record_chunks(result))
     if args.out is not None:
         _write_lines(_sibling_path(args.out, "summaries"), summaries)
         _write_lines(_sibling_path(args.out, "stats"), stats)
     else:
-        sys.stdout.write("\n".join(summaries) + "\n")
-        sys.stdout.write("\n".join(stats) + "\n")
+        _write_lines(None, summaries)
+        _write_lines(None, stats)
     print(f"reproduce with seed={seed} trials={trials}", file=sys.stderr)
     return 0
 

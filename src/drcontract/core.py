@@ -13,6 +13,7 @@ which lets the grid-search oracle evaluate them in bulk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -34,6 +35,14 @@ __all__ = [
 ]
 
 
+def _require_finite(obj, *names: str) -> None:
+    # A NaN passes every "<= 0" check, so finiteness is tested first.
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 class CallSignal(IntEnum):
     """Binary aggregator decision: 1 means the consumer must reduce."""
 
@@ -46,16 +55,17 @@ class Prices:
     """Contract prices.
 
     Attributes:
-        energy_price: retail price of energy, $/kWh, >= 0.
+        energy_price: retail price of energy, $/kWh, finite, >= 0.
         incentive_price: rebate paid per kWh of reduction when called, also
             charged as the penalty per kWh of deviation from the committed
-            consumption; must be >= energy_price.
+            consumption; finite, > 0 and >= energy_price.
     """
 
     energy_price: float
     incentive_price: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "energy_price", "incentive_price")
         if self.energy_price < 0:
             raise ValueError(f"energy_price must be >= 0, got {self.energy_price}")
         if self.incentive_price < self.energy_price:
@@ -63,11 +73,18 @@ class Prices:
                 "incentive_price must be >= energy_price, got "
                 f"{self.incentive_price} < {self.energy_price}"
             )
+        if self.incentive_price == 0:
+            raise ValueError(
+                "incentive_price must be > 0: with both prices at 0 the call "
+                "threshold p / (p + p2) is undefined"
+            )
 
 
 @dataclass(frozen=True)
 class ConsumerParams:
     """Private type of one consumer.
+
+    All three attributes must be finite.
 
     Attributes:
         baseline: consumption the consumer would choose absent any DR
@@ -84,6 +101,7 @@ class ConsumerParams:
     max_consumption: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "baseline", "marginal_utility", "max_consumption")
         if self.baseline <= 0:
             raise ValueError(f"baseline must be > 0, got {self.baseline}")
         if self.marginal_utility <= 0:

@@ -38,6 +38,9 @@ __all__ = [
 
 # Points-per-grid guard; a finer request is almost certainly a unit mistake.
 _MAX_POINTS = 10**7
+# grid_best_report does O(N^2) work on an N-point axis; 10**9 report pairs
+# take about half a minute on a 2-vCPU host.
+_MAX_REPORT_PAIRS = 10**9
 
 
 @dataclass(frozen=True)
@@ -51,8 +54,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise ValueError(f"grid lo {self.lo} exceeds hi {self.hi}")
-        if self.step <= 0:
-            raise ValueError(f"grid step must be > 0, got {self.step}")
+        if not 0 < self.step < np.inf:
+            raise ValueError(f"grid step must be finite and > 0, got {self.step}")
         if (self.hi - self.lo) / self.step > _MAX_POINTS:
             raise ValueError(
                 f"grid would exceed {_MAX_POINTS} points; widen the step"
@@ -165,6 +168,12 @@ def grid_best_report(
         max(b - 2 * p2 / g, 0.0),
     ]
     x = _checked_axis(grid, params, extra)
+    if x.size**2 > _MAX_REPORT_PAIRS:
+        raise ValueError(
+            f"the two-stage grid search would compare {x.size**2} report pairs "
+            f"({x.size} grid points squared), over the limit of "
+            f"{_MAX_REPORT_PAIRS}; use a coarser grid step"
+        )
     pr = call_probability
     gains = utility(x, params, prices)
     base_gain = gains - p * x

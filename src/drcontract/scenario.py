@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -87,12 +88,28 @@ class Scenario:
 
 def _get_float(section, key: str, where: str) -> float:
     try:
-        return float(section[key])
+        value = float(section[key])
     except KeyError:
         raise ScenarioError(f"missing key {key!r} in [{where}]") from None
     except ValueError:
         raise ScenarioError(
             f"key {key!r} in [{where}] is not a number: {section[key]!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise ScenarioError(
+            f"key {key!r} in [{where}] must be a finite number, got {section[key]!r}"
+        )
+    return value
+
+
+def _get_int(section, key: str, where: str) -> int:
+    try:
+        return int(section[key])
+    except KeyError:
+        raise ScenarioError(f"missing key {key!r} in [{where}]") from None
+    except ValueError:
+        raise ScenarioError(
+            f"key {key!r} in [{where}] is not an integer: {section[key]!r}"
         ) from None
 
 
@@ -110,15 +127,12 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
 
     if "prices" not in parser:
         raise ScenarioError("scenario must contain a [prices] section")
+    energy_price = _get_float(parser["prices"], "price_usd_per_kwh", "prices")
+    incentive_price = _get_float(parser["prices"], "incentive_usd_per_kwh", "prices")
     try:
-        prices = Prices(
-            energy_price=_get_float(parser["prices"], "price_usd_per_kwh", "prices"),
-            incentive_price=_get_float(
-                parser["prices"], "incentive_usd_per_kwh", "prices"
-            ),
-        )
+        prices = Prices(energy_price=energy_price, incentive_price=incentive_price)
     except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+        raise ScenarioError(f"[prices]: {exc}") from exc
 
     members: list[PortfolioMember] = []
     behaviors: dict[str, Behavior] = {}
@@ -163,9 +177,9 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
     if "simulation" in parser:
         sim = parser["simulation"]
         if "trials" in sim:
-            scenario.trials = int(sim["trials"])
+            scenario.trials = _get_int(sim, "trials", "simulation")
         if "seed" in sim:
-            scenario.seed = int(sim["seed"])
+            scenario.seed = _get_int(sim, "seed", "simulation")
         if "grid_step_kwh" in sim:
             scenario.grid_step = _get_float(sim, "grid_step_kwh", "simulation")
         if "reduction_target_kwh" in sim:
@@ -186,7 +200,7 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
             param=param,
             start=_get_float(swp, "from", "sweep") if "from" in swp else base.start,
             stop=_get_float(swp, "to", "sweep") if "to" in swp else base.stop,
-            steps=int(swp["steps"]) if "steps" in swp else base.steps,
+            steps=_get_int(swp, "steps", "sweep") if "steps" in swp else base.steps,
         )
     return scenario
 

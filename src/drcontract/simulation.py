@@ -10,9 +10,9 @@ t is reproducible in isolation and results do not depend on execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
 
 import numpy as np
 
@@ -36,8 +36,10 @@ __all__ = [
     "EventRecord",
     "EventSummary",
     "MonteCarloResult",
+    "OutcomeTable",
     "Portfolio",
     "PortfolioMember",
+    "TrialRecords",
     "allocate_calls",
     "collect_reports",
     "run_monte_carlo",
@@ -123,13 +125,78 @@ class ConsumerStats:
     mean_reduction: float
 
 
+class TrialRecords(Sequence):
+    """The records of one Monte Carlo trial, built one at a time on access.
+
+    Holds only a view of the trial's call flags, so its length is known
+    without building any record. It compares equal to any sequence of the
+    same :class:`EventRecord` values, such as the list :func:`settle_event`
+    returns for the same trial.
+    """
+
+    __slots__ = ("_table", "_called")
+
+    def __init__(self, table: OutcomeTable, called: np.ndarray) -> None:
+        self._table = table
+        self._called = called
+
+    def __len__(self) -> int:
+        return self._called.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(len(self))[index]]
+        return self._table.record(index, bool(self._called[index]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+@dataclass(frozen=True, eq=False)
+class OutcomeTable:
+    """Consumption, payment and profit of every consumer under each signal.
+
+    Row k is portfolio member k; column s of each ``(n, 2)`` array is the
+    outcome under ``CallSignal(s)``.
+    """
+
+    consumer_ids: tuple[str, ...]
+    reports: tuple[Report, ...]
+    consumption: np.ndarray
+    payment: np.ndarray
+    profit: np.ndarray
+
+    def record(self, k: int, called: bool) -> EventRecord:
+        s = int(called)
+        return EventRecord(
+            self.consumer_ids[k],
+            CallSignal(s),
+            self.reports[k],
+            float(self.consumption[k, s]),
+            float(self.payment[k, s]),
+            float(self.profit[k, s]),
+        )
+
+
 @dataclass(frozen=True)
 class MonteCarloResult:
+    """Outcome of :func:`run_monte_carlo`, kept as columns.
+
+    ``called[k, t]`` is True when member k was called in trial t, and
+    ``outcomes`` gives each member's outcome under either signal, so trial
+    t's records are ``outcomes`` picked by ``called[:, t]``. ``records[t]``
+    presents them as :class:`EventRecord` values, built on access.
+    """
+
     stats: list[ConsumerStats]
     summaries: list[EventSummary]
-    records: list[list[EventRecord]]
+    records: list[TrialRecords]
     trials: int
     master_seed: int
+    outcomes: OutcomeTable = field(compare=False)
+    called: np.ndarray = field(compare=False)
 
 
 def collect_reports(
@@ -167,25 +234,46 @@ def allocate_calls(
     conditioning would break the probability each consumer optimized
     against.
     """
-    if reduction_target < 0:
-        raise ValueError(f"reduction target must be >= 0, got {reduction_target}")
-    rng = np.random.default_rng(seed)
-    draws = rng.random(len(portfolio.members))
-    signals: dict[str, CallSignal] = {}
-    committed = 0.0
-    for member, u in zip(portfolio.members, draws):
-        called = bool(u < member.call_probability)
-        signals[member.consumer_id] = (
-            CallSignal.CALLED if called else CallSignal.NOT_CALLED
-        )
-        if called:
-            report = reports[member.consumer_id]
-            committed += report.baseline - report.committed
+    called, committed = _draw_calls(portfolio, reports, reduction_target, [seed])
     return CallAllocation(
-        signals=signals,
-        committed_reduction=committed,
-        under_provisioned=committed < reduction_target,
+        signals={
+            member.consumer_id: CallSignal(int(c))
+            for member, c in zip(portfolio.members, called[:, 0].tolist())
+        },
+        committed_reduction=float(committed[0]),
+        under_provisioned=bool(committed[0] < reduction_target),
     )
+
+
+def _draw_calls(
+    portfolio: Portfolio,
+    reports: Mapping[str, Report],
+    reduction_target: float,
+    seeds,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Call flags of every member in every trial, shape ``(n, len(seeds))``,
+    and the reduction the called reports commit to in each trial.
+
+    Trial t draws ``default_rng(seeds[t]).random(n)`` and calls member k when
+    its draw lies below its call probability. The committed reduction is
+    summed in portfolio order, one called member at a time from 0.0, so a
+    trial gives the same bits alone or in a batch.
+    """
+    if not reduction_target >= 0:
+        raise ValueError(f"reduction target must be >= 0, got {reduction_target}")
+    members = portfolio.members
+    probs = np.array([m.call_probability for m in members], dtype=float)
+    announced = [
+        report.baseline - report.committed
+        for report in (_report_for(reports, m.consumer_id) for m in members)
+    ]
+    called = np.empty((len(members), len(seeds)), dtype=bool)
+    for t, seed in enumerate(seeds):
+        called[:, t] = np.random.default_rng(int(seed)).random(len(members)) < probs
+    committed = np.zeros(len(seeds))
+    for flags, reduction in zip(called, announced):
+        committed[flags] += reduction
+    return called, committed
 
 
 def _behavior_for(behaviors: Mapping[str, Behavior], consumer_id: str) -> Behavior:
@@ -195,6 +283,13 @@ def _behavior_for(behaviors: Mapping[str, Behavior], consumer_id: str) -> Behavi
         raise ValueError(f"no behavior defined for consumer {consumer_id!r}") from None
 
 
+def _report_for(reports: Mapping[str, Report], consumer_id: str) -> Report:
+    try:
+        return reports[consumer_id]
+    except KeyError:
+        raise ValueError(f"no report for consumer {consumer_id!r}") from None
+
+
 def _signal_for(signals: Mapping[str, CallSignal], consumer_id: str) -> CallSignal:
     try:
         return CallSignal(signals[consumer_id])
@@ -202,52 +297,73 @@ def _signal_for(signals: Mapping[str, CallSignal], consumer_id: str) -> CallSign
         raise ValueError(f"no call signal for consumer {consumer_id!r}") from None
 
 
-def _outcome(
-    params: ConsumerParams,
-    prices: Prices,
-    report: Report,
-    behavior: Behavior,
-    signal: CallSignal,
-) -> tuple[float, float, float]:
-    """Consumption, payment and profit of one consumer for one signal.
+def _settle(
+    portfolio: Portfolio,
+    reports: Mapping[str, Report],
+    behaviors: Mapping[str, Behavior],
+    signals: list[CallSignal],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Consumption, payment and profit of each member under its signal.
 
     Rational consumers best-respond to their own report. Truthful consumers
     follow the ideal rule. A naive gamer consumes its baseline when not
     called (paying for its inflated report), but best-responds once called,
     since even a naive agent reacts to a realized charge.
     """
-    if behavior is Behavior.RATIONAL:
-        if signal == CallSignal.NOT_CALLED:
-            consumption = best_response_not_called(
-                report.baseline, params, prices
-            ).consumption
+    prices = portfolio.prices
+    rows = []
+    for member, signal in zip(portfolio.members, signals):
+        params = member.params
+        report = _report_for(reports, member.consumer_id)
+        behavior = _behavior_for(behaviors, member.consumer_id)
+        if behavior is Behavior.RATIONAL:
+            if signal == CallSignal.NOT_CALLED:
+                consumption = best_response_not_called(
+                    report.baseline, params, prices
+                ).consumption
+            else:
+                consumption = best_response_called(report, params, prices).consumption
+        elif behavior is Behavior.TRUTHFUL:
+            consumption = ideal_consumption(params, prices, signal)
         else:
-            consumption = best_response_called(report, params, prices).consumption
-    elif behavior is Behavior.TRUTHFUL:
-        consumption = ideal_consumption(params, prices, signal)
-    else:
+            if signal == CallSignal.NOT_CALLED:
+                consumption = params.baseline
+            else:
+                consumption = best_response_called(report, params, prices).consumption
         if signal == CallSignal.NOT_CALLED:
-            consumption = params.baseline
+            payment = payment_not_called(consumption, report.baseline, prices)
         else:
-            consumption = best_response_called(report, params, prices).consumption
-    if signal == CallSignal.NOT_CALLED:
-        payment = payment_not_called(consumption, report.baseline, prices)
-    else:
-        payment = payment_called(consumption, report, prices)
-    profit = utility(consumption, params, prices) - payment
+            payment = payment_called(consumption, report, prices)
+        profit = utility(consumption, params, prices) - payment
+        rows.append((consumption, payment, profit))
+    consumption, payment, profit = np.array(rows, dtype=float).reshape(-1, 3).T
     return consumption, payment, profit
 
 
-def _summarize(records: list[EventRecord], under_provisioned: bool) -> EventSummary:
-    called = [r for r in records if r.signal == CallSignal.CALLED]
+def _summarize(
+    called: np.ndarray,
+    reduction: np.ndarray,
+    payout: np.ndarray,
+    under_provisioned: bool,
+) -> EventSummary:
+    """Totals over the called members of one event.
+
+    ``reduction`` and ``payout`` hold each member's reduction below its
+    reported baseline and its payout when called; they are added with the
+    builtin ``sum`` in portfolio order.
+    """
     return EventSummary(
-        called_count=len(called),
-        total_reduction=sum(
-            max(r.report.baseline - r.consumption, 0.0) for r in called
-        ),
-        total_payout=sum(-r.payment for r in called),
-        under_provisioned=under_provisioned,
+        called_count=int(np.count_nonzero(called)),
+        total_reduction=sum(reduction[called].tolist()),
+        total_payout=sum(payout[called].tolist()),
+        under_provisioned=bool(under_provisioned),
     )
+
+
+def _reduction(reports: tuple[Report, ...], consumption: np.ndarray) -> np.ndarray:
+    """Each member's consumption below its reported baseline, floored at 0."""
+    baselines = np.array([r.baseline for r in reports], dtype=float)
+    return np.maximum(baselines - consumption, 0.0)
 
 
 def settle_event(
@@ -267,22 +383,24 @@ def settle_event(
     else:
         signals = calls
         under = False
-    records = []
-    for member in portfolio.members:
-        cid = member.consumer_id
-        try:
-            report = reports[cid]
-        except KeyError:
-            raise ValueError(f"no report for consumer {cid!r}") from None
-        signal = _signal_for(signals, cid)
-        behavior = _behavior_for(behaviors, cid)
-        consumption, payment, profit = _outcome(
-            member.params, portfolio.prices, report, behavior, signal
+    members = portfolio.members
+    drawn = [_signal_for(signals, m.consumer_id) for m in members]
+    consumption, payment, profit = _settle(portfolio, reports, behaviors, drawn)
+    member_reports = tuple(reports[m.consumer_id] for m in members)
+    records = [
+        EventRecord(member.consumer_id, signal, report, q, paid, gained)
+        for member, signal, report, q, paid, gained in zip(
+            members,
+            drawn,
+            member_reports,
+            consumption.tolist(),
+            payment.tolist(),
+            profit.tolist(),
         )
-        records.append(
-            EventRecord(cid, signal, report, consumption, payment, profit)
-        )
-    return records, _summarize(records, under)
+    ]
+    called = np.array(drawn, dtype=bool)
+    reduction = _reduction(member_reports, consumption)
+    return records, _summarize(called, reduction, -payment, under)
 
 
 def run_monte_carlo(
@@ -295,55 +413,42 @@ def run_monte_carlo(
     """Run independent events and aggregate per-consumer statistics.
 
     Reports are collected once (the stage-1 decision does not depend on the
-    draw); each trial then draws signals with its own derived seed and
-    settles. Per-consumer outcomes for each signal are precomputed, so the
-    records of trial t are bitwise identical to settling that trial alone.
+    draw), and so is each consumer's outcome under either signal; a trial
+    then only draws who is called with its own derived seed. Trial t's
+    records and summary are bitwise identical to drawing and settling that
+    trial alone with :func:`allocate_calls` and :func:`settle_event`.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     reports = collect_reports(portfolio, behaviors)
-    outcomes = {
-        member.consumer_id: {
-            signal: _outcome(
-                member.params,
-                portfolio.prices,
-                reports[member.consumer_id],
-                _behavior_for(behaviors, member.consumer_id),
-                signal,
-            )
-            for signal in (CallSignal.NOT_CALLED, CallSignal.CALLED)
-        }
-        for member in portfolio.members
-    }
+    members = portfolio.members
+    consumption, payment, profit = np.stack(
+        [
+            _settle(portfolio, reports, behaviors, [signal] * len(members))
+            for signal in CallSignal
+        ],
+        axis=-1,
+    )
+    table = OutcomeTable(
+        consumer_ids=tuple(m.consumer_id for m in members),
+        reports=tuple(reports[m.consumer_id] for m in members),
+        consumption=consumption,
+        payment=payment,
+        profit=profit,
+    )
     seeds = np.random.SeedSequence(master_seed).generate_state(
         trials, dtype=np.uint64
     )
-    n = len(portfolio.members)
-    profits = np.empty((n, trials))
-    payments = np.empty((n, trials))
-    reductions = np.zeros((n, trials))
-    called = np.zeros((n, trials), dtype=bool)
-    all_records: list[list[EventRecord]] = []
-    summaries: list[EventSummary] = []
-    for t in range(trials):
-        allocation = allocate_calls(
-            portfolio, reports, reduction_target, int(seeds[t])
-        )
-        records = []
-        for k, member in enumerate(portfolio.members):
-            cid = member.consumer_id
-            signal = allocation.signals[cid]
-            consumption, payment, profit = outcomes[cid][signal]
-            records.append(
-                EventRecord(cid, signal, reports[cid], consumption, payment, profit)
-            )
-            profits[k, t] = profit
-            payments[k, t] = payment
-            if signal == CallSignal.CALLED:
-                called[k, t] = True
-                reductions[k, t] = max(reports[cid].baseline - consumption, 0.0)
-        all_records.append(records)
-        summaries.append(_summarize(records, allocation.under_provisioned))
+    called, committed = _draw_calls(portfolio, reports, reduction_target, seeds)
+    under = committed < reduction_target
+    reduction = _reduction(table.reports, table.consumption[:, 1])
+    payout = -table.payment[:, 1]
+    summaries = [
+        _summarize(called[:, t], reduction, payout, under[t]) for t in range(trials)
+    ]
+    profits = np.where(called, table.profit[:, 1:], table.profit[:, :1])
+    payments = np.where(called, table.payment[:, 1:], table.payment[:, :1])
+    reductions = np.where(called, reduction[:, None], 0.0)
     stats = [
         ConsumerStats(
             consumer_id=member.consumer_id,
@@ -355,12 +460,14 @@ def run_monte_carlo(
             mean_payment=float(payments[k].mean()),
             mean_reduction=float(reductions[k].mean()),
         )
-        for k, member in enumerate(portfolio.members)
+        for k, member in enumerate(members)
     ]
     return MonteCarloResult(
         stats=stats,
         summaries=summaries,
-        records=all_records,
+        records=[TrialRecords(table, called[:, t]) for t in range(trials)],
         trials=trials,
         master_seed=master_seed,
+        outcomes=table,
+        called=called,
     )

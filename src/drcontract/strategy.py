@@ -92,11 +92,11 @@ class Stage1Solution:
 
 
 def call_threshold(prices: Prices) -> float:
-    """Call probability p/(p + p2) above which the report jumps to the cap."""
-    total = prices.energy_price + prices.incentive_price
-    if total <= 0:
-        raise ValueError("threshold requires energy_price + incentive_price > 0")
-    return prices.energy_price / total
+    """Call probability p/(p + p2) above which the report jumps to the cap.
+
+    Defined for every :class:`Prices`, which require p2 > 0.
+    """
+    return prices.energy_price / (prices.energy_price + prices.incentive_price)
 
 
 def break_even_baseline(
@@ -113,8 +113,6 @@ def break_even_baseline(
     b = params.baseline
     g = params.marginal_utility
     p2 = prices.incentive_price
-    if p2 <= 0:
-        raise ValueError("break-even baseline requires incentive_price > 0")
     return (
         g * b**2 / (2 * p2)
         - g * b * committed / p2

@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from drcontract.cli import main
+from mixed_scenario import mixed_scenario_text
 
 BAD_SCENARIO = """
 [prices]
@@ -115,6 +118,14 @@ class TestVerifyCommand:
         assert "continuity" in report
         assert "FAIL" in report
 
+    def test_too_fine_grid_is_validation_error(self, tmp_path, capsys):
+        code = main(
+            ["verify", "--grid-step", "1e-4", "--draws", "1",
+             "--out", str(tmp_path / "v.txt")]
+        )
+        assert code == 1
+        assert "coarser grid step" in capsys.readouterr().err
+
     def test_invalid_scenario_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text(BAD_SCENARIO)
@@ -211,3 +222,66 @@ behavior = naive_gamer
         assert main(
             ["simulate", "--trials", "0", "--out", str(tmp_path / "x.csv")]
         ) == 1
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of records, summaries and stats, recorded from the per-record
+# implementation that the columnar one replaced.
+MIXED_DIGESTS = {
+    "8604": (
+        "b1a6f46e86abef3785f84ccdb054c7ad3cf57211dd6bfd4d261c9921e88fe339",
+        "3f8ddb7bc86f9f1bc66b8f4091d8627ba1f9f8fac6a1361943deaa5dba9446c2",
+        "03e0b96a8c7526f898a6b8c2e0ffc29f5119515712f74306d98f326800a6660d",
+    ),
+    "1": (
+        "7a131006ace8ff509f5bcc2e87a3cbfec32eb5511e4b05cbaeffdd42e2d66ea2",
+        "e251fd87e8d93b519a56cada3cda8d9de0afb6c5a339730192cefe6d832614d6",
+        "6b7ccb1a77576f3a37db3c11f42b4cb4f377a1b731204d73da8a895dcbb71afd",
+    ),
+}
+DEFAULT_SIMULATE_DIGESTS = (
+    "a3ec10633ad1c0e6889f325d3343bb4009205c054b88e3b14c088744dc831f81",
+    "f1a2f834e6854838173628f05f7165d14cea2a402f4d86b61b6fe5adde7cbe00",
+    "a31d444436de289937cf7c7174b7a9874bcbbcbdea119adf103c65a615db5414",
+)
+DEFAULT_SWEEP_DIGEST = (
+    "46badeead19b058ce05565fe348c73abdddb27aa8641f2b4f37b33883d0c4136"
+)
+
+
+@pytest.fixture
+def mixed_ini(tmp_path):
+    path = tmp_path / "mixed.ini"
+    path.write_text(mixed_scenario_text(), encoding="utf-8")
+    return path
+
+
+def simulate_outputs(tmp_path, *argv):
+    out = tmp_path / "run.csv"
+    assert main(["simulate", *argv, "--out", str(out)]) == 0
+    return out, tmp_path / "run.summaries.csv", tmp_path / "run.stats.csv"
+
+
+class TestSimulateOutputIsStable:
+    @pytest.mark.parametrize("seed", sorted(MIXED_DIGESTS))
+    def test_mixed_portfolio_digests(self, tmp_path, mixed_ini, seed):
+        paths = simulate_outputs(tmp_path, "--scenario", str(mixed_ini), "--seed", seed)
+        assert tuple(sha256(p) for p in paths) == MIXED_DIGESTS[seed]
+
+    def test_default_scenario_digests(self, tmp_path):
+        paths = simulate_outputs(tmp_path)
+        assert tuple(sha256(p) for p in paths) == DEFAULT_SIMULATE_DIGESTS
+
+    def test_default_sweep_digest(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--out", str(out)]) == 0
+        assert sha256(out) == DEFAULT_SWEEP_DIGEST
+
+    def test_stdout_is_the_out_files_concatenated(self, tmp_path, mixed_ini, capsys):
+        paths = simulate_outputs(tmp_path, "--scenario", str(mixed_ini))
+        capsys.readouterr()
+        assert main(["simulate", "--scenario", str(mixed_ini)]) == 0
+        assert capsys.readouterr().out == "".join(read(p) for p in paths)

@@ -39,6 +39,26 @@ class TestTypes:
         with pytest.raises(ValueError):
             ConsumerParams(**kwargs)
 
+    @pytest.mark.parametrize("field", ["baseline", "marginal_utility", "max_consumption"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_params_reject_non_finite(self, field, value):
+        kwargs = {"baseline": 8.0, "marginal_utility": 0.05, "max_consumption": 16.0}
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ConsumerParams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["energy_price", "incentive_price"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_prices_reject_non_finite(self, field, value):
+        kwargs = {"energy_price": 0.26, "incentive_price": 0.30}
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Prices(**kwargs)
+
+    def test_prices_reject_both_zero(self):
+        with pytest.raises(ValueError, match="incentive_price must be > 0"):
+            Prices(energy_price=0.0, incentive_price=0.0)
+
     def test_report_ordering_enforced(self):
         with pytest.raises(ValueError):
             Report(baseline=2.0, committed=3.0)

@@ -38,6 +38,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(0.0, 1e9, step=1e-3)
 
+    @pytest.mark.parametrize("step", [float("nan"), float("inf")])
+    def test_rejects_non_finite_step(self, step):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(0.0, 1.0, step=step)
+
     def test_points_include_bounds_and_extras(self):
         pts = GridSpec(0.0, 1.0, 0.25).points(extra=[0.1, 2.0])
         assert pts[0] == 0.0 and pts[-1] == 1.0
@@ -235,6 +240,12 @@ class TestGridBestReport:
         sol = grid_best_report(1.0, household, prices)
         assert sol.report.baseline == pytest.approx(16.0, abs=1e-12)
         assert sol.expected_profit == pytest.approx(4.9, abs=1e-6)
+
+    def test_quadratic_work_is_bounded(self, household, prices):
+        # 160 001 points: the 1-D grid is fine, its 2.6e10 report pairs are not.
+        grid = GridSpec.cover(household.max_consumption, 1e-4)
+        with pytest.raises(ValueError, match="coarser grid step"):
+            grid_best_report(0.1, household, prices, grid)
 
     def test_probability_out_of_range_rejected(self, household, prices):
         with pytest.raises(ValueError):

@@ -98,6 +98,55 @@ class TestParsing:
             parse_scenario(text)
 
 
+class TestBoundaryValidation:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key, section",
+        [
+            ("price_usd_per_kwh", "prices"),
+            ("marginal_utility_usd_per_kwh2", "consumer.a"),
+            ("baseline_kwh", "consumer.a"),
+            ("call_probability", "consumer.a"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, key, section, value):
+        lines = [
+            f"{key} = {value}" if line.startswith(f"{key} =") else line
+            for line in GOOD.splitlines()
+        ]
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario("\n".join(lines))
+        assert f"key {key!r} in [{section}] must be a finite number" in str(info.value)
+
+    @pytest.mark.parametrize("key", ["reduction_target_kwh", "grid_step_kwh"])
+    def test_non_finite_simulation_numbers_rejected(self, key):
+        text = GOOD + f"\n[simulation]\n{key} = nan\n"
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text)
+        assert f"key {key!r} in [simulation] must be a finite number" in str(info.value)
+
+    def test_zero_prices_rejected(self):
+        text = GOOD.replace("0.26", "0").replace("0.30", "0")
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text)
+        assert str(info.value).startswith("[prices]: incentive_price must be > 0")
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("simulation", "trials"), ("simulation", "seed"), ("sweep", "steps")],
+    )
+    def test_bad_integers_rejected_with_context(self, section, key):
+        text = GOOD + f"\n[{section}]\n{key} = abc\n"
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text)
+        assert str(info.value) == f"key {key!r} in [{section}] is not an integer: 'abc'"
+
+    def test_integers_parsed(self):
+        text = GOOD + "\n[simulation]\ntrials = 7\nseed = 3\n\n[sweep]\nsteps = 5\n"
+        scenario = parse_scenario(text)
+        assert (scenario.trials, scenario.seed, scenario.sweep.steps) == (7, 3, 5)
+
+
 class TestSweepSpec:
     def test_default_ranges(self):
         pr = default_sweep("p_r")

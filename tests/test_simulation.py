@@ -14,6 +14,8 @@ from drcontract import (
     settle_event,
     utility,
 )
+from drcontract.scenario import parse_scenario
+from mixed_scenario import MIXED_PRICES, mixed_scenario_text
 
 
 def single_portfolio(call_probability=0.1, behavior=Behavior.RATIONAL):
@@ -255,3 +257,133 @@ class TestMonteCarlo:
             records, summary = settle_event(portfolio, reports, allocation, behaviors)
             assert result.records[t] == records
             assert result.summaries[t] == summary
+
+
+@pytest.fixture(scope="module")
+def mixed():
+    scenario = parse_scenario(mixed_scenario_text())
+    portfolio = scenario.portfolio()
+    result = run_monte_carlo(
+        portfolio,
+        scenario.behaviors,
+        trials=scenario.trials,
+        reduction_target=scenario.reduction_target,
+        master_seed=scenario.seed,
+    )
+    reports = collect_reports(portfolio, scenario.behaviors)
+    seeds = np.random.SeedSequence(scenario.seed).generate_state(
+        scenario.trials, dtype=np.uint64
+    )
+    settled = []
+    for seed in seeds:
+        allocation = allocate_calls(
+            portfolio, reports, scenario.reduction_target, int(seed)
+        )
+        records, summary = settle_event(
+            portfolio, reports, allocation, scenario.behaviors
+        )
+        settled.append((allocation, records, summary))
+    return scenario, result, reports, settled
+
+
+class TestColumnarMonteCarlo:
+    """run_monte_carlo against drawing and settling each trial alone, on a
+    120-consumer portfolio mixing every behavior and both regimes."""
+
+    def test_portfolio_covers_the_cases(self, mixed):
+        scenario, result, reports, _ = mixed
+        p, p2 = MIXED_PRICES
+        threshold = p / (p + p2)
+        rational = [
+            m for m in scenario.members
+            if scenario.behaviors[m.consumer_id] is Behavior.RATIONAL
+        ]
+        assert len(scenario.members) >= 100
+        assert any(m.call_probability > threshold for m in rational)
+        assert any(0 < m.call_probability < threshold for m in rational)
+        assert set(scenario.behaviors.values()) == set(Behavior)
+        assert any(r.committed == 0.0 for r in reports.values())
+        flags = {s.under_provisioned for s in result.summaries}
+        assert flags == {True, False}
+
+    def test_every_trial_matches_single_settlement(self, mixed):
+        scenario, result, _, settled = mixed
+        assert len(result.records) == scenario.trials
+        for t, (_, records, summary) in enumerate(settled):
+            assert result.records[t] == records
+            assert list(result.records[t]) == records
+            assert result.summaries[t] == summary
+
+    def test_committed_reduction_adds_called_reports_in_order(self, mixed):
+        scenario, _, reports, settled = mixed
+        for allocation, _, summary in settled:
+            committed = 0.0
+            for member in scenario.members:
+                if allocation.signals[member.consumer_id] == CallSignal.CALLED:
+                    report = reports[member.consumer_id]
+                    committed += report.baseline - report.committed
+            assert allocation.committed_reduction == committed
+            assert summary.under_provisioned == (
+                committed < scenario.reduction_target
+            )
+
+    def test_summary_totals_add_called_records_in_order(self, mixed):
+        _, result, _, settled = mixed
+        for summary, (_, records, _) in zip(result.summaries, settled):
+            called = [r for r in records if r.signal == CallSignal.CALLED]
+            assert summary.called_count == len(called)
+            assert summary.total_reduction == sum(
+                max(r.report.baseline - r.consumption, 0.0) for r in called
+            )
+            assert summary.total_payout == sum(-r.payment for r in called)
+
+    def test_stats_match_settled_records(self, mixed):
+        scenario, result, _, settled = mixed
+        n = len(scenario.members)
+        events = [records for _, records, _ in settled]
+        profits = np.array([[r.profit for r in records] for records in events]).T
+        payments = np.array([[r.payment for r in records] for records in events]).T
+        reductions = np.array(
+            [
+                [
+                    max(r.report.baseline - r.consumption, 0.0)
+                    if r.signal == CallSignal.CALLED else 0.0
+                    for r in records
+                ]
+                for records in events
+            ]
+        ).T
+        called = np.array(
+            [[r.signal == CallSignal.CALLED for r in records] for records in events]
+        ).T
+        assert len(result.stats) == n
+        for k, stats in enumerate(result.stats):
+            assert stats.consumer_id == scenario.members[k].consumer_id
+            assert stats.behavior is scenario.behaviors[stats.consumer_id]
+            assert stats.call_frequency == float(called[k].mean())
+            assert stats.mean_profit == float(profits[k].mean())
+            assert stats.profit_variance == float(profits[k].var(ddof=1))
+            assert stats.mean_payment == float(payments[k].mean())
+            assert stats.mean_reduction == float(reductions[k].mean())
+
+    def test_records_are_lazy_views(self, mixed):
+        scenario, result, _, settled = mixed
+        n = len(scenario.members)
+        event = result.records[3]
+        assert len(event) == n
+        assert event[-1] == settled[3][1][-1]
+        assert event[2:5] == settled[3][1][2:5]
+        with pytest.raises(IndexError):
+            event[n]
+        assert event != result.records[4]
+        assert result.outcomes.consumption.shape == (n, 2)
+        assert result.called.shape == (n, scenario.trials)
+
+    def test_negative_or_nan_target_rejected(self, mixed):
+        scenario, *_ = mixed
+        for target in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="reduction target"):
+                run_monte_carlo(
+                    scenario.portfolio(), scenario.behaviors, trials=2,
+                    reduction_target=target,
+                )
