@@ -27,7 +27,9 @@ from .oracle import (
     GridSpec,
     case_payoffs,
     grid_best_report,
+    grid_best_reports,
     grid_best_response,
+    grid_best_responses,
     max_feasible_case_payoff,
 )
 from .scenario import Scenario, ScenarioError, SweepSpec, load_scenario
@@ -97,7 +99,9 @@ __all__ = [
     "collect_reports",
     "expected_profit",
     "grid_best_report",
+    "grid_best_reports",
     "grid_best_response",
+    "grid_best_responses",
     "ideal_consumption",
     "load_scenario",
     "max_feasible_case_payoff",

@@ -11,7 +11,7 @@ between the three is a meaningful check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,15 +32,21 @@ __all__ = [
     "GridSpec",
     "case_payoffs",
     "grid_best_report",
+    "grid_best_reports",
     "grid_best_response",
+    "grid_best_responses",
     "max_feasible_case_payoff",
 ]
 
 # Points-per-grid guard; a finer request is almost certainly a unit mistake.
 _MAX_POINTS = 10**7
-# grid_best_report does O(N^2) work on an N-point axis; 10**9 report pairs
+# grid_best_reports does O(N^2) work on an N-point axis; 10**9 report pairs
 # take about half a minute on a 2-vCPU host.
 _MAX_REPORT_PAIRS = 10**9
+# grid_best_reports builds its (baseline, commitment) table a few rows at a
+# time, each block holding at most this many float64 entries (32 KiB) or one
+# row, so its memory stays flat in the grid size.
+_BLOCK_ELEMENTS = 2**12
 
 
 @dataclass(frozen=True)
@@ -114,6 +120,34 @@ def _checked_axis(
     return pts[(pts >= 0.0) & (pts <= q_max)]
 
 
+def grid_best_responses(
+    report: Report,
+    signals: Sequence[CallSignal],
+    params: ConsumerParams,
+    prices: Prices,
+    grid: GridSpec | None = None,
+    inject_breakpoints: bool = True,
+) -> list[Stage2Solution]:
+    """Exhaustive-search best consumption for each call signal, in order.
+
+    With breakpoint injection (the default) the search is exact: the profit
+    is piecewise quadratic and every kink and piece vertex is on the grid.
+    Without it, the result carries an O(step^2) payoff error, which the
+    refinement tests rely on. Ties resolve to the smallest consumption. The
+    kinks do not depend on the signal, so all signals share one axis.
+    """
+    extra = (
+        _stage2_breakpoints(report, params, prices) if inject_breakpoints else ()
+    )
+    q = _checked_axis(grid, params, extra)
+    solutions = []
+    for signal in signals:
+        values = stage2_profit(q, report, signal, params, prices)
+        i = int(np.argmax(values))
+        solutions.append(Stage2Solution(float(q[i]), None, float(values[i])))
+    return solutions
+
+
 def grid_best_response(
     report: Report,
     signal: CallSignal,
@@ -122,41 +156,35 @@ def grid_best_response(
     grid: GridSpec | None = None,
     inject_breakpoints: bool = True,
 ) -> Stage2Solution:
-    """Exhaustive-search best consumption for one call signal.
-
-    With breakpoint injection (the default) the search is exact: the profit
-    is piecewise quadratic and every kink and piece vertex is on the grid.
-    Without it, the result carries an O(step^2) payoff error, which the
-    refinement tests rely on. Ties resolve to the smallest consumption.
-    """
-    extra = (
-        _stage2_breakpoints(report, params, prices) if inject_breakpoints else ()
-    )
-    q = _checked_axis(grid, params, extra)
-    values = stage2_profit(q, report, signal, params, prices)
-    i = int(np.argmax(values))
-    return Stage2Solution(float(q[i]), None, float(values[i]))
+    """Exhaustive-search best consumption for one call signal; see
+    :func:`grid_best_responses`."""
+    return grid_best_responses(
+        report, [signal], params, prices, grid, inject_breakpoints
+    )[0]
 
 
-def grid_best_report(
-    call_probability: float,
+def grid_best_reports(
+    call_probabilities: Iterable[float],
     params: ConsumerParams,
     prices: Prices,
     grid: GridSpec | None = None,
-) -> Stage1Solution:
-    """Exhaustive-search best report over the (baseline, committed) grid.
+) -> list[Stage1Solution]:
+    """Exhaustive-search best report over the (baseline, committed) grid,
+    for each call probability in order.
 
     For every candidate report the two inner problems are solved over the
     same kink-augmented consumption axis, and the expected profit is
     maximized. Ties resolve to the report with the larger called-branch
     payoff, then the smaller committed value, then the smaller baseline, so
     the degenerate zero-probability case stays comparable to the closed
-    form.
+    form. The inner optima do not depend on the call probability: they are
+    found once, with O(N^2) work on an N-point axis in row blocks of
+    bounded size, and each probability then costs O(N).
     """
-    if not 0 <= call_probability <= 1:
-        raise ValueError(
-            f"call probability must lie in [0, 1], got {call_probability}"
-        )
+    probabilities = list(call_probabilities)
+    for pr in probabilities:
+        if not 0 <= pr <= 1:
+            raise ValueError(f"call probability must lie in [0, 1], got {pr}")
     b = params.baseline
     g = params.marginal_utility
     p = prices.energy_price
@@ -168,50 +196,74 @@ def grid_best_report(
         max(b - 2 * p2 / g, 0.0),
     ]
     x = _checked_axis(grid, params, extra)
-    if x.size**2 > _MAX_REPORT_PAIRS:
+    n = x.size
+    if n**2 > _MAX_REPORT_PAIRS:
         raise ValueError(
-            f"the two-stage grid search would compare {x.size**2} report pairs "
-            f"({x.size} grid points squared), over the limit of "
+            f"the two-stage grid search would compare {n**2} report pairs "
+            f"({n} grid points squared), over the limit of "
             f"{_MAX_REPORT_PAIRS}; use a coarser grid step"
         )
-    pr = call_probability
     gains = utility(x, params, prices)
     base_gain = gains - p * x
 
-    # Per candidate baseline x[j]: the not-called optimum is a plain max;
-    # for the called branch, the payoff of consuming q under a committed
+    # Not called under baseline x[j]: consuming x[i] <= x[j] pays p*x[j] and
+    # consuming more pays p*x[i], so the optimum is the larger of the best
+    # gain up to j less p*x[j] and the best base_gain past j.
+    past = np.append(np.maximum.accumulate(base_gain[::-1])[::-1][1:], -np.inf)
+    not_called = np.maximum(np.maximum.accumulate(gains) - p * x, past)
+
+    # Called under baseline x[j]: the payoff of consuming q under a committed
     # level c is h(q) - p2*|q - c| with h(q) = G(q) - p*q + p2*(x[j] - q)+,
     # whose maximum over q for every c at once is the pair of slope-limited
-    # prefix/suffix envelopes of h.
-    best_key: tuple[float, float, float, float] | None = None
-    best_ij: tuple[int, int] = (0, 0)
-    for j in range(x.size):
-        not_called = float((gains - p * np.maximum(x[j], x)).max())
-        h = base_gain + p2 * np.maximum(x[j] - x, 0.0)
-        left = np.maximum.accumulate(h + p2 * x) - p2 * x
-        right = (
-            np.maximum.accumulate((h - p2 * x)[::-1])[::-1] + p2 * x
-        )
-        called = np.maximum(left, right)[: j + 1]
+    # prefix/suffix envelopes of h. Only c = x[i] <= x[j] is a report;
+    # commit[j] is the first such i with the largest called payoff, which is
+    # also the tie-broken best commitment at every call probability, since
+    # the expected profit never decreases in the called payoff.
+    called = np.empty(n)
+    commit = np.empty(n, dtype=np.intp)
+    cols = np.arange(n)
+    px = p2 * x
+    block = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(0, n, block):
+        rows = cols[lo : lo + block]
+        h = base_gain + p2 * np.maximum(x[rows, None] - x, 0.0)
+        left = np.maximum.accumulate(h + px, axis=1) - px
+        right = np.maximum.accumulate((h - px)[:, ::-1], axis=1)[:, ::-1] + px
+        envelope = np.maximum(left, right)
+        envelope[cols > rows[:, None]] = -np.inf
+        commit[rows] = envelope.argmax(axis=1)
+        called[rows] = envelope[rows - lo, commit[rows]]
+
+    threshold = call_threshold(prices)
+    solutions = []
+    for pr in probabilities:
+        # Best expected profit, then called payoff, then smallest commitment
+        # (x ascends with the index), then smallest baseline (first j).
         expected = pr * called + (1 - pr) * not_called
-        m = expected.max()
-        tied = np.flatnonzero(expected == m)
-        mm = called[tied].max()
-        i = int(tied[np.flatnonzero(called[tied] == mm)[0]])
-        key = (float(m), float(called[i]), -float(x[i]), -float(x[j]))
-        if best_key is None or key > best_key:
-            best_key = key
-            best_ij = (i, j)
-    i, j = best_ij
-    report = Report(baseline=float(x[j]), committed=float(x[i]))
-    regime = (
-        Regime.BELOW_THRESHOLD
-        if pr <= call_threshold(prices)
-        else Regime.ABOVE_THRESHOLD
-    )
-    return Stage1Solution(
-        report=report, expected_profit=best_key[0], regime=regime
-    )
+        top = np.flatnonzero(expected == expected.max())
+        top = top[called[top] == called[top].max()]
+        j = int(top[np.argmin(commit[top])])
+        report = Report(baseline=float(x[j]), committed=float(x[commit[j]]))
+        regime = (
+            Regime.BELOW_THRESHOLD if pr <= threshold else Regime.ABOVE_THRESHOLD
+        )
+        solutions.append(
+            Stage1Solution(
+                report=report, expected_profit=float(expected[j]), regime=regime
+            )
+        )
+    return solutions
+
+
+def grid_best_report(
+    call_probability: float,
+    params: ConsumerParams,
+    prices: Prices,
+    grid: GridSpec | None = None,
+) -> Stage1Solution:
+    """Exhaustive-search best report for one call probability; see
+    :func:`grid_best_reports`."""
+    return grid_best_reports([call_probability], params, prices, grid)[0]
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .core import ConsumerParams, Prices, check_consumption_cap
 from .simulation import Behavior, Portfolio, PortfolioMember
 
 __all__ = [
+    "MAX_SWEEP_STEPS",
     "Scenario",
     "ScenarioError",
     "SweepSpec",
@@ -30,6 +31,10 @@ __all__ = [
 SWEEPABLE_PARAMS = ("p_r", "gamma")
 
 _DEFAULT_GAMMA_RANGE = (0.04, 0.2)
+
+# Each sweep point costs a closed-form solve and an output row; a longer
+# sweep is almost certainly a typo.
+MAX_SWEEP_STEPS = 10**5
 
 
 class ScenarioError(ValueError):
@@ -48,8 +53,10 @@ class SweepSpec:
             raise ScenarioError(
                 f"sweep parameter must be one of {SWEEPABLE_PARAMS}, got {self.param!r}"
             )
-        if self.steps < 1:
-            raise ScenarioError(f"sweep steps must be >= 1, got {self.steps}")
+        if not 1 <= self.steps <= MAX_SWEEP_STEPS:
+            raise ScenarioError(
+                f"steps must lie in [1, {MAX_SWEEP_STEPS}], got {self.steps}"
+            )
         if self.stop < self.start:
             raise ScenarioError("sweep range must have stop >= start")
 
@@ -188,6 +195,10 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
             )
         if scenario.trials < 1:
             raise ScenarioError(f"trials must be >= 1, got {scenario.trials}")
+        if scenario.seed < 0:
+            raise ScenarioError(
+                f"key 'seed' in [simulation] must be >= 0, got {scenario.seed}"
+            )
         if scenario.grid_step <= 0:
             raise ScenarioError(f"grid step must be > 0, got {scenario.grid_step}")
         if scenario.reduction_target < 0:
@@ -196,12 +207,13 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
         swp = parser["sweep"]
         param = swp.get("param", "p_r")
         base = default_sweep(param)
-        scenario.sweep = SweepSpec(
-            param=param,
-            start=_get_float(swp, "from", "sweep") if "from" in swp else base.start,
-            stop=_get_float(swp, "to", "sweep") if "to" in swp else base.stop,
-            steps=_get_int(swp, "steps", "sweep") if "steps" in swp else base.steps,
-        )
+        start = _get_float(swp, "from", "sweep") if "from" in swp else base.start
+        stop = _get_float(swp, "to", "sweep") if "to" in swp else base.stop
+        steps = _get_int(swp, "steps", "sweep") if "steps" in swp else base.steps
+        try:
+            scenario.sweep = SweepSpec(param, start, stop, steps)
+        except ScenarioError as exc:
+            raise ScenarioError(f"[sweep]: {exc}") from None
     return scenario
 
 

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from drcontract import cli
 from drcontract.cli import main
 from mixed_scenario import mixed_scenario_text
 
@@ -16,6 +17,8 @@ marginal_utility_usd_per_kwh2 = 0.05
 max_consumption_kwh = 13.0
 call_probability = 0.1
 """
+# The same consumer with a cap above its saturation point.
+GOOD_SCENARIO = BAD_SCENARIO.replace("= 13.0", "= 16.0")
 
 
 def read(path):
@@ -89,6 +92,21 @@ class TestSweepCommand:
             main(["sweep", "--param", "q_max", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("steps", ["0", "100001", "1000000000"])
+    def test_steps_out_of_range_rejected(self, tmp_path, capsys, steps):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--steps", steps, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument --steps: must lie in [1, 100000], got {steps}" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_scenario_steps_out_of_range_rejected(self, tmp_path, capsys):
+        path = tmp_path / "long.ini"
+        path.write_text(GOOD_SCENARIO + "[sweep]\nsteps = 100001\n")
+        assert main(["sweep", "--scenario", str(path)]) == 1
+        assert "[sweep]: steps must lie in [1, 100000]" in capsys.readouterr().err
+
     def test_logs_scenario_hash_and_seed(self, tmp_path, capsys):
         main(["sweep", "--out", str(tmp_path / "s.csv")])
         err = capsys.readouterr().err
@@ -125,6 +143,20 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert "coarser grid step" in capsys.readouterr().err
+
+    def test_too_fine_grid_is_refused_before_any_draw(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_draws(rng):
+            raise AssertionError("a stage-2 draw ran before the grid check")
+
+        monkeypatch.setattr(cli, "_draw_instance", no_draws)
+        code = main(
+            ["verify", "--grid-step", "1e-4", "--out", str(tmp_path / "v.txt")]
+        )
+        assert code == 1
+        assert "coarser grid step" in capsys.readouterr().err
+        assert not (tmp_path / "v.txt").exists()
 
     def test_invalid_scenario_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -222,6 +254,28 @@ behavior = naive_gamer
         assert main(
             ["simulate", "--trials", "0", "--out", str(tmp_path / "x.csv")]
         ) == 1
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("command", ["sweep", "verify", "simulate"])
+    def test_negative_seed_rejected_before_the_run(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "-1", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --seed: must be >= 0, got -1" in err
+        assert "scenario_hash=" not in err
+
+    def test_negative_scenario_seed_rejected(self, tmp_path, capsys):
+        path = tmp_path / "seed.ini"
+        path.write_text(GOOD_SCENARIO + "[simulation]\nseed = -5\n")
+        code = main(
+            ["simulate", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "key 'seed' in [simulation] must be >= 0, got -5" in err
+        assert "scenario_hash=" not in err
 
 
 def sha256(path):

@@ -1,18 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import drcontract.oracle as oracle
 from drcontract import (
     CallSignal,
     ConsumerParams,
     GridSpec,
     Prices,
+    Regime,
     Report,
+    Stage1Solution,
     best_response_called,
     best_response_not_called,
+    call_threshold,
     case_payoffs,
     grid_best_report,
+    grid_best_reports,
     grid_best_response,
+    grid_best_responses,
     max_feasible_case_payoff,
+    saturation_point,
+    utility,
 )
 from drcontract.oracle import CASE_TO_STRATEGY
 
@@ -250,3 +260,137 @@ class TestGridBestReport:
     def test_probability_out_of_range_rejected(self, household, prices):
         with pytest.raises(ValueError):
             grid_best_report(-0.1, household, prices)
+
+
+def reference_grid_best_report(pr, params, prices, grid):
+    """The two-stage search one candidate baseline x[j] at a time.
+
+    This is the per-baseline loop that grid_best_reports replaced, kept as
+    the reference its blocked, probability-shared form must equal bit for
+    bit.
+    """
+    b = params.baseline
+    g = params.marginal_utility
+    p = prices.energy_price
+    p2 = prices.incentive_price
+    extra = [
+        b,
+        saturation_point(params, prices),
+        max(b - p2 / g, 0.0),
+        max(b - 2 * p2 / g, 0.0),
+    ]
+    x = oracle._checked_axis(grid, params, extra)
+    gains = utility(x, params, prices)
+    base_gain = gains - p * x
+    best_key = None
+    best_ij = (0, 0)
+    for j in range(x.size):
+        not_called = float((gains - p * np.maximum(x[j], x)).max())
+        h = base_gain + p2 * np.maximum(x[j] - x, 0.0)
+        left = np.maximum.accumulate(h + p2 * x) - p2 * x
+        right = np.maximum.accumulate((h - p2 * x)[::-1])[::-1] + p2 * x
+        called = np.maximum(left, right)[: j + 1]
+        expected = pr * called + (1 - pr) * not_called
+        m = expected.max()
+        tied = np.flatnonzero(expected == m)
+        mm = called[tied].max()
+        i = int(tied[np.flatnonzero(called[tied] == mm)[0]])
+        key = (float(m), float(called[i]), -float(x[i]), -float(x[j]))
+        if best_key is None or key > best_key:
+            best_key = key
+            best_ij = (i, j)
+    i, j = best_ij
+    regime = (
+        Regime.BELOW_THRESHOLD
+        if pr <= call_threshold(prices)
+        else Regime.ABOVE_THRESHOLD
+    )
+    return Stage1Solution(
+        Report(baseline=float(x[j]), committed=float(x[i])), best_key[0], regime
+    )
+
+
+def edge_probabilities(prices, extra=()):
+    """0, 1, the call threshold and one ulp either side of it."""
+    threshold = call_threshold(prices)
+    return [
+        0.0,
+        1.0,
+        threshold,
+        float(np.nextafter(threshold, 0.0)),
+        float(np.nextafter(threshold, 1.0)),
+        *extra,
+    ]
+
+
+@st.composite
+def two_stage_instances(draw):
+    """A consumer, prices with the edges p = 0 and p2 = p, and a grid of
+    20 to 150 steps over the cap."""
+    baseline = draw(st.floats(1.0, 20.0))
+    gamma = draw(st.floats(0.01, 0.2))
+    p = draw(st.one_of(st.just(0.0), st.floats(0.05, 0.5)))
+    p2 = draw(
+        st.one_of(st.just(p), st.floats(p, 2 * p))
+        if p > 0
+        else st.floats(0.05, 1.0)
+    )
+    cap = baseline + p / gamma + draw(st.floats(0.5, 10.0))
+    step = cap / draw(st.integers(20, 150))
+    pr = draw(st.floats(0.0, 1.0))
+    return ConsumerParams(baseline, gamma, cap), Prices(p, p2), step, pr
+
+
+class TestBlockedTwoStageSearch:
+    @settings(max_examples=120, deadline=None)
+    @given(two_stage_instances())
+    def test_equals_per_baseline_loop_bitwise(self, instance):
+        params, prices, step, pr = instance
+        grid = GridSpec.cover(params.max_consumption, step)
+        probabilities = edge_probabilities(prices, [pr])
+        got = grid_best_reports(probabilities, params, prices, grid)
+        want = [
+            reference_grid_best_report(q, params, prices, grid)
+            for q in probabilities
+        ]
+        assert got == want
+
+    def test_one_row_blocks_change_nothing(self, household, prices, monkeypatch):
+        grid = GridSpec.cover(household.max_consumption, 0.05)
+        probabilities = [k / 10 for k in range(11)] + edge_probabilities(prices)
+        blocked = grid_best_reports(probabilities, household, prices, grid)
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 1)
+        assert grid_best_reports(probabilities, household, prices, grid) == blocked
+        assert blocked == [
+            reference_grid_best_report(q, household, prices, grid)
+            for q in probabilities
+        ]
+
+    def test_single_probability_wrapper(self, household, prices):
+        grid = GridSpec.cover(household.max_consumption, 0.05)
+        both = grid_best_reports([0.1, 0.6], household, prices, grid)
+        assert both == [
+            grid_best_report(0.1, household, prices, grid),
+            grid_best_report(0.6, household, prices, grid),
+        ]
+        assert grid_best_reports([], household, prices, grid) == []
+
+    def test_any_probability_out_of_range_rejected(self, household, prices):
+        with pytest.raises(ValueError, match="call probability"):
+            grid_best_reports([0.1, 1.5], household, prices)
+
+
+class TestSharedStage2Axis:
+    def test_both_signals_match_single_signal_searches(self):
+        rng = np.random.default_rng(5)
+        signals = (CallSignal.NOT_CALLED, CallSignal.CALLED)
+        for _ in range(20):
+            params, prices, report = draw_instance(rng)
+            grid = GridSpec.cover(params.max_consumption, 0.05)
+            both = grid_best_responses(report, signals, params, prices, grid)
+            assert both == [
+                grid_best_response(report, s, params, prices, grid)
+                for s in signals
+            ]
+            reverse = grid_best_responses(report, signals[::-1], params, prices, grid)
+            assert reverse == both[::-1]

@@ -141,6 +141,25 @@ class TestBoundaryValidation:
             parse_scenario(text)
         assert str(info.value) == f"key {key!r} in [{section}] is not an integer: 'abc'"
 
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_negative_seed_rejected(self, seed):
+        text = GOOD + f"\n[simulation]\nseed = {seed}\n"
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text)
+        assert str(info.value) == f"key 'seed' in [simulation] must be >= 0, got {seed}"
+
+    def test_seed_zero_accepted(self):
+        assert parse_scenario(GOOD + "\n[simulation]\nseed = 0\n").seed == 0
+
+    @pytest.mark.parametrize("steps", ["0", "100001"])
+    def test_sweep_steps_out_of_range_rejected(self, steps):
+        text = GOOD + f"\n[sweep]\nsteps = {steps}\n"
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text)
+        assert str(info.value) == (
+            f"[sweep]: steps must lie in [1, 100000], got {steps}"
+        )
+
     def test_integers_parsed(self):
         text = GOOD + "\n[simulation]\ntrials = 7\nseed = 3\n\n[sweep]\nsteps = 5\n"
         scenario = parse_scenario(text)
@@ -159,6 +178,14 @@ class TestSweepSpec:
         assert values[0] == 0.0
         assert values[-1] == 1.0
         assert len(values) == 101
+
+    def test_steps_bounded(self):
+        from drcontract import SweepSpec
+        from drcontract.scenario import MAX_SWEEP_STEPS
+
+        assert SweepSpec("p_r", 0.0, 1.0, MAX_SWEEP_STEPS).steps == 10**5
+        with pytest.raises(ScenarioError, match="steps must lie in"):
+            SweepSpec("p_r", 0.0, 1.0, MAX_SWEEP_STEPS + 1)
 
     def test_single_step(self):
         from drcontract import SweepSpec
