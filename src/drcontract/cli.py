@@ -12,15 +12,13 @@ import argparse
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .core import CallSignal, ConsumerParams, Prices, Report, check_consumption_cap
 from .oracle import GridSpec, grid_best_reports, grid_best_responses, max_feasible_case_payoff
-# Not called here: the single-input forms stay bound in this module because
-# the benchmark's tracer (perfbench/spans.py) looks them up by these names.
-from .oracle import grid_best_report, grid_best_response  # noqa: F401
 from .scenario import (
     MAX_SWEEP_STEPS,
     Scenario,
@@ -29,15 +27,22 @@ from .scenario import (
     default_sweep,
     load_scenario,
 )
-from .simulation import MonteCarloResult, run_monte_carlo
+from .simulation import MonteCarloResult, check_record_count, run_monte_carlo
 from .strategy import (
     best_report,
-    best_response_called,
-    best_response_not_called,
     call_threshold,
     expected_profit,
     planned_consumption,
+    solve,
 )
+# Not called here: these stay bound in this module because the benchmark's
+# tracer (perfbench/spans.py) looks them up by these names.
+from .oracle import grid_best_report, grid_best_response  # noqa: F401
+from .strategy import best_response_called, best_response_not_called  # noqa: F401
+
+# Each verify draw costs a grid search, and every draw is held (seven numbers)
+# for the one closed-form pass; more draws are almost certainly a typo.
+MAX_DRAWS = 10**5
 
 SWEEP_HEADER = (
     "swept_param,value,b_hat_star,q_hat_star,q_star_r0,q_star_r1,"
@@ -135,7 +140,10 @@ def _build_parser() -> _Parser:
         "--grid-step", type=float, default=None, help="oracle grid step in kWh"
     )
     p_verify.add_argument(
-        "--draws", type=int, default=500, help="random parameter draws (default 500)"
+        "--draws",
+        type=_int_in(1, MAX_DRAWS),
+        default=500,
+        help=f"random parameter draws (1 to {MAX_DRAWS}, default 500)",
     )
     p_verify.add_argument(
         "--literal-above-threshold",
@@ -229,6 +237,15 @@ def _draw_instance(rng) -> tuple[ConsumerParams, Prices, Report]:
     return params, prices, report
 
 
+def _instance_numbers(params: ConsumerParams, prices: Prices, report: Report):
+    """The fields of one drawn instance, in the order of their types."""
+    return (
+        params.baseline, params.marginal_utility, params.max_consumption,
+        prices.energy_price, prices.incentive_price,
+        report.baseline, report.committed,
+    )
+
+
 def run_verification(
     scenario: Scenario,
     grid_step: float,
@@ -248,23 +265,36 @@ def run_verification(
         probabilities, member.params, scenario.prices, report_grid
     )
     rng = np.random.default_rng(seed)
+    # Every instance is drawn first, from the same stream, and solved in one
+    # kernel call. Each is kept as a row of its seven numbers, a fraction of
+    # the memory of its three objects, and rebuilt for the oracle.
+    drawn = np.fromiter(
+        (_instance_numbers(*_draw_instance(rng)) for _ in range(draws)),
+        dtype=(float, 7),
+        count=draws,
+    )
+    b, g, q_max, p, p2, reported, committed = drawn.T
+    closed = solve(
+        SimpleNamespace(baseline=b, marginal_utility=g, max_consumption=q_max),
+        SimpleNamespace(energy_price=p, incentive_price=p2),
+        report=SimpleNamespace(baseline=reported, committed=committed),
+    )
 
     max_payoff_dev = 0.0
     max_q_dev = 0.0
     max_case_dev = 0.0
     worst: tuple | None = None
     signals = (CallSignal.NOT_CALLED, CallSignal.CALLED)
-    for _ in range(draws):
-        params, prices, report = _draw_instance(rng)
+    for k in range(draws):
+        numbers = drawn[k].tolist()
+        params = ConsumerParams(*numbers[:3])
+        prices = Prices(*numbers[3:5])
+        report = Report(*numbers[5:])
         grid = GridSpec.cover(params.max_consumption, grid_step)
         oracles = grid_best_responses(report, signals, params, prices, grid)
         for signal, oracle in zip(signals, oracles):
-            if signal == CallSignal.NOT_CALLED:
-                closed = best_response_not_called(report.baseline, params, prices)
-            else:
-                closed = best_response_called(report, params, prices)
-            payoff_dev = abs(closed.payoff - oracle.payoff)
-            q_dev = abs(closed.consumption - oracle.consumption)
+            payoff_dev = abs(float(closed.payoff[k, signal]) - oracle.payoff)
+            q_dev = abs(float(closed.consumption[k, signal]) - oracle.consumption)
             case_dev = abs(
                 max_feasible_case_payoff(report, signal, params, prices)
                 - oracle.payoff
@@ -289,34 +319,36 @@ def run_verification(
         echo(f"offending draw (seed={seed}): {worst}")
     ok = ok and stage2_ok and cases_ok
 
-    for member in scenario.members:
+    for consumer in scenario.members:
         threshold = call_threshold(scenario.prices)
         at = expected_profit(
-            threshold, member.params, scenario.prices,
+            threshold, consumer.params, scenario.prices,
             literal_above_threshold=literal_above_threshold,
         )
         just_above = expected_profit(
-            float(np.nextafter(threshold, 1.0)), member.params, scenario.prices,
+            float(np.nextafter(threshold, 1.0)), consumer.params, scenario.prices,
             literal_above_threshold=literal_above_threshold,
         )
         jump = abs(just_above - at)
         cont_ok = jump <= 1e-9
         echo(
-            f"expected-profit continuity at threshold ({member.consumer_id}): "
+            f"expected-profit continuity at threshold ({consumer.consumer_id}): "
             f"|jump| {jump:.3g} -> {'PASS' if cont_ok else 'FAIL'}"
         )
         ok = ok and cont_ok
 
+    closed_reports = solve(
+        member.params, scenario.prices, call_probability=np.array(probabilities)
+    )
     max_b_dev = 0.0
     max_e_dev = 0.0
-    for pr, oracle in zip(probabilities, oracle_reports):
-        closed = best_report(pr, member.params, scenario.prices)
-        max_b_dev = max(
-            max_b_dev, abs(closed.report.baseline - oracle.report.baseline)
-        )
-        max_e_dev = max(
-            max_e_dev, abs(closed.expected_profit - oracle.expected_profit)
-        )
+    for baseline, profit, oracle in zip(
+        closed_reports.report_baseline.tolist(),
+        closed_reports.expected_profit.tolist(),
+        oracle_reports,
+    ):
+        max_b_dev = max(max_b_dev, abs(baseline - oracle.report.baseline))
+        max_e_dev = max(max_e_dev, abs(profit - oracle.expected_profit))
     report_ok = max_b_dev <= 2 * grid_step and max_e_dev <= 1e-4
     echo(
         f"two-stage oracle vs closed form (11 call probabilities, "
@@ -332,8 +364,6 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else scenario.seed
     grid_step = args.grid_step if args.grid_step is not None else scenario.grid_step
     _log_run(scenario, seed)
-    if args.draws < 1:
-        raise ScenarioError(f"draws must be >= 1, got {args.draws}")
     lines: list[str] = []
     ok = run_verification(
         scenario,
@@ -389,6 +419,8 @@ def cmd_simulate(args) -> int:
     trials = args.trials if args.trials is not None else scenario.trials
     if trials < 1:
         raise ScenarioError(f"trials must be >= 1, got {trials}")
+    if args.trials is not None:
+        check_record_count(len(scenario.members), trials, "--trials")
     _log_run(scenario, seed)
     result = run_monte_carlo(
         scenario.portfolio(),

@@ -8,14 +8,18 @@ floats: energies in kWh, money in $, marginal utility in $/kWh^2.
 
 The consumption-dependent functions accept either a scalar or a numpy array
 for the consumption argument and return a matching ``float`` or ``ndarray``,
-which lets the grid-search oracle evaluate them in bulk.
+which lets the grid-search oracle evaluate them in bulk. They also broadcast
+over per-row parameters: wherever they take a :class:`ConsumerParams`,
+:class:`Prices` or :class:`Report`, they take the :func:`columns` of many
+such values too, so one call evaluates many consumers with the same formulas.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,6 +29,7 @@ __all__ = [
     "Prices",
     "Report",
     "check_consumption_cap",
+    "columns",
     "ideal_consumption",
     "opt_out_payoff",
     "payment_called",
@@ -134,6 +139,30 @@ class Report:
             )
 
 
+def columns(cls: type, values) -> SimpleNamespace:
+    """The fields of ``values``, all of dataclass ``cls``, as float arrays.
+
+    The result has one attribute per field of ``cls`` (for example
+    ``columns(ConsumerParams, params).baseline``), each with one entry per
+    value in order. The values were validated when they were built; the
+    columns are not validated again.
+    """
+    return SimpleNamespace(
+        **{
+            f.name: np.array([getattr(v, f.name) for v in values], dtype=float)
+            for f in fields(cls)
+        }
+    )
+
+
+def first_flagged(value, flags):
+    """``value`` at the first row set in ``flags``, to name it in an error;
+    a scalar ``value`` is returned as it is."""
+    if np.ndim(value) == 0:
+        return value
+    return np.broadcast_to(value, np.shape(flags))[flags][0]
+
+
 def saturation_point(params: ConsumerParams, prices: Prices) -> float:
     """Consumption beyond which marginal utility net of price is zero."""
     return params.baseline + prices.energy_price / params.marginal_utility
@@ -168,18 +197,24 @@ def utility(consumption, params: ConsumerParams, prices: Prices):
     and once-differentiable at the breakpoint, zero at q=0, concave and
     non-decreasing.
 
+    The square is taken as ``d * d``: numpy squares an array that way, but
+    raises a 0-d value ``** 2`` through libm ``pow``, which can differ in
+    the last bit. So one consumption level gives the same bits as a scalar,
+    in an array, or with per-row parameters.
+
     Args:
         consumption: kWh, scalar or array, >= 0.
     """
     q = np.asarray(consumption, dtype=float)
-    if np.any(q < 0):
+    if (q < 0).any():
         raise ValueError("consumption must be >= 0")
     g = params.marginal_utility
     s = saturation_point(params, prices)
     # Vertex form of the quadratic: bitwise-identical to the saturated
     # constant at the breakpoint, so plateau ties resolve consistently.
     peak = 0.5 * g * s * s
-    out = np.where(q <= s, peak - 0.5 * g * (q - s) ** 2, peak)
+    d = q - s
+    out = np.where(q <= s, peak - 0.5 * g * (d * d), peak)
     return _scalar_or_array(out, consumption)
 
 
@@ -198,9 +233,8 @@ def ideal_consumption(
     """
     if signal == CallSignal.NOT_CALLED:
         return params.baseline
-    return max(
-        params.baseline - prices.incentive_price / params.marginal_utility, 0.0
-    )
+    reduced = params.baseline - prices.incentive_price / params.marginal_utility
+    return _scalar_or_array(np.maximum(reduced, 0.0), reduced)
 
 
 def payment_not_called(consumption, reported_baseline: float, prices: Prices):
@@ -246,10 +280,10 @@ def stage2_profit(
         consumption: kWh, scalar or array, must lie in [0, max_consumption].
     """
     q = np.asarray(consumption, dtype=float)
-    if np.any(q < 0) or np.any(q > params.max_consumption):
-        raise ValueError(
-            f"consumption must lie in [0, {params.max_consumption}]"
-        )
+    outside = (q < 0) | (q > params.max_consumption)
+    if outside.any():
+        cap = first_flagged(params.max_consumption, outside)
+        raise ValueError(f"consumption must lie in [0, {cap}]")
     if signal == CallSignal.NOT_CALLED:
         paid = payment_not_called(q, report.baseline, prices)
     else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .core import ConsumerParams, Prices, check_consumption_cap
-from .simulation import Behavior, Portfolio, PortfolioMember
+from .simulation import Behavior, Portfolio, PortfolioMember, check_record_count
 
 __all__ = [
     "MAX_SWEEP_STEPS",
@@ -185,6 +185,12 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
         sim = parser["simulation"]
         if "trials" in sim:
             scenario.trials = _get_int(sim, "trials", "simulation")
+            try:
+                check_record_count(
+                    len(members), scenario.trials, "key 'trials' in [simulation]"
+                )
+            except ValueError as exc:
+                raise ScenarioError(str(exc)) from None
         if "seed" in sim:
             scenario.seed = _get_int(sim, "seed", "simulation")
         if "grid_step_kwh" in sim:

@@ -22,14 +22,23 @@ from .core import (
     Prices,
     Report,
     check_consumption_cap,
+    columns,
     ideal_consumption,
     payment_called,
     payment_not_called,
     utility,
 )
-from .strategy import best_report, best_response_called, best_response_not_called
+from .strategy import solve
+# Not called here: the scalar solvers stay bound in this module because the
+# benchmark's tracer (perfbench/spans.py) looks them up by these names.
+from .strategy import (  # noqa: F401
+    best_report,
+    best_response_called,
+    best_response_not_called,
+)
 
 __all__ = [
+    "MAX_RECORDS",
     "Behavior",
     "CallAllocation",
     "ConsumerStats",
@@ -41,10 +50,17 @@ __all__ = [
     "PortfolioMember",
     "TrialRecords",
     "allocate_calls",
+    "check_record_count",
     "collect_reports",
     "run_monte_carlo",
     "settle_event",
 ]
+
+
+# A Monte Carlo run holds a few arrays with one entry per consumer and trial
+# (about 25 bytes per record) and a few objects per trial; a larger run is
+# almost certainly a typo.
+MAX_RECORDS = 10**7
 
 
 class Behavior(str, Enum):
@@ -202,21 +218,28 @@ class MonteCarloResult:
 def collect_reports(
     portfolio: Portfolio, behaviors: Mapping[str, Behavior]
 ) -> dict[str, Report]:
-    """Stage-1 reports for every consumer, per its behavior model."""
-    reports: dict[str, Report] = {}
-    for member in portfolio.members:
-        behavior = _behavior_for(behaviors, member.consumer_id)
-        params = member.params
-        committed = ideal_consumption(params, portfolio.prices, CallSignal.CALLED)
-        if behavior is Behavior.RATIONAL:
-            reports[member.consumer_id] = best_report(
-                member.call_probability, params, portfolio.prices
-            ).report
-        elif behavior is Behavior.TRUTHFUL:
-            reports[member.consumer_id] = Report(params.baseline, committed)
-        else:
-            reports[member.consumer_id] = Report(params.max_consumption, committed)
-    return reports
+    """Stage-1 reports for every consumer, per its behavior model.
+
+    Rational consumers report the closed-form optimum, truthful ones their
+    true baseline and naive gamers the cap; all commit to the reduced
+    optimum (b - p2/g)+, which is the rational commitment too.
+    """
+    members = portfolio.members
+    rational, truthful = _behavior_masks(members, behaviors)
+    params = columns(ConsumerParams, [m.params for m in members])
+    probabilities = np.array([m.call_probability for m in members], dtype=float)
+    best = solve(params, portfolio.prices, call_probability=probabilities)
+    announced = np.where(
+        rational,
+        best.report_baseline,
+        np.where(truthful, params.baseline, params.max_consumption),
+    )
+    return {
+        member.consumer_id: Report(baseline, committed)
+        for member, baseline, committed in zip(
+            members, announced.tolist(), best.report_committed.tolist()
+        )
+    }
 
 
 def allocate_calls(
@@ -283,6 +306,18 @@ def _behavior_for(behaviors: Mapping[str, Behavior], consumer_id: str) -> Behavi
         raise ValueError(f"no behavior defined for consumer {consumer_id!r}") from None
 
 
+def _behavior_masks(
+    members: Sequence[PortfolioMember], behaviors: Mapping[str, Behavior]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which members are rational and which truthful; the rest are naive
+    gamers."""
+    kinds = [_behavior_for(behaviors, m.consumer_id) for m in members]
+    return (
+        np.array([k is Behavior.RATIONAL for k in kinds], dtype=bool),
+        np.array([k is Behavior.TRUTHFUL for k in kinds], dtype=bool),
+    )
+
+
 def _report_for(reports: Mapping[str, Report], consumer_id: str) -> Report:
     try:
         return reports[consumer_id]
@@ -301,43 +336,41 @@ def _settle(
     portfolio: Portfolio,
     reports: Mapping[str, Report],
     behaviors: Mapping[str, Behavior],
-    signals: list[CallSignal],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Consumption, payment and profit of each member under its signal.
+    """Consumption, payment and profit of each member under each signal.
 
-    Rational consumers best-respond to their own report. Truthful consumers
-    follow the ideal rule. A naive gamer consumes its baseline when not
-    called (paying for its inflated report), but best-responds once called,
-    since even a naive agent reacts to a realized charge.
+    Row k of each ``(n, 2)`` array is member k; column s is its outcome
+    under ``CallSignal(s)``. Rational consumers best-respond to their own
+    report. Truthful consumers follow the ideal rule. A naive gamer consumes
+    its baseline when not called (paying for its inflated report), but
+    best-responds once called, since even a naive agent reacts to a
+    realized charge.
     """
     prices = portfolio.prices
-    rows = []
-    for member, signal in zip(portfolio.members, signals):
-        params = member.params
-        report = _report_for(reports, member.consumer_id)
-        behavior = _behavior_for(behaviors, member.consumer_id)
-        if behavior is Behavior.RATIONAL:
-            if signal == CallSignal.NOT_CALLED:
-                consumption = best_response_not_called(
-                    report.baseline, params, prices
-                ).consumption
-            else:
-                consumption = best_response_called(report, params, prices).consumption
-        elif behavior is Behavior.TRUTHFUL:
-            consumption = ideal_consumption(params, prices, signal)
-        else:
-            if signal == CallSignal.NOT_CALLED:
-                consumption = params.baseline
-            else:
-                consumption = best_response_called(report, params, prices).consumption
-        if signal == CallSignal.NOT_CALLED:
-            payment = payment_not_called(consumption, report.baseline, prices)
-        else:
-            payment = payment_called(consumption, report, prices)
-        profit = utility(consumption, params, prices) - payment
-        rows.append((consumption, payment, profit))
-    consumption, payment, profit = np.array(rows, dtype=float).reshape(-1, 3).T
-    return consumption, payment, profit
+    members = portfolio.members
+    report = columns(Report, [_report_for(reports, m.consumer_id) for m in members])
+    rational, truthful = _behavior_masks(members, behaviors)
+    params = columns(ConsumerParams, [m.params for m in members])
+    best = solve(params, prices, report=report)
+    not_called = np.where(rational, best.consumption[:, 0], params.baseline)
+    called = np.where(
+        truthful,
+        ideal_consumption(params, prices, CallSignal.CALLED),
+        best.consumption[:, 1],
+    )
+    payment = (
+        payment_not_called(not_called, report.baseline, prices),
+        payment_called(called, report, prices),
+    )
+    profit = [
+        utility(q, params, prices) - paid
+        for q, paid in zip((not_called, called), payment)
+    ]
+    return (
+        np.stack([not_called, called], axis=-1),
+        np.stack(payment, axis=-1),
+        np.stack(profit, axis=-1),
+    )
 
 
 def _summarize(
@@ -385,7 +418,10 @@ def settle_event(
         under = False
     members = portfolio.members
     drawn = [_signal_for(signals, m.consumer_id) for m in members]
-    consumption, payment, profit = _settle(portfolio, reports, behaviors, drawn)
+    picked = (np.arange(len(members)), np.array(drawn, dtype=np.intp))
+    consumption, payment, profit = (
+        outcome[picked] for outcome in _settle(portfolio, reports, behaviors)
+    )
     member_reports = tuple(reports[m.consumer_id] for m in members)
     records = [
         EventRecord(member.consumer_id, signal, report, q, paid, gained)
@@ -401,6 +437,17 @@ def settle_event(
     called = np.array(drawn, dtype=bool)
     reduction = _reduction(member_reports, consumption)
     return records, _summarize(called, reduction, -payment, under)
+
+
+def check_record_count(consumers: int, trials: int, name: str = "trials") -> None:
+    """Refuse a Monte Carlo run of more than :data:`MAX_RECORDS` records
+    (consumers x trials); ``name`` is the input that set the trial count."""
+    if consumers * trials > MAX_RECORDS:
+        raise ValueError(
+            f"{name} = {trials} with {consumers} consumers gives "
+            f"{consumers * trials} event records, over the limit of "
+            f"{MAX_RECORDS}; use fewer trials"
+        )
 
 
 def run_monte_carlo(
@@ -420,15 +467,10 @@ def run_monte_carlo(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    reports = collect_reports(portfolio, behaviors)
     members = portfolio.members
-    consumption, payment, profit = np.stack(
-        [
-            _settle(portfolio, reports, behaviors, [signal] * len(members))
-            for signal in CallSignal
-        ],
-        axis=-1,
-    )
+    check_record_count(len(members), trials)
+    reports = collect_reports(portfolio, behaviors)
+    consumption, payment, profit = _settle(portfolio, reports, behaviors)
     table = OutcomeTable(
         consumer_ids=tuple(m.consumer_id for m in members),
         reports=tuple(reports[m.consumer_id] for m in members),

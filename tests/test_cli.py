@@ -2,8 +2,8 @@ import hashlib
 
 import pytest
 
-from drcontract import cli
-from drcontract.cli import main
+from drcontract import cli, load_scenario
+from drcontract.cli import main, run_verification
 from mixed_scenario import mixed_scenario_text
 
 BAD_SCENARIO = """
@@ -19,6 +19,26 @@ call_probability = 0.1
 """
 # The same consumer with a cap above its saturation point.
 GOOD_SCENARIO = BAD_SCENARIO.replace("= 13.0", "= 16.0")
+
+# Two consumers under prices whose call threshold 0.2/0.55 lies off every
+# probability k/10 that verify's two-stage check solves at.
+TWO_CONSUMERS = """
+[prices]
+price_usd_per_kwh = 0.2
+incentive_usd_per_kwh = 0.35
+
+[consumer.a]
+baseline_kwh = 10.0
+marginal_utility_usd_per_kwh2 = 0.1
+max_consumption_kwh = 15.0
+call_probability = 0.1
+
+[consumer.b]
+baseline_kwh = 4.0
+marginal_utility_usd_per_kwh2 = 0.05
+max_consumption_kwh = 12.0
+call_probability = 0.1
+"""
 
 
 def read(path):
@@ -165,6 +185,48 @@ class TestVerifyCommand:
         assert code == 1
         assert "saturation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("draws", ["0", "100001"])
+    def test_draws_out_of_range_rejected_before_the_run(self, tmp_path, capsys, draws):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--draws", draws, "--out", str(tmp_path / "v.txt")])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument --draws: must lie in [1, 100000], got {draws}" in err
+        assert "scenario_hash=" not in err
+
+    def test_two_stage_check_solves_the_first_consumer(self, tmp_path):
+        # The continuity check loops over every consumer; the two-stage
+        # check that follows it must still compare the first one.
+        path = tmp_path / "two.ini"
+        path.write_text(TWO_CONSUMERS)
+        first_only = tmp_path / "one.ini"
+        first_only.write_text(TWO_CONSUMERS[: TWO_CONSUMERS.index("[consumer.b]")])
+        lines = {}
+        for name in (path, first_only):
+            echoed = []
+            scenario = load_scenario(str(name))
+            assert run_verification(scenario, 0.05, 1, 42, echo=echoed.append)
+            lines[name] = [line for line in echoed if line.startswith("two-stage")]
+        assert lines[path] == lines[first_only]
+        assert "(11 call probabilities, a)" in lines[path][0]
+
+    def test_kernel_runs_twice_whatever_the_draw_count(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return cli_solve(*args, **kwargs)
+
+        cli_solve = cli.solve
+        monkeypatch.setattr(cli, "solve", counted)
+        for draws in ("3", "40"):
+            calls.clear()
+            assert main(
+                ["verify", "--draws", draws, "--grid-step", "0.05",
+                 "--out", str(tmp_path / "v.txt")]
+            ) == 0
+            assert len(calls) == 2
+
 
 class TestSimulateCommand:
     def test_single_trial_is_deterministic(self, tmp_path):
@@ -255,6 +317,29 @@ behavior = naive_gamer
             ["simulate", "--trials", "0", "--out", str(tmp_path / "x.csv")]
         ) == 1
 
+    @pytest.mark.parametrize(
+        "consumers, trials", [("1", "10000001"), ("120", "100000")]
+    )
+    def test_too_many_records_rejected_before_the_run(
+        self, tmp_path, mixed_ini, capsys, consumers, trials
+    ):
+        scenario = [] if consumers == "1" else ["--scenario", str(mixed_ini)]
+        out = tmp_path / "x.csv"
+        code = main(["simulate", *scenario, "--trials", trials, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"--trials = {trials} with {consumers} consumers gives" in err
+        assert "over the limit of 10000000; use fewer trials" in err
+        assert "scenario_hash=" not in err
+        assert not out.exists()
+
+    def test_too_many_scenario_trials_rejected(self, tmp_path, capsys):
+        path = tmp_path / "long.ini"
+        path.write_text(GOOD_SCENARIO + "[simulation]\ntrials = 10000001\n")
+        assert main(["simulate", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "key 'trials' in [simulation] = 10000001 with 1 consumers" in err
+
 
 class TestSeedValidation:
     @pytest.mark.parametrize("command", ["sweep", "verify", "simulate"])
@@ -304,6 +389,13 @@ DEFAULT_SIMULATE_DIGESTS = (
 DEFAULT_SWEEP_DIGEST = (
     "46badeead19b058ce05565fe348c73abdddb27aa8641f2b4f37b33883d0c4136"
 )
+# sha256 of verify --draws 300 --grid-step 0.03 on the default scenario,
+# recorded from the per-consumer closed form that the array kernel replaced.
+# At this size every deviation it prints is the same at all three seeds.
+VERIFY_DIGESTS = {
+    seed: "987f9cafc908ccf865d0f8c3c7fb4905798f7ee3026daaa48cf6c5794d796cca"
+    for seed in ("42", "8604", "401")
+}
 
 
 @pytest.fixture
@@ -328,6 +420,15 @@ class TestSimulateOutputIsStable:
     def test_default_scenario_digests(self, tmp_path):
         paths = simulate_outputs(tmp_path)
         assert tuple(sha256(p) for p in paths) == DEFAULT_SIMULATE_DIGESTS
+
+    @pytest.mark.parametrize("seed", sorted(VERIFY_DIGESTS))
+    def test_verify_digests(self, tmp_path, seed):
+        out = tmp_path / "verify.txt"
+        assert main(
+            ["verify", "--draws", "300", "--grid-step", "0.03", "--seed", seed,
+             "--out", str(out)]
+        ) == 0
+        assert sha256(out) == VERIFY_DIGESTS[seed]
 
     def test_default_sweep_digest(self, tmp_path):
         out = tmp_path / "sweep.csv"

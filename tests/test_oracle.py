@@ -24,7 +24,9 @@ from drcontract import (
     saturation_point,
     utility,
 )
+from drcontract.core import columns
 from drcontract.oracle import CASE_TO_STRATEGY
+from drcontract.strategy import solve
 
 
 def draw_instance(rng):
@@ -394,3 +396,50 @@ class TestSharedStage2Axis:
             ]
             reverse = grid_best_responses(report, signals[::-1], params, prices, grid)
             assert reverse == both[::-1]
+
+
+@st.composite
+def verify_box_instances(draw):
+    """A consumer, prices and report from the box of ``verify``'s stage-2
+    suite, with the report also at 0, b, the saturation point or the cap,
+    and the commitment also at 0 or the report."""
+    baseline = draw(st.floats(1.0, 20.0))
+    gamma = draw(st.floats(0.01, 0.2))
+    p = draw(st.floats(0.05, 0.5))
+    p2 = draw(st.floats(p, 2 * p))
+    cap = baseline + p / gamma + draw(st.floats(1.0, 10.0))
+    params = ConsumerParams(baseline, gamma, cap)
+    prices = Prices(p, p2)
+    q_max = params.max_consumption
+    sat = saturation_point(params, prices)
+    reported = draw(
+        st.one_of(st.floats(0.0, q_max), st.sampled_from([0.0, baseline, sat, q_max]))
+    )
+    committed = draw(
+        st.one_of(st.floats(0.0, reported), st.sampled_from([0.0, reported]))
+    )
+    return params, prices, Report(reported, committed)
+
+
+class TestKernelOracleCaseTableAgree:
+    STEP = 0.01
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(verify_box_instances(), min_size=1, max_size=10))
+    def test_within_the_stage2_suite_tolerances(self, rows):
+        params, prices, reports = zip(*rows)
+        closed = solve(
+            columns(ConsumerParams, params),
+            columns(Prices, prices),
+            report=columns(Report, reports),
+        )
+        signals = (CallSignal.NOT_CALLED, CallSignal.CALLED)
+        for k, (one, price, report) in enumerate(rows):
+            grid = GridSpec.cover(one.max_consumption, self.STEP)
+            oracles = grid_best_responses(report, signals, one, price, grid)
+            for s, oracle in zip(signals, oracles):
+                assert abs(closed.payoff[k, s] - oracle.payoff) <= 1e-6
+                q_dev = abs(closed.consumption[k, s] - oracle.consumption)
+                assert q_dev <= 2 * self.STEP
+                case = max_feasible_case_payoff(report, s, one, price)
+                assert abs(case - oracle.payoff) <= 1e-9

@@ -160,6 +160,20 @@ class TestBoundaryValidation:
             f"[sweep]: steps must lie in [1, 100000], got {steps}"
         )
 
+    def test_trials_bounded_by_consumers_times_trials(self):
+        second = GOOD[GOOD.index("[consumer.a]"):].replace("consumer.a", "consumer.b")
+        two = GOOD + second
+        at_limit = parse_scenario(two + "\n[simulation]\ntrials = 5000000\n")
+        assert (len(at_limit.members), at_limit.trials) == (2, 5_000_000)
+        one = parse_scenario(GOOD + "\n[simulation]\ntrials = 5000001\n")
+        assert one.trials == 5_000_001
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(two + "\n[simulation]\ntrials = 5000001\n")
+        assert str(info.value) == (
+            "key 'trials' in [simulation] = 5000001 with 2 consumers gives "
+            "10000002 event records, over the limit of 10000000; use fewer trials"
+        )
+
     def test_integers_parsed(self):
         text = GOOD + "\n[simulation]\ntrials = 7\nseed = 3\n\n[sweep]\nsteps = 5\n"
         scenario = parse_scenario(text)

@@ -14,6 +14,7 @@ from drcontract import (
     settle_event,
     utility,
 )
+from drcontract import simulation
 from drcontract.scenario import parse_scenario
 from mixed_scenario import MIXED_PRICES, mixed_scenario_text
 
@@ -247,6 +248,16 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             run_monte_carlo(portfolio, behaviors, trials=0)
 
+    def test_records_bounded_before_any_work(self, monkeypatch):
+        portfolio, behaviors = single_portfolio()
+
+        def no_reports(*args):
+            raise AssertionError("reports were collected before the bound")
+
+        monkeypatch.setattr(simulation, "collect_reports", no_reports)
+        with pytest.raises(ValueError, match="^trials = 10000001 with 1 consumers"):
+            run_monte_carlo(portfolio, behaviors, trials=10_000_001)
+
     def test_per_trial_records_match_single_settlement(self):
         portfolio, behaviors = single_portfolio(0.5, Behavior.RATIONAL)
         result = run_monte_carlo(portfolio, behaviors, trials=5, master_seed=101)
@@ -365,6 +376,25 @@ class TestColumnarMonteCarlo:
             assert stats.profit_variance == float(profits[k].var(ddof=1))
             assert stats.mean_payment == float(payments[k].mean())
             assert stats.mean_reduction == float(reductions[k].mean())
+
+    def test_kernel_runs_once_per_portfolio(self, mixed, monkeypatch):
+        scenario, _, reports, _ = mixed
+        calls = []
+        kernel = simulation.solve
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "solve", counted)
+        portfolio = scenario.portfolio()
+        assert len(portfolio.members) == 120
+        run_monte_carlo(portfolio, scenario.behaviors, trials=3)
+        assert len(calls) == 2  # collect_reports, then _settle
+        calls.clear()
+        signals = {m.consumer_id: CallSignal.CALLED for m in portfolio.members}
+        settle_event(portfolio, reports, signals, scenario.behaviors)
+        assert len(calls) == 1
 
     def test_records_are_lazy_views(self, mixed):
         scenario, result, _, settled = mixed
