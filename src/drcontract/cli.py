@@ -9,6 +9,7 @@ from a sweep or simulation file.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import replace
@@ -96,6 +97,20 @@ def _int_in(lo: int, hi: int | None = None):
     return parse
 
 
+def _finite(positive: bool = False):
+    """argparse type: a finite float, also > 0 when ``positive``."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value) or (positive and value <= 0):
+            kind = "a finite number > 0" if positive else "a finite number"
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {text}")
+        return value
+
+    parse.__name__ = "float"
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; remap to 1 (validation)."""
 
@@ -125,8 +140,8 @@ def _build_parser() -> _Parser:
         "sweep", parents=[common], help="evaluate closed forms over a parameter range"
     )
     p_sweep.add_argument("--param", choices=("p_r", "gamma"), help="swept parameter")
-    p_sweep.add_argument("--from", dest="start", type=float, help="sweep start")
-    p_sweep.add_argument("--to", dest="stop", type=float, help="sweep end")
+    p_sweep.add_argument("--from", dest="start", type=_finite(), help="sweep start")
+    p_sweep.add_argument("--to", dest="stop", type=_finite(), help="sweep end")
     p_sweep.add_argument(
         "--steps",
         type=_int_in(1, MAX_SWEEP_STEPS),
@@ -137,7 +152,7 @@ def _build_parser() -> _Parser:
         "verify", parents=[common], help="closed form vs oracle consistency suites"
     )
     p_verify.add_argument(
-        "--grid-step", type=float, default=None, help="oracle grid step in kWh"
+        "--grid-step", type=_finite(positive=True), help="oracle grid step in kWh (> 0)"
     )
     p_verify.add_argument(
         "--draws",
@@ -155,7 +170,9 @@ def _build_parser() -> _Parser:
     p_sim = sub.add_parser(
         "simulate", parents=[common], help="Monte Carlo event simulation"
     )
-    p_sim.add_argument("--trials", type=int, help="override scenario trial count")
+    p_sim.add_argument(
+        "--trials", type=_int_in(1), help="override the scenario trial count (>= 1)"
+    )
     return parser
 
 
@@ -386,8 +403,10 @@ def _sibling_path(out: str, suffix: str) -> str:
 def _record_chunks(result: MonteCarloResult) -> Iterator[str]:
     """The records CSV: the header, then one chunk of rows per trial.
 
-    Each consumer's row after the trial column is formatted once per signal;
-    trial t's chunk picks one of the two by ``result.called[:, t]``.
+    Each consumer's row after the trial column is formatted once per signal,
+    into an ``(n, 2)`` array; trial t's chunk picks one per consumer by
+    ``result.called[:, t]``. Every row ends in a newline, so joining them
+    with the trial prefix puts the prefix in front of each row.
     """
     table = result.outcomes
     rows = [
@@ -406,19 +425,17 @@ def _record_chunks(result: MonteCarloResult) -> Iterator[str]:
             table.profit.tolist(),
         )
     ]
+    rows = np.array(rows, dtype=object)
     yield RECORDS_HEADER + "\n"
-    for t in range(result.trials):
+    for t, called in enumerate(result.called.T):
         prefix = f"{t},"
-        picked = zip(rows, result.called[:, t].tolist())
-        yield "".join([prefix + row[called] for row, called in picked])
+        yield prefix + prefix.join(np.where(called, rows[:, 1], rows[:, 0]).tolist())
 
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else scenario.seed
     trials = args.trials if args.trials is not None else scenario.trials
-    if trials < 1:
-        raise ScenarioError(f"trials must be >= 1, got {trials}")
     if args.trials is not None:
         check_record_count(len(scenario.members), trials, "--trials")
     _log_run(scenario, seed)
@@ -429,42 +446,22 @@ def cmd_simulate(args) -> int:
         reduction_target=scenario.reduction_target,
         master_seed=seed,
     )
-    summaries = [SUMMARIES_HEADER]
-    for trial, summary in enumerate(result.summaries):
-        summaries.append(
-            ",".join(
-                [
-                    str(trial),
-                    str(summary.called_count),
-                    _fmt(summary.total_reduction),
-                    _fmt(summary.total_payout),
-                    "true" if summary.under_provisioned else "false",
-                ]
-            )
+    summaries = [SUMMARIES_HEADER] + [
+        f"{t},{s.called_count},{_fmt(s.total_reduction)},{_fmt(s.total_payout)},"
+        + ("true" if s.under_provisioned else "false")
+        for t, s in enumerate(result.summaries)
+    ]
+    stats = [STATS_HEADER] + [
+        ",".join(
+            [s.consumer_id, s.behavior.value, str(s.trials)]
+            + [_fmt(v) for v in (s.call_frequency, s.mean_profit, s.profit_variance,
+                                 s.mean_payment, s.mean_reduction)]
         )
-    stats = [STATS_HEADER]
-    for s in result.stats:
-        stats.append(
-            ",".join(
-                [
-                    s.consumer_id,
-                    s.behavior.value,
-                    str(s.trials),
-                    _fmt(s.call_frequency),
-                    _fmt(s.mean_profit),
-                    _fmt(s.profit_variance),
-                    _fmt(s.mean_payment),
-                    _fmt(s.mean_reduction),
-                ]
-            )
-        )
+        for s in result.stats
+    ]
     _write_chunks(args.out, _record_chunks(result))
-    if args.out is not None:
-        _write_lines(_sibling_path(args.out, "summaries"), summaries)
-        _write_lines(_sibling_path(args.out, "stats"), stats)
-    else:
-        _write_lines(None, summaries)
-        _write_lines(None, stats)
+    for suffix, lines in (("summaries", summaries), ("stats", stats)):
+        _write_lines(args.out and _sibling_path(args.out, suffix), lines)
     print(f"reproduce with seed={seed} trials={trials}", file=sys.stderr)
     return 0
 

@@ -147,7 +147,7 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
         if not name.startswith("consumer."):
             continue
         cid = name[len("consumer."):]
-        section = parser[name]
+        section = dict(parser.items(name))
         try:
             params = ConsumerParams(
                 baseline=_get_float(section, "baseline_kwh", name),
@@ -206,9 +206,15 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
                 f"key 'seed' in [simulation] must be >= 0, got {scenario.seed}"
             )
         if scenario.grid_step <= 0:
-            raise ScenarioError(f"grid step must be > 0, got {scenario.grid_step}")
+            raise ScenarioError(
+                f"key 'grid_step_kwh' in [simulation] must be > 0, "
+                f"got {scenario.grid_step}"
+            )
         if scenario.reduction_target < 0:
-            raise ScenarioError("reduction target must be >= 0")
+            raise ScenarioError(
+                f"key 'reduction_target_kwh' in [simulation] must be >= 0, "
+                f"got {scenario.reduction_target}"
+            )
     if "sweep" in parser:
         swp = parser["sweep"]
         param = swp.get("param", "p_r")

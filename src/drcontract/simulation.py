@@ -278,9 +278,9 @@ def _draw_calls(
     and the reduction the called reports commit to in each trial.
 
     Trial t draws ``default_rng(seeds[t]).random(n)`` and calls member k when
-    its draw lies below its call probability. The committed reduction is
-    summed in portfolio order, one called member at a time from 0.0, so a
-    trial gives the same bits alone or in a batch.
+    its draw lies below its call probability. The committed reduction is a
+    :func:`_called_totals` sum, so a trial gives the same bits alone or in a
+    batch.
     """
     if not reduction_target >= 0:
         raise ValueError(f"reduction target must be >= 0, got {reduction_target}")
@@ -293,10 +293,20 @@ def _draw_calls(
     called = np.empty((len(members), len(seeds)), dtype=bool)
     for t, seed in enumerate(seeds):
         called[:, t] = np.random.default_rng(int(seed)).random(len(members)) < probs
-    committed = np.zeros(len(seeds))
-    for flags, reduction in zip(called, announced):
-        committed[flags] += reduction
-    return called, committed
+    return called, _called_totals(called, announced)
+
+
+def _called_totals(called: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per trial t, the sum of ``values[k]`` over the members k with
+    ``called[k, t]``, added one at a time in portfolio order from +0.0.
+
+    ``np.add.accumulate`` always adds in order; ``np.sum`` would add pairwise
+    when there is one trial, so a trial alone would differ from a batch.
+    """
+    totals = np.zeros((len(values) + 1, called.shape[1]))
+    np.copyto(totals[1:], np.asarray(values, dtype=float)[:, None], where=called)
+    np.add.accumulate(totals, axis=0, out=totals)
+    return totals[-1].copy()
 
 
 def _behavior_for(behaviors: Mapping[str, Behavior], consumer_id: str) -> Behavior:
@@ -336,19 +346,18 @@ def _settle(
     portfolio: Portfolio,
     reports: Mapping[str, Report],
     behaviors: Mapping[str, Behavior],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> OutcomeTable:
     """Consumption, payment and profit of each member under each signal.
 
-    Row k of each ``(n, 2)`` array is member k; column s is its outcome
-    under ``CallSignal(s)``. Rational consumers best-respond to their own
-    report. Truthful consumers follow the ideal rule. A naive gamer consumes
-    its baseline when not called (paying for its inflated report), but
-    best-responds once called, since even a naive agent reacts to a
-    realized charge.
+    Rational consumers best-respond to their own report. Truthful consumers
+    follow the ideal rule. A naive gamer consumes its baseline when not
+    called (paying for its inflated report), but best-responds once called,
+    since even a naive agent reacts to a realized charge.
     """
     prices = portfolio.prices
     members = portfolio.members
-    report = columns(Report, [_report_for(reports, m.consumer_id) for m in members])
+    member_reports = tuple(_report_for(reports, m.consumer_id) for m in members)
+    report = columns(Report, member_reports)
     rational, truthful = _behavior_masks(members, behaviors)
     params = columns(ConsumerParams, [m.params for m in members])
     best = solve(params, prices, report=report)
@@ -366,37 +375,40 @@ def _settle(
         utility(q, params, prices) - paid
         for q, paid in zip((not_called, called), payment)
     ]
-    return (
-        np.stack([not_called, called], axis=-1),
-        np.stack(payment, axis=-1),
-        np.stack(profit, axis=-1),
+    return OutcomeTable(
+        consumer_ids=tuple(m.consumer_id for m in members),
+        reports=member_reports,
+        consumption=np.stack([not_called, called], axis=-1),
+        payment=np.stack(payment, axis=-1),
+        profit=np.stack(profit, axis=-1),
     )
 
 
 def _summarize(
-    called: np.ndarray,
-    reduction: np.ndarray,
-    payout: np.ndarray,
-    under_provisioned: bool,
-) -> EventSummary:
-    """Totals over the called members of one event.
+    table: OutcomeTable, called: np.ndarray, under_provisioned: np.ndarray
+) -> list[EventSummary]:
+    """Totals over the called members of each event: column t of ``called``
+    and entry t of ``under_provisioned`` describe event t.
 
-    ``reduction`` and ``payout`` hold each member's reduction below its
-    reported baseline and its payout when called; they are added with the
-    builtin ``sum`` in portfolio order.
+    Each member's reduction and payout when called are added in portfolio
+    order from +0.0 (:func:`_called_totals`), the same on any Python version.
     """
-    return EventSummary(
-        called_count=int(np.count_nonzero(called)),
-        total_reduction=sum(reduction[called].tolist()),
-        total_payout=sum(payout[called].tolist()),
-        under_provisioned=bool(under_provisioned),
-    )
+    return [
+        EventSummary(count, reduced, paid, under)
+        for count, reduced, paid, under in zip(
+            np.count_nonzero(called, axis=0).tolist(),
+            _called_totals(called, _reduction(table)).tolist(),
+            _called_totals(called, -table.payment[:, 1]).tolist(),
+            under_provisioned.tolist(),
+        )
+    ]
 
 
-def _reduction(reports: tuple[Report, ...], consumption: np.ndarray) -> np.ndarray:
-    """Each member's consumption below its reported baseline, floored at 0."""
-    baselines = np.array([r.baseline for r in reports], dtype=float)
-    return np.maximum(baselines - consumption, 0.0)
+def _reduction(table: OutcomeTable) -> np.ndarray:
+    """Each member's consumption when called below its reported baseline,
+    floored at 0."""
+    baselines = np.array([r.baseline for r in table.reports], dtype=float)
+    return np.maximum(baselines - table.consumption[:, 1], 0.0)
 
 
 def settle_event(
@@ -416,27 +428,12 @@ def settle_event(
     else:
         signals = calls
         under = False
-    members = portfolio.members
-    drawn = [_signal_for(signals, m.consumer_id) for m in members]
-    picked = (np.arange(len(members)), np.array(drawn, dtype=np.intp))
-    consumption, payment, profit = (
-        outcome[picked] for outcome in _settle(portfolio, reports, behaviors)
+    called = np.array(
+        [_signal_for(signals, m.consumer_id) for m in portfolio.members], dtype=bool
     )
-    member_reports = tuple(reports[m.consumer_id] for m in members)
-    records = [
-        EventRecord(member.consumer_id, signal, report, q, paid, gained)
-        for member, signal, report, q, paid, gained in zip(
-            members,
-            drawn,
-            member_reports,
-            consumption.tolist(),
-            payment.tolist(),
-            profit.tolist(),
-        )
-    ]
-    called = np.array(drawn, dtype=bool)
-    reduction = _reduction(member_reports, consumption)
-    return records, _summarize(called, reduction, -payment, under)
+    table = _settle(portfolio, reports, behaviors)
+    summary = _summarize(table, called[:, None], np.array([under]))[0]
+    return list(TrialRecords(table, called)), summary
 
 
 def check_record_count(consumers: int, trials: int, name: str = "trials") -> None:
@@ -470,39 +467,31 @@ def run_monte_carlo(
     members = portfolio.members
     check_record_count(len(members), trials)
     reports = collect_reports(portfolio, behaviors)
-    consumption, payment, profit = _settle(portfolio, reports, behaviors)
-    table = OutcomeTable(
-        consumer_ids=tuple(m.consumer_id for m in members),
-        reports=tuple(reports[m.consumer_id] for m in members),
-        consumption=consumption,
-        payment=payment,
-        profit=profit,
-    )
+    table = _settle(portfolio, reports, behaviors)
     seeds = np.random.SeedSequence(master_seed).generate_state(
         trials, dtype=np.uint64
     )
     called, committed = _draw_calls(portfolio, reports, reduction_target, seeds)
-    under = committed < reduction_target
-    reduction = _reduction(table.reports, table.consumption[:, 1])
-    payout = -table.payment[:, 1]
-    summaries = [
-        _summarize(called[:, t], reduction, payout, under[t]) for t in range(trials)
-    ]
+    summaries = _summarize(table, called, committed < reduction_target)
+    # Member k's statistics reduce row k of (n, trials) arrays, built one at a
+    # time; a C-contiguous row is summed pairwise, like the row alone.
     profits = np.where(called, table.profit[:, 1:], table.profit[:, :1])
-    payments = np.where(called, table.payment[:, 1:], table.payment[:, :1])
-    reductions = np.where(called, reduction[:, None], 0.0)
+    mean_profit = profits.mean(axis=1)
+    # The steps of profits.var(axis=1, ddof=1), in place of its temporary.
+    profits -= mean_profit[:, None]
+    profits *= profits
+    variance = profits.sum(axis=1) / max(trials - 1, 1)
+    del profits
+    mean_payment = np.where(
+        called, table.payment[:, 1:], table.payment[:, :1]
+    ).mean(axis=1)
+    mean_reduction = np.where(called, _reduction(table)[:, None], 0.0).mean(axis=1)
+    per_member = np.column_stack(
+        [called.mean(axis=1), mean_profit, variance, mean_payment, mean_reduction]
+    )
     stats = [
-        ConsumerStats(
-            consumer_id=member.consumer_id,
-            behavior=_behavior_for(behaviors, member.consumer_id),
-            trials=trials,
-            call_frequency=float(called[k].mean()),
-            mean_profit=float(profits[k].mean()),
-            profit_variance=float(profits[k].var(ddof=1)) if trials > 1 else 0.0,
-            mean_payment=float(payments[k].mean()),
-            mean_reduction=float(reductions[k].mean()),
-        )
-        for k, member in enumerate(members)
+        ConsumerStats(cid, _behavior_for(behaviors, cid), trials, *row)
+        for cid, row in zip(table.consumer_ids, per_member.tolist())
     ]
     return MonteCarloResult(
         stats=stats,

@@ -312,10 +312,13 @@ behavior = naive_gamer
         assert means["gamer"] < means["honest"]
         assert means["gamer"] < means["smart"]
 
-    def test_bad_trials_rejected(self, tmp_path):
-        assert main(
-            ["simulate", "--trials", "0", "--out", str(tmp_path / "x.csv")]
-        ) == 1
+    def test_bad_trials_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--trials", "0", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --trials: must be >= 1, got 0" in err
+        assert "scenario_hash=" not in err
 
     @pytest.mark.parametrize(
         "consumers, trials", [("1", "10000001"), ("120", "100000")]
@@ -339,6 +342,48 @@ behavior = naive_gamer
         assert main(["simulate", "--scenario", str(path)]) == 1
         err = capsys.readouterr().err
         assert "key 'trials' in [simulation] = 10000001 with 1 consumers" in err
+
+
+class TestFlagValidation:
+    """Bad numeric flags exit 1 before the run header, naming the flag."""
+
+    @staticmethod
+    def rejected(capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "scenario_hash=" not in err
+        return err
+
+    @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf"])
+    def test_grid_step_must_be_finite_and_positive(self, tmp_path, capsys, step):
+        err = self.rejected(
+            capsys, ["verify", "--grid-step", step, "--out", str(tmp_path / "v.txt")]
+        )
+        assert f"argument --grid-step: must be a finite number > 0, got {step}" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["--from", "nan"], "--from", "nan"),
+            (["--to=-inf"], "--to", "-inf"),
+            (["--param", "gamma", "--from", "inf", "--to", "inf"], "--from", "inf"),
+        ],
+    )
+    def test_sweep_range_must_be_finite(self, tmp_path, capsys, argv, flag, value):
+        err = self.rejected(
+            capsys, ["sweep", *argv, "--out", str(tmp_path / "s.csv")]
+        )
+        assert f"argument {flag}: must be a finite number, got {value}" in err
+
+    def test_scenario_grid_step_names_the_key(self, tmp_path, capsys):
+        path = tmp_path / "step.ini"
+        path.write_text(GOOD_SCENARIO + "[simulation]\ngrid_step_kwh = 0\n")
+        assert main(["verify", "--scenario", str(path), "--draws", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "key 'grid_step_kwh' in [simulation] must be > 0, got 0.0" in err
+        assert "scenario_hash=" not in err
 
 
 class TestSeedValidation:
@@ -434,6 +479,23 @@ class TestSimulateOutputIsStable:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--out", str(out)]) == 0
         assert sha256(out) == DEFAULT_SWEEP_DIGEST
+
+    def test_zero_payment_totals_print_as_zero(self, tmp_path):
+        # A truthful consumer under these prices pays exactly 0.0 when
+        # called, so each total payout adds -0.0 to +0.0 and prints "0".
+        path = tmp_path / "zero.ini"
+        path.write_text(
+            GOOD_SCENARIO.replace("0.26", "0.25").replace("0.30", "0.5")
+            .replace("8.0", "12.0").replace("0.05", "0.125")
+            .replace("16.0", "20.0").replace("0.1\n", "1.0\nbehavior = truthful\n")
+        )
+        out, summaries, _ = simulate_outputs(
+            tmp_path, "--scenario", str(path), "--trials", "2"
+        )
+        assert read(out).splitlines()[1:] == [
+            "0,a,1,12,8,8,0,10", "1,a,1,12,8,8,0,10"
+        ]
+        assert read(summaries).splitlines()[1:] == ["0,1,4,0,false", "1,1,4,0,false"]
 
     def test_stdout_is_the_out_files_concatenated(self, tmp_path, mixed_ini, capsys):
         paths = simulate_outputs(tmp_path, "--scenario", str(mixed_ini))

@@ -148,6 +148,20 @@ class TestBoundaryValidation:
             parse_scenario(text)
         assert str(info.value) == f"key 'seed' in [simulation] must be >= 0, got {seed}"
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("grid_step_kwh", "0", "must be > 0, got 0.0"),
+            ("grid_step_kwh", "-0.5", "must be > 0, got -0.5"),
+            ("reduction_target_kwh", "-1", "must be >= 0, got -1.0"),
+        ],
+    )
+    def test_out_of_range_simulation_numbers_name_the_key(self, key, value, message):
+        text = GOOD + f"\n[simulation]\n{key} = {value}\n"
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text)
+        assert str(info.value) == f"key {key!r} in [simulation] {message}"
+
     def test_seed_zero_accepted(self):
         assert parse_scenario(GOOD + "\n[simulation]\nseed = 0\n").seed == 0
 

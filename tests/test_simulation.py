@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drcontract import (
     Behavior,
@@ -17,6 +21,23 @@ from drcontract import (
 from drcontract import simulation
 from drcontract.scenario import parse_scenario
 from mixed_scenario import MIXED_PRICES, mixed_scenario_text
+
+
+def left_fold(values):
+    """Add ``values`` one at a time in order, starting from 0.0.
+
+    Unlike builtin ``sum``, which is compensated from Python 3.12 on, this
+    rounds after every addition on every Python version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def same_bits(a, b):
+    """``a`` and ``b`` are the same float64, telling 0.0 from -0.0."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def single_portfolio(call_probability=0.1, behavior=Behavior.RATIONAL):
@@ -343,10 +364,10 @@ class TestColumnarMonteCarlo:
         for summary, (_, records, _) in zip(result.summaries, settled):
             called = [r for r in records if r.signal == CallSignal.CALLED]
             assert summary.called_count == len(called)
-            assert summary.total_reduction == sum(
+            assert summary.total_reduction == left_fold(
                 max(r.report.baseline - r.consumption, 0.0) for r in called
             )
-            assert summary.total_payout == sum(-r.payment for r in called)
+            assert summary.total_payout == left_fold(-r.payment for r in called)
 
     def test_stats_match_settled_records(self, mixed):
         scenario, result, _, settled = mixed
@@ -409,6 +430,21 @@ class TestColumnarMonteCarlo:
         assert result.outcomes.consumption.shape == (n, 2)
         assert result.called.shape == (n, scenario.trials)
 
+    def test_statistics_hold_one_trial_array_at_a_time(self):
+        # Each (n, trials) float array is freed before the next is built, so
+        # the traced peak stays near one of them (three alive at once, or
+        # numpy's var temporary beside its input, would pass 2).
+        consumers, trials = 500, 2000
+        scenario = parse_scenario(mixed_scenario_text(consumers, trials))
+        portfolio = scenario.portfolio()
+        tracemalloc.start()
+        try:
+            run_monte_carlo(portfolio, scenario.behaviors, trials, master_seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * consumers * trials * 8
+
     def test_negative_or_nan_target_rejected(self, mixed):
         scenario, *_ = mixed
         for target in (-1.0, float("nan")):
@@ -417,3 +453,123 @@ class TestColumnarMonteCarlo:
                     scenario.portfolio(), scenario.behaviors, trials=2,
                     reduction_target=target,
                 )
+
+
+# Under these prices a truthful consumer with baseline 12 and marginal utility
+# 0.125 consumes its commitment 8 when called and pays exactly
+# 0.25 * 8 - 0.5 * (12 - 8) = 0.0, so its payout is -0.0.
+ZERO_PAY_PRICES = Prices(0.25, 0.5)
+
+
+def zero_pay_member(consumer_id, call_probability, cap=20.0):
+    return PortfolioMember(
+        consumer_id, ConsumerParams(12.0, 0.125, cap), call_probability
+    )
+
+
+@st.composite
+def small_portfolios(draw):
+    """A portfolio of 1 to 13 consumers of any behavior, some of which pay
+    exactly 0.0 when called, and its behaviors."""
+    prices = draw(st.sampled_from([ZERO_PAY_PRICES, Prices(0.26, 0.30)]))
+    members, behaviors = [], {}
+    for k in range(draw(st.sampled_from([1, 2, 9, 13]))):
+        probability = draw(
+            st.sampled_from([0.0, 0.02, 0.5, 1.0])
+            | st.floats(0.0, 1.0, allow_subnormal=False)
+        )
+        cap_margin = draw(st.floats(0.5, 10.0))
+        if prices == ZERO_PAY_PRICES and draw(st.booleans()):
+            members.append(zero_pay_member(f"z{k}", probability, 14.0 + cap_margin))
+            behaviors[f"z{k}"] = Behavior.TRUTHFUL
+            continue
+        baseline = draw(st.floats(1.0, 20.0))
+        gamma = draw(st.floats(0.01, 0.2))
+        cap = baseline + prices.energy_price / gamma + cap_margin
+        members.append(
+            PortfolioMember(f"c{k}", ConsumerParams(baseline, gamma, cap), probability)
+        )
+        behaviors[f"c{k}"] = draw(st.sampled_from(list(Behavior)))
+    return Portfolio(tuple(members), prices), behaviors
+
+
+class TestTotalsAndStatsMatchLoops:
+    """run_monte_carlo's column reductions and sums against per-row numpy
+    statistics and explicit member-order loops, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_portfolios(),
+        st.sampled_from([1, 2, 3, 7, 300]),
+        st.integers(0, 2**32),
+        st.sampled_from([0.0, 5.0, 40.0]),
+    )
+    # One member that pays 0.0 whenever it is called: every payout is -0.0.
+    @example(
+        (Portfolio((zero_pay_member("z", 1.0),), ZERO_PAY_PRICES),
+         {"z": Behavior.TRUTHFUL}),
+        3, 0, 0.0,
+    )
+    # Nobody is ever called.
+    @example(
+        (Portfolio((zero_pay_member("z", 0.0),), ZERO_PAY_PRICES),
+         {"z": Behavior.TRUTHFUL}),
+        2, 1, 1.0,
+    )
+    def test_run_matches_loops(self, case, trials, seed, target):
+        portfolio, behaviors = case
+        members = portfolio.members
+        result = run_monte_carlo(
+            portfolio, behaviors, trials, reduction_target=target, master_seed=seed
+        )
+        events = [list(records) for records in result.records]
+
+        for k, stats in enumerate(result.stats):
+            row = [records[k] for records in events]
+            called = np.array([r.signal == CallSignal.CALLED for r in row])
+            profits = np.array([r.profit for r in row])
+            payments = np.array([r.payment for r in row])
+            reductions = np.array(
+                [
+                    max(r.report.baseline - r.consumption, 0.0)
+                    if r.signal == CallSignal.CALLED else 0.0
+                    for r in row
+                ]
+            )
+            variance = profits.var(ddof=1) if trials > 1 else 0.0
+            assert stats.consumer_id == members[k].consumer_id
+            assert same_bits(stats.call_frequency, called.mean())
+            assert same_bits(stats.mean_profit, profits.mean())
+            assert same_bits(stats.profit_variance, variance)
+            assert same_bits(stats.mean_payment, payments.mean())
+            assert same_bits(stats.mean_reduction, reductions.mean())
+
+        reports = collect_reports(portfolio, behaviors)
+        seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
+        for records, summary, trial_seed in zip(events, result.summaries, seeds):
+            called = [r for r in records if r.signal == CallSignal.CALLED]
+            assert summary.called_count == len(called)
+            assert same_bits(
+                summary.total_reduction,
+                left_fold(max(r.report.baseline - r.consumption, 0.0) for r in called),
+            )
+            assert same_bits(summary.total_payout, left_fold(-r.payment for r in called))
+
+            allocation = allocate_calls(portfolio, reports, target, int(trial_seed))
+            assert [allocation.signals[m.consumer_id] for m in members] == [
+                r.signal for r in records
+            ]
+            committed = left_fold(
+                reports[r.consumer_id].baseline - reports[r.consumer_id].committed
+                for r in called
+            )
+            assert same_bits(allocation.committed_reduction, committed)
+            assert summary.under_provisioned == (committed < target)
+            _, alone = settle_event(portfolio, reports, allocation, behaviors)
+            assert all(
+                same_bits(a, b)
+                for a, b in zip(
+                    (alone.total_reduction, alone.total_payout),
+                    (summary.total_reduction, summary.total_payout),
+                )
+            )
