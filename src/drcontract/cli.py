@@ -41,8 +41,9 @@ from .strategy import (
 from .oracle import grid_best_report, grid_best_response  # noqa: F401
 from .strategy import best_response_called, best_response_not_called  # noqa: F401
 
-# Each verify draw costs a grid search, and every draw is held (seven numbers)
-# for the one closed-form pass; more draws are almost certainly a typo.
+# verify holds every draw as seven numbers, plus a few per signal, for one
+# blocked pass; the grid search's working memory is per block of draws, not
+# per draw. More draws are almost certainly a typo.
 MAX_DRAWS = 10**5
 
 SWEEP_HEADER = (
@@ -238,29 +239,34 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _draw_instance(rng) -> tuple[ConsumerParams, Prices, Report]:
-    baseline = rng.uniform(1.0, 20.0)
-    gamma = rng.uniform(0.01, 0.2)
-    p = rng.uniform(0.05, 0.5)
-    p2 = rng.uniform(p, 2 * p)
-    params = ConsumerParams(
-        baseline=baseline,
-        marginal_utility=gamma,
-        max_consumption=baseline + p / gamma + rng.uniform(1.0, 10.0),
+def _draw_instances(rng, draws: int) -> np.ndarray:
+    """``draws`` random instances for the stage-2 suite, one row each.
+
+    A row holds the fields of ConsumerParams, Prices and Report in that
+    order. Each row's seven uniforms ``lo + (hi - lo) * u`` take ``u`` from
+    the stream in the order that one ``rng.uniform`` call per field would.
+    """
+    u = iter(rng.random((draws, 7)).T)
+
+    def uniform(lo, hi):
+        return lo + (hi - lo) * next(u)
+
+    baseline = uniform(1.0, 20.0)
+    gamma = uniform(0.01, 0.2)
+    p = uniform(0.05, 0.5)
+    p2 = uniform(p, 2 * p)
+    max_consumption = baseline + p / gamma + uniform(1.0, 10.0)
+    reported = uniform(0.0, max_consumption)
+    committed = uniform(0.0, reported)
+    return np.stack(
+        [baseline, gamma, max_consumption, p, p2, reported, committed], axis=1
     )
-    prices = Prices(energy_price=p, incentive_price=p2)
-    reported = rng.uniform(0.0, params.max_consumption)
-    report = Report(baseline=reported, committed=rng.uniform(0.0, reported))
-    return params, prices, report
 
 
-def _instance_numbers(params: ConsumerParams, prices: Prices, report: Report):
-    """The fields of one drawn instance, in the order of their types."""
-    return (
-        params.baseline, params.marginal_utility, params.max_consumption,
-        prices.energy_price, prices.incentive_price,
-        report.baseline, report.committed,
-    )
+def _instance(numbers: np.ndarray) -> tuple[ConsumerParams, Prices, Report]:
+    """The objects of one drawn row; their constructors check it."""
+    numbers = numbers.tolist()
+    return ConsumerParams(*numbers[:3]), Prices(*numbers[3:5]), Report(*numbers[5:])
 
 
 def run_verification(
@@ -281,46 +287,40 @@ def run_verification(
     oracle_reports = grid_best_reports(
         probabilities, member.params, scenario.prices, report_grid
     )
-    rng = np.random.default_rng(seed)
-    # Every instance is drawn first, from the same stream, and solved in one
-    # kernel call. Each is kept as a row of its seven numbers, a fraction of
-    # the memory of its three objects, and rebuilt for the oracle.
-    drawn = np.fromiter(
-        (_instance_numbers(*_draw_instance(rng)) for _ in range(draws)),
-        dtype=(float, 7),
-        count=draws,
-    )
+    # Every instance is drawn at once and checked as the constructors of its
+    # three objects would check it; the first bad row is rebuilt to raise
+    # their error.
+    drawn = _draw_instances(np.random.default_rng(seed), draws)
     b, g, q_max, p, p2, reported, committed = drawn.T
-    closed = solve(
-        SimpleNamespace(baseline=b, marginal_utility=g, max_consumption=q_max),
-        SimpleNamespace(energy_price=p, incentive_price=p2),
-        report=SimpleNamespace(baseline=reported, committed=committed),
+    valid = (
+        np.isfinite(drawn[:, :5]).all(axis=1)
+        & (b > 0) & (g > 0) & (q_max > 0)
+        & (p >= 0) & (p2 >= p) & (p2 > 0)
+        & (0 <= committed) & (committed <= reported)
     )
-
-    max_payoff_dev = 0.0
-    max_q_dev = 0.0
-    max_case_dev = 0.0
-    worst: tuple | None = None
+    if not valid.all():
+        _instance(drawn[np.argmin(valid)])
+    params = SimpleNamespace(baseline=b, marginal_utility=g, max_consumption=q_max)
+    prices = SimpleNamespace(energy_price=p, incentive_price=p2)
+    report = SimpleNamespace(baseline=reported, committed=committed)
+    closed = solve(params, prices, report=report)
     signals = (CallSignal.NOT_CALLED, CallSignal.CALLED)
-    for k in range(draws):
-        numbers = drawn[k].tolist()
-        params = ConsumerParams(*numbers[:3])
-        prices = Prices(*numbers[3:5])
-        report = Report(*numbers[5:])
-        grid = GridSpec.cover(params.max_consumption, grid_step)
-        oracles = grid_best_responses(report, signals, params, prices, grid)
-        for signal, oracle in zip(signals, oracles):
-            payoff_dev = abs(float(closed.payoff[k, signal]) - oracle.payoff)
-            q_dev = abs(float(closed.consumption[k, signal]) - oracle.consumption)
-            case_dev = abs(
-                max_feasible_case_payoff(report, signal, params, prices)
-                - oracle.payoff
-            )
-            if max(payoff_dev, case_dev) > max(max_payoff_dev, max_case_dev):
-                worst = (params, prices, report, int(signal))
-            max_payoff_dev = max(max_payoff_dev, payoff_dev)
-            max_q_dev = max(max_q_dev, q_dev)
-            max_case_dev = max(max_case_dev, case_dev)
+    oracle_q, oracle_payoff = grid_best_responses(
+        report, signals, params, prices, GridSpec.cover(q_max.max(), grid_step)
+    )
+    cases = np.stack(
+        [max_feasible_case_payoff(report, s, params, prices) for s in signals],
+        axis=1,
+    )
+    payoff_dev = np.abs(closed.payoff - oracle_payoff)
+    case_dev = np.abs(cases - oracle_payoff)
+    max_payoff_dev = float(payoff_dev.max())
+    max_q_dev = float(np.abs(closed.consumption - oracle_q).max())
+    max_case_dev = float(case_dev.max())
+    # The worst draw is the first (draw, signal) with the largest deviation.
+    worst_dev = np.maximum(payoff_dev, case_dev)
+    k, s = np.unravel_index(np.argmax(worst_dev), worst_dev.shape)
+    worst = (*_instance(drawn[k]), int(s)) if worst_dev[k, s] > 0 else None
     stage2_ok = max_payoff_dev <= 1e-6 and max_q_dev <= 2 * grid_step
     cases_ok = max_case_dev <= 1e-9
     echo(

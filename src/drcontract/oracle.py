@@ -11,6 +11,7 @@ between the three is a meaningful check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,6 +48,9 @@ _MAX_REPORT_PAIRS = 10**9
 # time, each block holding at most this many float64 entries (32 KiB) or one
 # row, so its memory stays flat in the grid size.
 _BLOCK_ELEMENTS = 2**12
+# grid_best_responses searches many rows at once, padded to the longest axis
+# of each block of rows; a block holds at most this many points or one row.
+_STAGE2_BLOCK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -89,10 +93,9 @@ class GridSpec:
         return pts
 
 
-def _stage2_breakpoints(
-    report: Report, params: ConsumerParams, prices: Prices
-) -> list[float]:
-    """Kinks and piece vertices of the stage-2 profit in the consumption."""
+def _stage2_breakpoints(report, params, prices) -> list:
+    """Kinks and piece vertices of the stage-2 profit in the consumption,
+    per row."""
     b = params.baseline
     p2 = prices.incentive_price
     g = params.marginal_utility
@@ -101,51 +104,101 @@ def _stage2_breakpoints(
         report.committed,
         b,
         saturation_point(params, prices),
-        max(b - p2 / g, 0.0),
-        max(b - 2 * p2 / g, 0.0),
+        np.maximum(b - p2 / g, 0.0),
+        np.maximum(b - 2 * p2 / g, 0.0),
     ]
+
+
+def _covering(grid: GridSpec | None, q_max) -> GridSpec:
+    """``grid``, or the default grid over [0, max(q_max)], checked to cover
+    [0, q_max] for every cap in ``q_max``."""
+    top = float(np.max(q_max))
+    if grid is None:
+        return GridSpec.cover(top)
+    if grid.lo > 0 or grid.hi < top:
+        raise ValueError(f"grid [{grid.lo}, {grid.hi}] must cover [0, {top}]")
+    return grid
 
 
 def _checked_axis(
     grid: GridSpec | None, params: ConsumerParams, extra: Iterable[float]
 ) -> np.ndarray:
     q_max = params.max_consumption
-    if grid is None:
-        grid = GridSpec.cover(q_max)
-    if grid.lo > 0 or grid.hi < q_max:
-        raise ValueError(
-            f"grid [{grid.lo}, {grid.hi}] must cover [0, {q_max}]"
-        )
-    pts = grid.points(extra)
+    pts = _covering(grid, q_max).points(extra)
     return pts[(pts >= 0.0) & (pts <= q_max)]
 
 
 def grid_best_responses(
-    report: Report,
+    report,
     signals: Sequence[CallSignal],
-    params: ConsumerParams,
-    prices: Prices,
+    params,
+    prices,
     grid: GridSpec | None = None,
     inject_breakpoints: bool = True,
-) -> list[Stage2Solution]:
-    """Exhaustive-search best consumption for each call signal, in order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive-search best consumption for each call signal, row by row.
 
-    With breakpoint injection (the default) the search is exact: the profit
-    is piecewise quadratic and every kink and piece vertex is on the grid.
-    Without it, the result carries an O(step^2) payoff error, which the
-    refinement tests rely on. Ties resolve to the smallest consumption. The
-    kinks do not depend on the signal, so all signals share one axis.
+    ``report``, ``params`` and ``prices`` are single values or
+    :func:`~drcontract.core.columns`, broadcast row by row. A row searches
+    the points of ``GridSpec.cover(q_max, grid.step)`` for its own cap and,
+    by default, every kink and piece vertex of its profit in [0, q_max],
+    which makes the search exact, as the profit is piecewise quadratic.
+    Without them the payoff carries an O(step^2) error, which the refinement
+    tests rely on. Ties go to the smallest consumption. ``grid`` (default
+    step 0.01 kWh) must cover [0, q_max] of every row. Rows are searched
+    longest axis first, in blocks of at most ``_STAGE2_BLOCK_ELEMENTS``
+    points or one row; each axis is padded with its cap, which is on it.
+
+    Returns the best consumption and its payoff, each of shape
+    ``(*rows, len(signals))``; column i is for ``signals[i]``.
     """
-    extra = (
-        _stage2_breakpoints(report, params, prices) if inject_breakpoints else ()
+    given = (report, params, prices)
+    shape = np.broadcast(*(v for ns in given for v in vars(ns).values())).shape
+    report, params, prices = (
+        SimpleNamespace(
+            **{k: np.broadcast_to(v, shape).ravel() for k, v in vars(ns).items()}
+        )
+        for ns in given
     )
-    q = _checked_axis(grid, params, extra)
-    solutions = []
-    for signal in signals:
-        values = stage2_profit(q, report, signal, params, prices)
-        i = int(np.argmax(values))
-        solutions.append(Stage2Solution(float(q[i]), None, float(values[i])))
-    return solutions
+    q_max = params.max_consumption
+    step = _covering(grid, q_max).step
+    kinks = (
+        np.stack(_stage2_breakpoints(report, params, prices), axis=1)
+        if inject_breakpoints
+        else np.empty((q_max.size, 0))
+    )
+    last = np.floor(q_max / step)  # index of each row's last grid point
+    order = np.argsort(-last, kind="stable")
+    consumption = np.empty((q_max.size, len(signals)))
+    payoff = np.empty_like(consumption)
+    start = 0
+    while start < order.size:
+        width = int(last[order[start]]) + 1
+        size = max(1, _STAGE2_BLOCK_ELEMENTS // (width + 1 + kinks.shape[1]))
+        rows = order[start : start + size]
+        start += rows.size
+        j = np.arange(width)
+        cap = q_max[rows, None]
+        # Grid points past a row's last one, and points or kinks above its
+        # cap, become the cap.
+        q = np.minimum(
+            np.concatenate(
+                [np.where(j <= last[rows, None], step * j, cap), cap, kinks[rows]],
+                axis=1,
+            ),
+            cap,
+        )
+        rep, par, pri = (
+            SimpleNamespace(**{k: v[rows, None] for k, v in vars(ns).items()})
+            for ns in (report, params, prices)
+        )
+        for i, signal in enumerate(signals):
+            values = stage2_profit(q, rep, signal, par, pri)
+            top = values.max(axis=1)
+            payoff[rows, i] = top
+            consumption[rows, i] = np.where(values == top[:, None], q, np.inf).min(1)
+    out = (*shape, len(signals))
+    return consumption.reshape(out), payoff.reshape(out)
 
 
 def grid_best_response(
@@ -156,11 +209,12 @@ def grid_best_response(
     grid: GridSpec | None = None,
     inject_breakpoints: bool = True,
 ) -> Stage2Solution:
-    """Exhaustive-search best consumption for one call signal; see
-    :func:`grid_best_responses`."""
-    return grid_best_responses(
+    """Exhaustive-search best consumption for one report and call signal;
+    the one-row form of :func:`grid_best_responses`."""
+    q, payoff = grid_best_responses(
         report, [signal], params, prices, grid, inject_breakpoints
-    )[0]
+    )
+    return Stage2Solution(float(q[0]), None, float(payoff[0]))
 
 
 def grid_best_reports(
@@ -268,19 +322,15 @@ def grid_best_report(
 
 @dataclass(frozen=True)
 class CasePayoff:
-    """Optimal payoff of one analytic subcase, with its feasibility."""
+    """Optimal payoff of one analytic subcase, with its feasibility; arrays
+    with one entry per row when the inputs are columns."""
 
     case_id: str
-    payoff: float
-    feasible: bool
+    payoff: float | np.ndarray
+    feasible: bool | np.ndarray
 
 
-def case_payoffs(
-    report: Report,
-    signal: CallSignal,
-    params: ConsumerParams,
-    prices: Prices,
-) -> list[CasePayoff]:
+def case_payoffs(report, signal: CallSignal, params, prices) -> list[CasePayoff]:
     """Per-case optimal payoffs for the given report and call signal.
 
     Each subcase fixes which side of every kink the consumption falls on
@@ -290,6 +340,11 @@ def case_payoffs(
     are ruled out by committed <= baseline and are never emitted. Payoffs
     are evaluated even for infeasible entries so boundary crossovers can be
     inspected; only feasible entries participate in the maximum.
+
+    The inputs are single values or :func:`~drcontract.core.columns`; each
+    payoff and feasibility flag then holds one entry per row. Squares are
+    taken as ``x * x``, as in :func:`~drcontract.core.utility`, so a row
+    gives the same bits alone as in a batch.
     """
     b = params.baseline
     g = params.marginal_utility
@@ -299,80 +354,79 @@ def case_payoffs(
     bh = report.baseline
     qh = report.committed
 
+    # [()] turns the 0-d result of single values into a scalar.
     if signal == CallSignal.NOT_CALLED:
-        a_payoff = (
-            -g * bh**2 / 2 + g * b * bh
-            if bh <= sat
-            else p**2 / (2 * g) + g * b**2 / 2 + p * (b - bh)
-        )
-        c_payoff = g * b**2 / 2 if bh <= b else -g * bh**2 / 2 + g * b * bh
+        consume_report = -g * (bh * bh) / 2 + g * b * bh
+        saturate = p * p / (2 * g) + g * (b * b) / 2 + p * (b - bh)
         return [
-            CasePayoff("a", a_payoff, True),
+            CasePayoff("a", np.where(bh <= sat, consume_report, saturate)[()], True),
+            CasePayoff("b", saturate, bh >= sat),
             CasePayoff(
-                "b", p**2 / (2 * g) + g * b**2 / 2 + p * (b - bh), bh >= sat
+                "c", np.where(bh <= b, g * (b * b) / 2, consume_report)[()], bh <= sat
             ),
-            CasePayoff("c", c_payoff, bh <= sat),
-            CasePayoff("d", -(p**2) / (2 * g) + g * b**2 / 2, bh <= sat),
+            CasePayoff("d", -(p * p) / (2 * g) + g * (b * b) / 2, bh <= sat),
         ]
 
     reduced = b - p2 / g
     doubly_reduced = b - 2 * p2 / g
-    consume_report = p2 * qh - bh * p2 - g * bh**2 / 2 + g * b * bh
-    honor = bh * p2 - p2 * qh - g * qh**2 / 2 + g * b * qh
+    consume_report = p2 * qh - bh * p2 - g * (bh * bh) / 2 + g * b * bh
+    honor = bh * p2 - p2 * qh - g * (qh * qh) / 2 + g * b * qh
     return [
         CasePayoff(
             "e1",
-            g * b**2 / 2 - b * p2 + p2**2 / (2 * g) + qh * p2,
-            bh <= reduced and qh <= reduced,
+            g * (b * b) / 2 - b * p2 + p2 * p2 / (2 * g) + qh * p2,
+            (bh <= reduced) & (qh <= reduced),
         ),
-        CasePayoff("e2", consume_report, reduced <= bh <= sat),
+        CasePayoff("e2", consume_report, (reduced <= bh) & (bh <= sat)),
         CasePayoff(
             "f1",
-            2 * p2**2 / g - 2 * b * p2 + bh * p2 + p2 * qh + g * b**2 / 2,
-            bh >= doubly_reduced and qh <= doubly_reduced,
+            2 * (p2 * p2) / g - 2 * b * p2 + bh * p2 + p2 * qh + g * (b * b) / 2,
+            (bh >= doubly_reduced) & (qh <= doubly_reduced),
         ),
         CasePayoff("f2", consume_report, bh <= doubly_reduced),
-        CasePayoff("f3", honor, doubly_reduced <= qh <= sat),
+        CasePayoff("f3", honor, (doubly_reduced <= qh) & (qh <= sat)),
         CasePayoff(
             "g",
-            g * b**2 / 2 - p2 * b - p**2 / (2 * g) - p2 * p / g + p2 * qh,
+            g * (b * b) / 2 - p2 * b - p * p / (2 * g) - p2 * p / g + p2 * qh,
             bh <= sat,
         ),
         CasePayoff(
             "h",
-            g * b**2 / 2
+            g * (b * b) / 2
             - 2 * p2 * b
-            - p**2 / (2 * g)
+            - p * p / (2 * g)
             - 2 * p2 * p / g
             + bh * p2
             + p2 * qh,
-            bh >= sat and qh <= sat,
+            (bh >= sat) & (qh <= sat),
         ),
-        CasePayoff("j1", bh * p2 - p2 * qh + g * b**2 / 2, bh >= b and qh >= b),
+        CasePayoff(
+            "j1", bh * p2 - p2 * qh + g * (b * b) / 2, (bh >= b) & (qh >= b)
+        ),
         CasePayoff("j2", honor, qh <= b),
         CasePayoff(
             "l",
-            g * b**2 / 2 - p**2 / (2 * g) + bh * p2 - p2 * qh,
-            bh >= sat and qh >= sat,
+            g * (b * b) / 2 - p * p / (2 * g) + bh * p2 - p2 * qh,
+            (bh >= sat) & (qh >= sat),
         ),
     ]
 
 
 def max_feasible_case_payoff(
-    report: Report,
-    signal: CallSignal,
-    params: ConsumerParams,
-    prices: Prices,
-) -> float:
-    """Maximum payoff over the feasible analytic subcases."""
-    feasible = [
-        c.payoff
-        for c in case_payoffs(report, signal, params, prices)
-        if c.feasible
-    ]
-    if not feasible:
+    report, signal: CallSignal, params, prices
+) -> float | np.ndarray:
+    """Maximum payoff over the feasible analytic subcases, per row for
+    columns; raises if any row has no feasible subcase."""
+    cases = case_payoffs(report, signal, params, prices)
+    n = len(cases)
+    table = np.broadcast_arrays(
+        *(c.payoff for c in cases), *(c.feasible for c in cases)
+    )
+    feasible = np.array(table[n:])
+    if not feasible.any(axis=0).all():
         raise ValueError("no feasible subcase for this report")
-    return max(feasible)
+    best = np.where(feasible, table[:n], -np.inf).max(axis=0)
+    return best if best.ndim else float(best)
 
 
 # Which closed-form strategy labels each subcase can coincide with at its

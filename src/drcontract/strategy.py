@@ -369,8 +369,12 @@ def expected_profit(
 
     Below the threshold: g*b^2/2 + pr*p2^2/(2g(1-pr)). Above it, the grouped
     form (1-pr)*(p^2/(2g) + b*p - p*q_max) + g*b^2/2
-    + pr*(p2^2/(2g) - b*p2 + p2*q_max), which is continuous at the threshold
-    and matches the brute-force two-stage optimum.
+    + pr*(p2^2/(2g) - b*p2 + p2*q_max), which is continuous at the threshold.
+
+    Domain: b > p2/g, where the called consumer's reduced optimum b - p2/g
+    is positive; there the formula equals the two-stage optimum. Where
+    b <= p2/g the called consumer consumes 0 and the formula overstates the
+    optimum by pr*(p2 - g*b)^2/(2g); :func:`solve` is exact on both sides.
 
     ``literal_above_threshold`` substitutes the dimensionally inconsistent
     -b*pr term for the -b*p*pr term in the above-threshold branch. It is

@@ -1,8 +1,9 @@
 import hashlib
 
+import numpy as np
 import pytest
 
-from drcontract import cli, load_scenario
+from drcontract import ConsumerParams, Prices, Report, cli, load_scenario
 from drcontract.cli import main, run_verification
 from mixed_scenario import mixed_scenario_text
 
@@ -167,10 +168,10 @@ class TestVerifyCommand:
     def test_too_fine_grid_is_refused_before_any_draw(
         self, tmp_path, capsys, monkeypatch
     ):
-        def no_draws(rng):
+        def no_draws(rng, draws):
             raise AssertionError("a stage-2 draw ran before the grid check")
 
-        monkeypatch.setattr(cli, "_draw_instance", no_draws)
+        monkeypatch.setattr(cli, "_draw_instances", no_draws)
         code = main(
             ["verify", "--grid-step", "1e-4", "--out", str(tmp_path / "v.txt")]
         )
@@ -226,6 +227,79 @@ class TestVerifyCommand:
                  "--out", str(tmp_path / "v.txt")]
             ) == 0
             assert len(calls) == 2
+
+
+    def test_offending_draw_is_the_first_worst_one(self, tmp_path, monkeypatch):
+        # 1e-3 added to both closed-form payoffs of draws 3 and 7 gives four
+        # equal worst deviations at seed 33; the first, draw 3 not called,
+        # is named. Recorded from the per-draw loop.
+        def skewed(*args, **kwargs):
+            solution = cli_solve(*args, **kwargs)
+            if "report" not in kwargs:
+                return solution
+            payoff = solution.payoff.copy()
+            payoff[[3, 7]] += 1e-3
+            return solution._replace(payoff=payoff)
+
+        cli_solve = cli.solve
+        monkeypatch.setattr(cli, "solve", skewed)
+        out = tmp_path / "v.txt"
+        assert main(
+            ["verify", "--draws", "10", "--grid-step", "0.05", "--seed", "33",
+             "--out", str(out)]
+        ) == 2
+        assert read(out) == OFFENDING_DRAW_REPORT
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (6, 1e3, "report must satisfy 0 <= committed <= baseline"),
+            (4, 0.01, "incentive_price must be >= energy_price"),
+            (0, float("nan"), "baseline must be finite"),
+        ],
+    )
+    def test_bad_draw_raises_its_constructors_error(
+        self, tmp_path, capsys, monkeypatch, column, value, message
+    ):
+        def one_bad_row(rng, draws):
+            drawn = draw_instances(rng, draws)
+            drawn[1, column] = value
+            return drawn
+
+        draw_instances = cli._draw_instances
+        monkeypatch.setattr(cli, "_draw_instances", one_bad_row)
+        code = main(
+            ["verify", "--draws", "3", "--grid-step", "0.05",
+             "--out", str(tmp_path / "v.txt")]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+
+def reference_draw_instance(rng):
+    """One verify instance drawn with one rng.uniform call per field, as
+    verify drew them one at a time."""
+    baseline = rng.uniform(1.0, 20.0)
+    gamma = rng.uniform(0.01, 0.2)
+    p = rng.uniform(0.05, 0.5)
+    p2 = rng.uniform(p, 2 * p)
+    params = ConsumerParams(
+        baseline=baseline,
+        marginal_utility=gamma,
+        max_consumption=baseline + p / gamma + rng.uniform(1.0, 10.0),
+    )
+    prices = Prices(energy_price=p, incentive_price=p2)
+    reported = rng.uniform(0.0, params.max_consumption)
+    report = Report(baseline=reported, committed=rng.uniform(0.0, reported))
+    return params, prices, report
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42, 401, 8604, 123456])
+def test_drawing_all_instances_at_once_keeps_the_stream(seed):
+    rng = np.random.default_rng(seed)
+    want = [reference_draw_instance(rng) for _ in range(300)]
+    drawn = cli._draw_instances(np.random.default_rng(seed), 300)
+    assert [cli._instance(row) for row in drawn] == want
 
 
 class TestSimulateCommand:
@@ -441,6 +515,23 @@ VERIFY_DIGESTS = {
     seed: "987f9cafc908ccf865d0f8c3c7fb4905798f7ee3026daaa48cf6c5794d796cca"
     for seed in ("42", "8604", "401")
 }
+# sha256 of verify --draws 2000 --grid-step 0.01, the benchmark's size,
+# recorded from the per-draw loop that the blocked pass replaced. Both seeds
+# print the same bytes.
+VERIFY_BENCHMARK_DIGESTS = {
+    seed: "4403275f2c4a5883ba70bead07ff3a7025bfabb632958acac66b9a1e12804425"
+    for seed in ("1", "8604")
+}
+# The report of verify --draws 10 --grid-step 0.05 --seed 33 with a 1e-3
+# error added to the closed-form payoffs of draws 3 and 7.
+OFFENDING_DRAW_REPORT = """\
+stage-2 closed form vs grid oracle (10 draws x 2 signals): max payoff dev 0.001, max q dev 0 kWh -> FAIL
+analytic case table vs grid oracle: max dev 7.11e-15 -> PASS
+offending draw (seed=33): (ConsumerParams(baseline=2.3665442418462592, marginal_utility=0.18862127363256895, max_consumption=7.971445239842927), Prices(energy_price=0.18354990841595203, incentive_price=0.3546607056034675), Report(baseline=1.6705109208905842, committed=0.4194934626039762), 0)
+expected-profit continuity at threshold (household): |jump| 0 -> PASS
+two-stage oracle vs closed form (11 call probabilities, household): max baseline dev 0.0214 kWh, max profit dev 8.04e-06 -> PASS
+VERIFY FAIL
+"""  # noqa: E501
 
 
 @pytest.fixture
@@ -474,6 +565,15 @@ class TestSimulateOutputIsStable:
              "--out", str(out)]
         ) == 0
         assert sha256(out) == VERIFY_DIGESTS[seed]
+
+    @pytest.mark.parametrize("seed", sorted(VERIFY_BENCHMARK_DIGESTS))
+    def test_verify_digests_at_benchmark_size(self, tmp_path, seed):
+        out = tmp_path / "verify.txt"
+        assert main(
+            ["verify", "--draws", "2000", "--grid-step", "0.01", "--seed", seed,
+             "--out", str(out)]
+        ) == 0
+        assert sha256(out) == VERIFY_BENCHMARK_DIGESTS[seed]
 
     def test_default_sweep_digest(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -1,3 +1,6 @@
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from drcontract import (
     Regime,
     Report,
     Stage1Solution,
+    Stage2Solution,
     best_response_called,
     best_response_not_called,
     call_threshold,
@@ -22,6 +26,7 @@ from drcontract import (
     grid_best_responses,
     max_feasible_case_payoff,
     saturation_point,
+    stage2_profit,
     utility,
 )
 from drcontract.core import columns
@@ -389,13 +394,13 @@ class TestSharedStage2Axis:
         for _ in range(20):
             params, prices, report = draw_instance(rng)
             grid = GridSpec.cover(params.max_consumption, 0.05)
-            both = grid_best_responses(report, signals, params, prices, grid)
-            assert both == [
-                grid_best_response(report, s, params, prices, grid)
-                for s in signals
-            ]
+            q, payoff = grid_best_responses(report, signals, params, prices, grid)
+            assert [
+                Stage2Solution(float(q[i]), None, float(payoff[i])) for i in (0, 1)
+            ] == [grid_best_response(report, s, params, prices, grid) for s in signals]
             reverse = grid_best_responses(report, signals[::-1], params, prices, grid)
-            assert reverse == both[::-1]
+            assert np.array_equal(reverse[0], q[::-1])
+            assert np.array_equal(reverse[1], payoff[::-1])
 
 
 @st.composite
@@ -436,10 +441,252 @@ class TestKernelOracleCaseTableAgree:
         signals = (CallSignal.NOT_CALLED, CallSignal.CALLED)
         for k, (one, price, report) in enumerate(rows):
             grid = GridSpec.cover(one.max_consumption, self.STEP)
-            oracles = grid_best_responses(report, signals, one, price, grid)
-            for s, oracle in zip(signals, oracles):
-                assert abs(closed.payoff[k, s] - oracle.payoff) <= 1e-6
-                q_dev = abs(closed.consumption[k, s] - oracle.consumption)
-                assert q_dev <= 2 * self.STEP
+            q, payoff = grid_best_responses(report, signals, one, price, grid)
+            for s in signals:
+                assert abs(closed.payoff[k, s] - payoff[s]) <= 1e-6
+                assert abs(closed.consumption[k, s] - q[s]) <= 2 * self.STEP
                 case = max_feasible_case_payoff(report, s, one, price)
-                assert abs(case - oracle.payoff) <= 1e-9
+                assert abs(case - payoff[s]) <= 1e-9
+
+
+SIGNALS = (CallSignal.NOT_CALLED, CallSignal.CALLED)
+
+
+def reference_grid_best_responses(
+    report, signals, params, prices, grid, inject_breakpoints=True
+):
+    """The stage-2 search one report at a time, over the sorted unique axis
+    of GridSpec.points: the per-draw loop that the many-row form replaced,
+    kept as the reference it must equal. One (consumption, payoff) pair per
+    signal."""
+    b = params.baseline
+    g = params.marginal_utility
+    p2 = prices.incentive_price
+    extra = (
+        [
+            report.baseline,
+            report.committed,
+            b,
+            saturation_point(params, prices),
+            max(b - p2 / g, 0.0),
+            max(b - 2 * p2 / g, 0.0),
+        ]
+        if inject_breakpoints
+        else ()
+    )
+    q = oracle._checked_axis(grid, params, extra)
+    pairs = []
+    for signal in signals:
+        values = stage2_profit(q, report, signal, params, prices)
+        i = int(np.argmax(values))
+        pairs.append((float(q[i]), float(values[i])))
+    return pairs
+
+
+def reference_case_payoffs(report, signal, params, prices):
+    """The scalar case table that the array form replaced, with squares
+    taken as x * x as the array form takes them: {case_id: (payoff,
+    feasible)}."""
+    b = params.baseline
+    g = params.marginal_utility
+    p = prices.energy_price
+    p2 = prices.incentive_price
+    sat = saturation_point(params, prices)
+    bh = report.baseline
+    qh = report.committed
+    if signal == CallSignal.NOT_CALLED:
+        a_payoff = (
+            -g * (bh * bh) / 2 + g * b * bh
+            if bh <= sat
+            else p * p / (2 * g) + g * (b * b) / 2 + p * (b - bh)
+        )
+        c_payoff = g * (b * b) / 2 if bh <= b else -g * (bh * bh) / 2 + g * b * bh
+        return {
+            "a": (a_payoff, True),
+            "b": (p * p / (2 * g) + g * (b * b) / 2 + p * (b - bh), bh >= sat),
+            "c": (c_payoff, bh <= sat),
+            "d": (-(p * p) / (2 * g) + g * (b * b) / 2, bh <= sat),
+        }
+    reduced = b - p2 / g
+    doubly_reduced = b - 2 * p2 / g
+    consume_report = p2 * qh - bh * p2 - g * (bh * bh) / 2 + g * b * bh
+    honor = bh * p2 - p2 * qh - g * (qh * qh) / 2 + g * b * qh
+    return {
+        "e1": (
+            g * (b * b) / 2 - b * p2 + p2 * p2 / (2 * g) + qh * p2,
+            bh <= reduced and qh <= reduced,
+        ),
+        "e2": (consume_report, reduced <= bh <= sat),
+        "f1": (
+            2 * (p2 * p2) / g - 2 * b * p2 + bh * p2 + p2 * qh + g * (b * b) / 2,
+            bh >= doubly_reduced and qh <= doubly_reduced,
+        ),
+        "f2": (consume_report, bh <= doubly_reduced),
+        "f3": (honor, doubly_reduced <= qh <= sat),
+        "g": (
+            g * (b * b) / 2 - p2 * b - p * p / (2 * g) - p2 * p / g + p2 * qh,
+            bh <= sat,
+        ),
+        "h": (
+            g * (b * b) / 2 - 2 * p2 * b - p * p / (2 * g) - 2 * p2 * p / g
+            + bh * p2 + p2 * qh,
+            bh >= sat and qh <= sat,
+        ),
+        "j1": (bh * p2 - p2 * qh + g * (b * b) / 2, bh >= b and qh >= b),
+        "j2": (honor, qh <= b),
+        "l": (
+            g * (b * b) / 2 - p * p / (2 * g) + bh * p2 - p2 * qh,
+            bh >= sat and qh >= sat,
+        ),
+    }
+
+
+def assert_rows_equal_references(rows, step, inject_breakpoints=True):
+    """The many-row oracle and case table on ``rows`` (consumer, prices,
+    report) equal the one-row references, row by row. Floats are compared
+    with ==: bit for bit, up to the sign of zero."""
+    params, prices, reports = zip(*rows)
+    params, prices, reports = (
+        columns(ConsumerParams, params),
+        columns(Prices, prices),
+        columns(Report, reports),
+    )
+    grid = GridSpec.cover(params.max_consumption.max(), step)
+    q, payoff = grid_best_responses(
+        reports, SIGNALS, params, prices, grid, inject_breakpoints
+    )
+    assert q.shape == payoff.shape == (len(rows), 2)
+    for s in SIGNALS:
+        best = max_feasible_case_payoff(reports, s, params, prices)
+        table = {
+            c.case_id: np.broadcast_arrays(c.payoff, c.feasible, q[:, s])[:2]
+            for c in case_payoffs(reports, s, params, prices)
+        }
+        for k, (one, price, report) in enumerate(rows):
+            want = reference_case_payoffs(report, s, one, price)
+            assert {i: (v[0][k], v[1][k]) for i, v in table.items()} == want
+            feasible = [value for value, ok in want.values() if ok]
+            assert best[k] == max(feasible)
+    for k, (one, price, report) in enumerate(rows):
+        want = reference_grid_best_responses(
+            report, SIGNALS, one, price,
+            GridSpec.cover(one.max_consumption, step), inject_breakpoints,
+        )
+        assert list(zip(q[k].tolist(), payoff[k].tolist())) == want
+
+
+def edge_reports(params, prices):
+    """Reports at 0, the baseline, the saturation point and the cap, each
+    with the commitment at 0, half the report and the report."""
+    sat = saturation_point(params, prices)
+    return [
+        Report(reported, committed)
+        for reported in (0.0, params.baseline, sat, params.max_consumption)
+        for committed in (0.0, reported / 2, reported)
+    ]
+
+
+class TestManyRowStage2Oracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(verify_box_instances(), min_size=1, max_size=8),
+        st.sampled_from([0.01, 0.05, 0.3]),
+        st.booleans(),
+        st.sampled_from([1, 64, oracle._STAGE2_BLOCK_ELEMENTS]),
+    )
+    def test_equals_one_row_references(self, rows, step, inject, block):
+        with mock.patch.object(oracle, "_STAGE2_BLOCK_ELEMENTS", block):
+            assert_rows_equal_references(rows, step, inject)
+
+    @pytest.mark.parametrize("inject", [True, False])
+    def test_one_row_blocks_change_nothing(self, monkeypatch, inject):
+        rng = np.random.default_rng(11)
+        rows = []
+        for _ in range(6):
+            params, prices, _ = draw_instance(rng)
+            rows += [(params, prices, r) for r in edge_reports(params, prices)]
+        params, prices, reports = (
+            columns(cls, values) for cls, values in zip(
+                (ConsumerParams, Prices, Report), zip(*rows)
+            )
+        )
+        grid = GridSpec.cover(params.max_consumption.max(), 0.02)
+        blocked = grid_best_responses(reports, SIGNALS, params, prices, grid, inject)
+        monkeypatch.setattr(oracle, "_STAGE2_BLOCK_ELEMENTS", 1)
+        one_row = grid_best_responses(reports, SIGNALS, params, prices, grid, inject)
+        assert all(np.array_equal(a, b) for a, b in zip(blocked, one_row))
+        assert_rows_equal_references(rows, 0.02, inject)
+
+    def test_one_row_forms_take_single_values(self, household, prices):
+        report = Report(8.0, 2.0)
+        q, payoff = grid_best_responses(report, SIGNALS, household, prices)
+        assert q.shape == payoff.shape == (2,)
+        assert [
+            grid_best_response(report, s, household, prices) for s in SIGNALS
+        ] == [Stage2Solution(q[s], None, payoff[s]) for s in SIGNALS]
+        best = max_feasible_case_payoff(report, CallSignal.CALLED, household, prices)
+        assert type(best) is float and best == pytest.approx(2.5, abs=1e-12)
+
+    def test_grid_must_cover_every_row(self, prices):
+        caps = np.array([16.0, 12.0])
+        params = SimpleNamespace(
+            baseline=8.0, marginal_utility=0.05, max_consumption=caps
+        )
+        with pytest.raises(ValueError, match=r"must cover \[0, 16.0\]"):
+            grid_best_responses(
+                Report(8.0, 2.0), SIGNALS, params, prices, GridSpec(0.0, 14.0)
+            )
+
+    def test_grid_spec_validation_uses_the_largest_cap(self, prices):
+        params = SimpleNamespace(
+            baseline=8.0, marginal_utility=0.05, max_consumption=np.array([16.0, 2e9])
+        )
+        with pytest.raises(ValueError, match="exceed"):
+            grid_best_responses(Report(8.0, 2.0), SIGNALS, params, prices)
+
+    def test_no_feasible_subcase_in_any_row_is_an_error(self, household, prices):
+        reports = SimpleNamespace(
+            baseline=np.array([8.0, 8.0]), committed=np.array([2.0, 2.0])
+        )
+        empty = [oracle.CasePayoff("x", np.zeros(2), np.array([True, False]))]
+        with mock.patch.object(oracle, "case_payoffs", return_value=empty):
+            with pytest.raises(ValueError, match="no feasible subcase"):
+                max_feasible_case_payoff(reports, CallSignal.CALLED, household, prices)
+
+    @pytest.mark.parametrize("inject", [True, False])
+    def test_grid_points_rounded_above_the_cap_are_left_out(self, prices, inject):
+        # 0.1 * 17 rounds to 1.7000000000000002, above the cap 1.7, although
+        # floor(1.7 / 0.1) is 17; likewise 0.01 * 35 against 0.35.
+        rows = [
+            (ConsumerParams(1.0, 0.2, 1.7), Prices(0.05, 0.1), Report(1.2, 0.5)),
+            (ConsumerParams(0.2, 0.2, 0.35), Prices(0.01, 0.02), Report(0.3, 0.1)),
+            (ConsumerParams(8.0, 0.05, 16.0), prices, Report(9.0, 2.0)),
+        ]
+        for step in (0.1, 0.01):
+            assert_rows_equal_references(rows, step, inject)
+
+    def test_one_row_equals_its_row_in_a_batch(self, household, prices):
+        # For each of b, bh, qh, p and p2 Python's float ** 2 (libm pow)
+        # differs from x * x in the last bit; the table squares as x * x.
+        one = (
+            ConsumerParams(7.4880708322611955, 0.05, 16.0),
+            Prices(0.2895771386615925, 0.3986773892228438),
+            Report(12.157587503299359, 9.745074186709957),
+        )
+        rows = [one, (household, prices, Report(9.0, 2.0))]
+        params, prices_, reports = (
+            columns(cls, values) for cls, values in zip(
+                (ConsumerParams, Prices, Report), zip(*rows)
+            )
+        )
+        for s in SIGNALS:
+            batch = case_payoffs(reports, s, params, prices_)
+            alone = case_payoffs(one[2], s, one[0], one[1])
+            assert [(c.case_id, c.payoff, c.feasible) for c in alone] == [
+                (c.case_id, np.broadcast_to(c.payoff, 2)[0],
+                 np.broadcast_to(c.feasible, 2)[0])
+                for c in batch
+            ]
+            assert max_feasible_case_payoff(one[2], s, one[0], one[1]) == (
+                max_feasible_case_payoff(reports, s, params, prices_)[0]
+            )

@@ -2,11 +2,12 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drcontract import (
     CallSignal,
     ConsumerParams,
+    GridSpec,
     Prices,
     Regime,
     Report,
@@ -18,11 +19,14 @@ from drcontract import (
     break_even_baseline,
     call_threshold,
     expected_profit,
+    grid_best_report,
+    grid_best_reports,
     ideal_consumption,
     opt_out_payoff,
     planned_consumption,
     stage2_profit,
 )
+from drcontract.strategy import solve
 
 SWEEP = [k / 100 for k in range(101)]
 
@@ -228,6 +232,71 @@ class TestExpectedProfit:
 
     def test_certain_call_value(self, household, prices):
         assert expected_profit(1.0, household, prices) == pytest.approx(4.9, abs=1e-9)
+
+
+@st.composite
+def draw_box_households(draw):
+    """A consumer and prices from verify's draw box, which spans both sides
+    of b = p2/g, and a call probability."""
+    baseline = draw(st.floats(1.0, 20.0))
+    gamma = draw(st.floats(0.01, 0.2))
+    p = draw(st.floats(0.05, 0.5))
+    p2 = draw(st.floats(p, 2 * p))
+    cap = baseline + p / gamma + draw(st.floats(0.5, 10.0))
+    pr = draw(st.floats(0.0, 1.0))
+    return ConsumerParams(baseline, gamma, cap), Prices(p, p2), pr
+
+
+# Outside the formula's domain: b = 8 <= p2/g = 30.
+OUTSIDE = (ConsumerParams(8.0, 0.01, 40.0), Prices(0.26, 0.30), 0.3)
+INSIDE = (ConsumerParams(8.0, 0.05, 16.0), Prices(0.26, 0.30), 0.3)
+
+
+class TestExpectedProfitDomain:
+    """expected_profit is the closed form for an interior called optimum,
+    b > p2/g; the kernel (solve) is exact on both sides."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(draw_box_households())
+    @example(OUTSIDE)
+    @example(INSIDE)
+    def test_kernel_matches_the_two_stage_oracle(self, household):
+        # verify's two-stage tolerance, on a 1000-step grid over the cap.
+        params, prices, pr = household
+        grid = GridSpec.cover(params.max_consumption, params.max_consumption / 1000)
+        oracle = grid_best_reports([pr], params, prices, grid)[0].expected_profit
+        kernel = float(solve(params, prices, call_probability=pr).expected_profit)
+        assert abs(kernel - oracle) <= 1e-4
+        assert oracle <= kernel + 1e-12 * max(1.0, abs(kernel))
+
+    @settings(max_examples=200, deadline=None)
+    @given(draw_box_households())
+    @example(OUTSIDE)
+    @example(INSIDE)
+    def test_formula_matches_the_kernel_only_inside_its_domain(self, household):
+        # Where b <= p2/g the called consumer consumes 0 instead of the
+        # negative b - p2/g, and the formula overstates the optimum by
+        # pr * (p2 - g*b)^2 / (2g).
+        params, prices, pr = household
+        b = params.baseline
+        g = params.marginal_utility
+        p2 = prices.incentive_price
+        formula = expected_profit(pr, params, prices)
+        kernel = float(solve(params, prices, call_probability=pr).expected_profit)
+        excess = pr * max(p2 - g * b, 0.0) ** 2 / (2 * g)
+        assert formula - kernel == pytest.approx(excess, rel=1e-9, abs=1e-12)
+        if b > p2 / g:
+            assert formula == pytest.approx(kernel, rel=1e-12, abs=1e-12)
+
+    def test_overstated_example(self):
+        params, prices, pr = OUTSIDE
+        formula = expected_profit(pr, params, prices)
+        assert formula == pytest.approx(2.24857142857, abs=1e-9)
+        kernel = solve(params, prices, call_probability=pr).expected_profit
+        assert float(kernel) == pytest.approx(1.52257142857, abs=1e-9)
+        grid = GridSpec.cover(params.max_consumption, 0.05)
+        oracle = grid_best_report(pr, params, prices, grid).expected_profit
+        assert oracle == pytest.approx(1.52257, abs=1e-5)
 
 
 class TestPlannedConsumption:
