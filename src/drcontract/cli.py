@@ -21,6 +21,7 @@ from . import __version__
 from .core import CallSignal, ConsumerParams, Prices, Report, check_consumption_cap
 from .oracle import GridSpec, grid_best_reports, grid_best_responses, max_feasible_case_payoff
 from .scenario import (
+    DEFAULT_TRIALS,
     MAX_SWEEP_STEPS,
     Scenario,
     ScenarioError,
@@ -435,9 +436,13 @@ def _record_chunks(result: MonteCarloResult) -> Iterator[str]:
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else scenario.seed
-    trials = args.trials if args.trials is not None else scenario.trials
     if args.trials is not None:
-        check_record_count(len(scenario.members), trials, "--trials")
+        trials, source = args.trials, "--trials"
+    else:
+        # A trials key was checked on load, so only the default can fail here.
+        trials = scenario.trials
+        source = f"key 'trials' in [simulation] (default {DEFAULT_TRIALS})"
+    check_record_count(len(scenario.members), trials, source)
     _log_run(scenario, seed)
     result = run_monte_carlo(
         scenario.portfolio(),

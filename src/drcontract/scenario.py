@@ -4,11 +4,14 @@ A scenario bundles prices, one or more consumers, simulation controls and an
 optional sweep block. Consumers live in one ``[consumer.<id>]`` section
 each. A bundled default scenario ships with the package and is used by the
 CLI whenever no file is given.
+
+The flat subset that scenarios are written in (headers, ``key = value``
+lines, full-line comments and blank lines) is read directly; any other INI
+syntax goes to :mod:`configparser`, which reads it as it always has.
 """
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -35,6 +38,9 @@ _DEFAULT_GAMMA_RANGE = (0.04, 0.2)
 # Each sweep point costs a closed-form solve and an output row; a longer
 # sweep is almost certainly a typo.
 MAX_SWEEP_STEPS = 10**5
+
+# The trial count of a scenario without a ``trials`` key in [simulation].
+DEFAULT_TRIALS = 1000
 
 
 class ScenarioError(ValueError):
@@ -82,7 +88,7 @@ class Scenario:
     prices: Prices
     members: list[PortfolioMember]
     behaviors: dict[str, Behavior]
-    trials: int = 1000
+    trials: int = DEFAULT_TRIALS
     seed: int = 42
     grid_step: float = 0.01
     reduction_target: float = 0.0
@@ -120,22 +126,71 @@ def _get_int(section, key: str, where: str) -> int:
         ) from None
 
 
+def _read_flat(text: str) -> dict[str, dict[str, str]] | None:
+    """The sections of ``text`` as ``{section: {key: value}}``, or None when
+    a line falls outside the flat subset.
+
+    The subset is ``[section]`` headers, ``key = value`` lines, full-line
+    ``#``/``;`` comments (which may be indented) and blank lines. Keys are
+    lower-cased and values stripped as ``configparser`` does. Continuation
+    lines, ``:`` delimiters, lines without ``=``, empty keys, options before
+    any header, trailing text after a header, ``[DEFAULT]`` and duplicate
+    sections or keys all give None, so on every text this reads,
+    ``configparser.ConfigParser(interpolation=None)`` reads the same.
+    Lines split on ``"\\n"`` only, as ``read_string`` splits them.
+    """
+    sections: dict[str, dict[str, str]] = {}
+    current = None
+    for line in text.split("\n"):
+        value = line.strip()
+        if not value or value[0] in "#;":
+            continue
+        if line[0].isspace():
+            return None
+        if value[0] == "[":
+            name = value[1:-1]
+            if (value[-1] != "]" or not name or name in sections
+                    or name == "DEFAULT"):
+                return None
+            current = sections[name] = {}
+            continue
+        key, eq, rest = value.partition("=")
+        if not eq or not key or ":" in key or current is None:
+            return None
+        key = key.rstrip().lower()
+        if key in current:
+            return None
+        current[key] = rest.strip()
+    return sections
+
+
+def _read_sections(text: str) -> dict[str, dict[str, str]]:
+    sections = _read_flat(text)
+    if sections is not None:
+        return sections
+    import configparser  # only for INI syntax outside the flat subset
+
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ScenarioError(f"malformed scenario file: {exc}") from exc
+    return {name: dict(parser.items(name)) for name in parser.sections()}
+
+
 def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
     """Parse and validate scenario text.
 
     Raises ScenarioError on any malformed or physically invalid input,
     including a consumption cap at or below the saturation point.
     """
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ScenarioError(f"malformed scenario file: {exc}") from exc
-
-    if "prices" not in parser:
+    sections = _read_sections(text)
+    if "prices" not in sections:
         raise ScenarioError("scenario must contain a [prices] section")
-    energy_price = _get_float(parser["prices"], "price_usd_per_kwh", "prices")
-    incentive_price = _get_float(parser["prices"], "incentive_usd_per_kwh", "prices")
+    energy_price = _get_float(sections["prices"], "price_usd_per_kwh", "prices")
+    incentive_price = _get_float(
+        sections["prices"], "incentive_usd_per_kwh", "prices"
+    )
     try:
         prices = Prices(energy_price=energy_price, incentive_price=incentive_price)
     except ValueError as exc:
@@ -143,11 +198,16 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
 
     members: list[PortfolioMember] = []
     behaviors: dict[str, Behavior] = {}
-    for name in parser.sections():
+    for name, section in sections.items():
         if not name.startswith("consumer."):
             continue
         cid = name[len("consumer."):]
-        section = dict(parser.items(name))
+        # The id is written as an unquoted CSV cell.
+        if not cid or "," in cid or '"' in cid:
+            raise ScenarioError(
+                f"[{name}]: consumer id must be non-empty and contain no "
+                f"',' or '\"', got {cid!r}"
+            )
         try:
             params = ConsumerParams(
                 baseline=_get_float(section, "baseline_kwh", name),
@@ -181,8 +241,8 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
     scenario = Scenario(
         prices=prices, members=members, behaviors=behaviors, source_hash=source_hash
     )
-    if "simulation" in parser:
-        sim = parser["simulation"]
+    if "simulation" in sections:
+        sim = sections["simulation"]
         if "trials" in sim:
             scenario.trials = _get_int(sim, "trials", "simulation")
             try:
@@ -215,8 +275,8 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
                 f"key 'reduction_target_kwh' in [simulation] must be >= 0, "
                 f"got {scenario.reduction_target}"
             )
-    if "sweep" in parser:
-        swp = parser["sweep"]
+    if "sweep" in sections:
+        swp = sections["sweep"]
         param = swp.get("param", "p_r")
         base = default_sweep(param)
         start = _get_float(swp, "from", "sweep") if "from" in swp else base.start

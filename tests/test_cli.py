@@ -5,6 +5,7 @@ import pytest
 
 from drcontract import ConsumerParams, Prices, Report, cli, load_scenario
 from drcontract.cli import main, run_verification
+from drcontract.scenario import _read_flat
 from mixed_scenario import mixed_scenario_text
 
 BAD_SCENARIO = """
@@ -417,6 +418,41 @@ behavior = naive_gamer
         err = capsys.readouterr().err
         assert "key 'trials' in [simulation] = 10000001 with 1 consumers" in err
 
+    def test_too_many_default_trials_rejected_before_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        consumer = GOOD_SCENARIO[GOOD_SCENARIO.index("[consumer.a]"):]
+        path = tmp_path / "wide.ini"
+        path.write_text(
+            GOOD_SCENARIO[:GOOD_SCENARIO.index("[consumer.a]")]
+            + "".join(consumer.replace("consumer.a", f"consumer.c{k}")
+                      for k in range(10001))
+        )
+
+        def run_monte_carlo(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", run_monte_carlo)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "drcontract: key 'trials' in [simulation] (default 1000) = 1000 with "
+            "10001 consumers gives 10001000 event records, over the limit of "
+            "10000000; use fewer trials\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cid", ["a,b", ""])
+    def test_consumer_id_that_breaks_the_csv_rejected(self, tmp_path, capsys, cid):
+        path = tmp_path / "bad.ini"
+        path.write_text(GOOD_SCENARIO.replace("[consumer.a]", f"[consumer.{cid}]"))
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"drcontract: [consumer.{cid}]: consumer id must be non-empty" in err
+        assert not out.exists()
+
 
 class TestFlagValidation:
     """Bad numeric flags exit 1 before the run header, naming the flag."""
@@ -596,6 +632,19 @@ class TestSimulateOutputIsStable:
             "0,a,1,12,8,8,0,10", "1,a,1,12,8,8,0,10"
         ]
         assert read(summaries).splitlines()[1:] == ["0,1,4,0,false", "1,1,4,0,false"]
+
+    def test_configparser_syntax_writes_the_same_bytes(self, tmp_path, mixed_ini):
+        text = mixed_ini.read_text(encoding="utf-8")
+        other = tmp_path / "other" / "mixed.ini"
+        other.parent.mkdir()
+        other.write_text(
+            text.replace(" = ", ": ").replace("\n[", "\n    ; next section\n["),
+            encoding="utf-8",
+        )
+        assert _read_flat(other.read_text(encoding="utf-8")) is None
+        flat = simulate_outputs(tmp_path, "--scenario", str(mixed_ini))
+        fallback = simulate_outputs(other.parent, "--scenario", str(other))
+        assert [p.read_bytes() for p in fallback] == [p.read_bytes() for p in flat]
 
     def test_stdout_is_the_out_files_concatenated(self, tmp_path, mixed_ini, capsys):
         paths = simulate_outputs(tmp_path, "--scenario", str(mixed_ini))

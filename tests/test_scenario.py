@@ -1,7 +1,22 @@
-import pytest
+import configparser
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import drcontract
 from drcontract import Behavior, ScenarioError, load_scenario
-from drcontract.scenario import default_sweep, parse_scenario
+from drcontract.scenario import (
+    _read_flat,
+    default_scenario_text,
+    default_sweep,
+    parse_scenario,
+)
+from mixed_scenario import mixed_scenario_text
 
 
 GOOD = """
@@ -219,3 +234,165 @@ class TestSweepSpec:
         from drcontract import SweepSpec
 
         assert SweepSpec("p_r", 0.3, 0.9, 1).values() == [0.3]
+
+
+def configparser_sections(text):
+    """What configparser reads from ``text``, or None when it refuses it."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text)
+    except configparser.Error:
+        return None
+    return {name: dict(parser.items(name)) for name in parser.sections()}
+
+
+# Delimiters, brackets, comment prefixes, upper case and the whitespace that
+# str.strip() removes but a "\n" split keeps inside a line.
+INI_CHARS = "ab=:[]#; AB\t\r\x0b\x0c\x85\u2028"
+ini_text = st.text(INI_CHARS, max_size=8)
+ini_names = st.sampled_from(["a", "A", "b", "DEFAULT", " a ", "x=y"]) | ini_text
+ini_space = st.sampled_from(["", " ", "\t", "\x0c", "\r", "\u2028"])
+ini_option = st.builds(
+    "{}{}{}{}{}".format,
+    ini_names, ini_space, st.sampled_from(["=", ":"]), ini_space, ini_text,
+)
+ini_lines = st.one_of(
+    st.builds("[{}]".format, ini_names),
+    ini_option,
+    ini_option,
+    st.builds(
+        "{}{}".format,
+        st.sampled_from([" ", "\t", "  "]),
+        st.one_of(ini_text, ini_option, st.builds("[{}]".format, ini_names)),
+    ),
+    st.builds("{}{}{}".format, ini_space, st.sampled_from(["#", ";"]), ini_text),
+    ini_space,
+    ini_text,
+)
+# Mostly well-formed files, so that the reader is exercised where it reads.
+ini_files = st.builds(
+    "\n".join,
+    st.lists(ini_lines, max_size=12).map(lambda lines: ["[s]", *lines]),
+) | st.builds("\n".join, st.lists(ini_lines, max_size=12))
+
+
+class TestFlatReader:
+    @settings(max_examples=500, deadline=None)
+    @given(ini_files)
+    def test_reads_what_configparser_reads_or_declines(self, text):
+        flat = _read_flat(text)
+        expected = configparser_sections(text)
+        if expected is None:
+            assert flat is None
+        elif flat is not None:
+            assert flat == expected
+            assert [list(keys) for keys in flat.values()] == [
+                list(keys) for keys in expected.values()
+            ]
+            assert list(flat) == list(expected)
+
+    @pytest.mark.parametrize(
+        "text", [default_scenario_text(), mixed_scenario_text()],
+        ids=["default", "mixed"],
+    )
+    def test_scenarios_take_the_flat_path(self, text):
+        flat = _read_flat(text)
+        assert flat is not None
+        assert flat == configparser_sections(text)
+
+    def test_flat_subset(self):
+        text = (
+            "# lead\n[s]\n  ; indented comment\nKey = a = b \r\n\n"
+            "Other=\n[t u]\n"
+        )
+        assert _read_flat(text) == {"s": {"key": "a = b", "other": ""}, "t u": {}}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[s]\nk = v\n  more\n",  # continuation
+            "[s]\nk = v\n  j = w\n",  # continuation holding a delimiter
+            "[s]\n\tk = v\n",  # indented option
+            "[s]\nk: v\n",  # ':' delimiter
+            "[s]\nk: v = w\n",  # ':' before the first '='
+            "[s]\nk\n",  # no delimiter
+            "[s]\n= v\n",  # empty key
+            "k = v\n[s]\n",  # option before any header
+            "[s] trailing\nk = v\n",  # header not ending in ']'
+            "[DEFAULT]\nk = v\n[s]\n",
+            "[s]\n[s]\n",  # duplicate section
+            "[s]\nk = 1\nK = 2\n",  # duplicate key after lower-casing
+        ],
+    )
+    def test_other_syntax_is_declined(self, text):
+        assert _read_flat(text) is None
+
+
+class TestConfigparserFallback:
+    def test_other_syntax_loads_the_same(self):
+        text = GOOD.replace(" = ", ": ").replace("[consumer.a]", "  # a\n[consumer.a]")
+        assert _read_flat(text) is None
+        assert parse_scenario(text) == parse_scenario(GOOD)
+
+    def test_default_section_applies_to_every_section(self):
+        text = "[DEFAULT]\nbehavior = truthful\n" + GOOD
+        assert parse_scenario(text).behaviors["a"] is Behavior.TRUTHFUL
+
+    # The messages configparser gives, as they read before the flat reader.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                GOOD + "[prices]\nx = 1\n",
+                "While reading from '<string>' [line 11]: "
+                "section 'prices' already exists",
+            ),
+            (
+                GOOD + "baseline_kwh = 9\n",
+                "While reading from '<string>' [line 11]: "
+                "option 'baseline_kwh' in section 'consumer.a' already exists",
+            ),
+            (
+                "price_usd_per_kwh = 0.26\n" + GOOD,
+                "File contains no section headers.\nfile: '<string>', line: 1\n"
+                "'price_usd_per_kwh = 0.26\\n'",
+            ),
+            (
+                GOOD + "just words\n",
+                "Source contains parsing errors: '<string>'\n"
+                "\t[line 11]: 'just words\\n'",
+            ),
+        ],
+        ids=["duplicate-section", "duplicate-key", "no-header", "no-delimiter"],
+    )
+    def test_malformed_file_messages(self, text, message):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text)
+        assert str(info.value) == f"malformed scenario file: {message}"
+
+
+class TestConsumerIds:
+    @pytest.mark.parametrize("cid", ["", "a,b", 'a"b', ","])
+    @pytest.mark.parametrize("delimiter", [" = ", ": "], ids=["flat", "fallback"])
+    def test_ids_that_break_the_csv_are_rejected(self, cid, delimiter):
+        text = GOOD.replace("[consumer.a]", f"[consumer.{cid}]")
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text.replace(" = ", delimiter))
+        assert str(info.value) == (
+            f"[consumer.{cid}]: consumer id must be non-empty and contain no "
+            f"',' or '\"', got {cid!r}"
+        )
+
+    def test_other_ids_are_kept(self):
+        text = GOOD.replace("[consumer.a]", "[consumer.A b.c-1]")
+        assert parse_scenario(text).members[0].consumer_id == "A b.c-1"
+
+
+def test_importing_the_cli_leaves_configparser_unloaded():
+    src = str(Path(drcontract.__file__).parents[1])
+    code = "import drcontract.cli, sys; assert 'configparser' not in sys.modules"
+    subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
