@@ -29,7 +29,12 @@ from .scenario import (
     default_sweep,
     load_scenario,
 )
-from .simulation import MonteCarloResult, check_record_count, run_monte_carlo
+from .simulation import (
+    MonteCarloResult,
+    PortfolioMember,
+    check_record_count,
+    run_monte_carlo,
+)
 from .strategy import (
     best_report,
     call_threshold,
@@ -212,30 +217,39 @@ def _sweep_row(param: str, value: float, call_probability: float,
     return ",".join(cells)
 
 
-def cmd_sweep(args) -> int:
-    scenario = load_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else scenario.seed
-    _log_run(scenario, seed)
-    spec = _sweep_spec(scenario, args)
-    member = scenario.members[0]
-    lines = [SWEEP_HEADER]
+def _sweep_points(
+    spec: SweepSpec, member: PortfolioMember, prices: Prices
+) -> list[tuple[float, float, ConsumerParams]]:
+    """Each swept value with the call probability and parameters it gives
+    ``member``, all checked before any point is solved."""
+    points = []
     for value in spec.values():
         if spec.param == "p_r":
             if not 0 <= value <= 1:
                 raise ScenarioError(f"swept call probability {value} outside [0, 1]")
-            lines.append(
-                _sweep_row("p_r", value, value, member.params, scenario.prices)
-            )
-        else:
-            if value <= 0:
-                raise ScenarioError(f"swept marginal utility {value} must be > 0")
-            params = replace(member.params, marginal_utility=value)
-            check_consumption_cap(params, scenario.prices)
-            lines.append(
-                _sweep_row(
-                    "gamma", value, member.call_probability, params, scenario.prices
-                )
-            )
+            points.append((value, value, member.params))
+            continue
+        if value <= 0:
+            raise ScenarioError(f"swept marginal utility {value} must be > 0")
+        params = replace(member.params, marginal_utility=value)
+        try:
+            check_consumption_cap(params, prices)
+        except ValueError as exc:
+            raise ScenarioError(f"swept marginal utility {value}: {exc}") from None
+        points.append((value, member.call_probability, params))
+    return points
+
+
+def cmd_sweep(args) -> int:
+    scenario = load_scenario(args.scenario)
+    seed = args.seed if args.seed is not None else scenario.seed
+    spec = _sweep_spec(scenario, args)
+    points = _sweep_points(spec, scenario.members[0], scenario.prices)
+    _log_run(scenario, seed)
+    lines = [SWEEP_HEADER] + [
+        _sweep_row(spec.param, value, call_probability, params, scenario.prices)
+        for value, call_probability, params in points
+    ]
     _write_lines(args.out, lines)
     return 0
 
@@ -413,14 +427,15 @@ def _record_chunks(result: MonteCarloResult) -> Iterator[str]:
     rows = [
         [
             ",".join(
-                [cid, str(s), _fmt(report.baseline), _fmt(report.committed),
+                [cid, str(s), _fmt(baseline), _fmt(committed),
                  _fmt(q[s]), _fmt(paid[s]), _fmt(gained[s])]
             ) + "\n"
             for s in (0, 1)
         ]
-        for cid, report, q, paid, gained in zip(
+        for cid, baseline, committed, q, paid, gained in zip(
             table.consumer_ids,
-            table.reports,
+            table.report.baseline.tolist(),
+            table.report.committed.tolist(),
             table.consumption.tolist(),
             table.payment.tolist(),
             table.profit.tolist(),

@@ -260,7 +260,9 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
                 sim, "reduction_target_kwh", "simulation"
             )
         if scenario.trials < 1:
-            raise ScenarioError(f"trials must be >= 1, got {scenario.trials}")
+            raise ScenarioError(
+                f"key 'trials' in [simulation] must be >= 1, got {scenario.trials}"
+            )
         if scenario.seed < 0:
             raise ScenarioError(
                 f"key 'seed' in [simulation] must be >= 0, got {scenario.seed}"

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .core import (
     ideal_consumption,
     payment_called,
     payment_not_called,
+    saturation_point,
     utility,
 )
 from .strategy import solve
@@ -86,18 +88,40 @@ class PortfolioMember:
 
 @dataclass(frozen=True)
 class Portfolio:
-    """Ordered collection of consumers under one price pair."""
+    """Ordered collection of consumers under one price pair, whose ids,
+    parameters and call probabilities are also held as read-only columns
+    (entry k for member k), each built once on first use."""
 
     members: tuple[PortfolioMember, ...]
     prices: Prices
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(self.members))
-        ids = [m.consumer_id for m in self.members]
-        if len(set(ids)) != len(ids):
+        if len(set(self.consumer_ids)) != len(self.members):
             raise ValueError("consumer ids must be unique")
-        for member in self.members:
-            check_consumption_cap(member.params, self.prices)
+        params = self.params
+        under = params.max_consumption <= saturation_point(params, self.prices)
+        if under.any():
+            # Raise the first offender's own message.
+            check_consumption_cap(self.members[np.argmax(under)].params, self.prices)
+
+    @cached_property
+    def consumer_ids(self) -> tuple[str, ...]:
+        return tuple(m.consumer_id for m in self.members)
+
+    @cached_property
+    def params(self):
+        """The members' :class:`ConsumerParams` as :func:`columns`."""
+        params = columns(ConsumerParams, [m.params for m in self.members])
+        for column in vars(params).values():
+            column.flags.writeable = False
+        return params
+
+    @cached_property
+    def call_probabilities(self) -> np.ndarray:
+        probs = np.array([m.call_probability for m in self.members], dtype=float)
+        probs.flags.writeable = False
+        return probs
 
 
 @dataclass(frozen=True)
@@ -175,11 +199,12 @@ class OutcomeTable:
     """Consumption, payment and profit of every consumer under each signal.
 
     Row k is portfolio member k; column s of each ``(n, 2)`` array is the
-    outcome under ``CallSignal(s)``.
+    outcome under ``CallSignal(s)``. ``report`` holds the members' reports
+    as :func:`columns`.
     """
 
     consumer_ids: tuple[str, ...]
-    reports: tuple[Report, ...]
+    report: object
     consumption: np.ndarray
     payment: np.ndarray
     profit: np.ndarray
@@ -189,7 +214,7 @@ class OutcomeTable:
         return EventRecord(
             self.consumer_ids[k],
             CallSignal(s),
-            self.reports[k],
+            Report(float(self.report.baseline[k]), float(self.report.committed[k])),
             float(self.consumption[k, s]),
             float(self.payment[k, s]),
             float(self.profit[k, s]),
@@ -224,22 +249,20 @@ def collect_reports(
     true baseline and naive gamers the cap; all commit to the reduced
     optimum (b - p2/g)+, which is the rational commitment too.
     """
-    members = portfolio.members
-    rational, truthful = _behavior_masks(members, behaviors)
-    params = columns(ConsumerParams, [m.params for m in members])
-    probabilities = np.array([m.call_probability for m in members], dtype=float)
-    best = solve(params, portfolio.prices, call_probability=probabilities)
+    kinds = [Behavior(b) for b in _by_id(behaviors, portfolio, "behavior defined")]
+    rational = [k is Behavior.RATIONAL for k in kinds]
+    truthful = [k is Behavior.TRUTHFUL for k in kinds]
+    params = portfolio.params
+    best = solve(params, portfolio.prices, call_probability=portfolio.call_probabilities)
     announced = np.where(
         rational,
         best.report_baseline,
         np.where(truthful, params.baseline, params.max_consumption),
     )
-    return {
-        member.consumer_id: Report(baseline, committed)
-        for member, baseline, committed in zip(
-            members, announced.tolist(), best.report_committed.tolist()
-        )
-    }
+    return dict(zip(
+        portfolio.consumer_ids,
+        map(Report, announced.tolist(), best.report_committed.tolist()),
+    ))
 
 
 def allocate_calls(
@@ -257,11 +280,12 @@ def allocate_calls(
     conditioning would break the probability each consumer optimized
     against.
     """
-    called, committed = _draw_calls(portfolio, reports, reduction_target, [seed])
+    report = columns(Report, _by_id(reports, portfolio, "report"))
+    called, committed = _draw_calls(portfolio, report, reduction_target, [seed])
     return CallAllocation(
         signals={
-            member.consumer_id: CallSignal(int(c))
-            for member, c in zip(portfolio.members, called[:, 0].tolist())
+            cid: CallSignal(int(c))
+            for cid, c in zip(portfolio.consumer_ids, called[:, 0].tolist())
         },
         committed_reduction=float(committed[0]),
         under_provisioned=bool(committed[0] < reduction_target),
@@ -269,13 +293,11 @@ def allocate_calls(
 
 
 def _draw_calls(
-    portfolio: Portfolio,
-    reports: Mapping[str, Report],
-    reduction_target: float,
-    seeds,
+    portfolio: Portfolio, report, reduction_target: float, seeds
 ) -> tuple[np.ndarray, np.ndarray]:
     """Call flags of every member in every trial, shape ``(n, len(seeds))``,
-    and the reduction the called reports commit to in each trial.
+    and the reduction the called reports (``report``, as :func:`columns`)
+    commit to in each trial.
 
     Trial t draws ``default_rng(seeds[t]).random(n)`` and calls member k when
     its draw lies below its call probability. The committed reduction is a
@@ -284,16 +306,11 @@ def _draw_calls(
     """
     if not reduction_target >= 0:
         raise ValueError(f"reduction target must be >= 0, got {reduction_target}")
-    members = portfolio.members
-    probs = np.array([m.call_probability for m in members], dtype=float)
-    announced = [
-        report.baseline - report.committed
-        for report in (_report_for(reports, m.consumer_id) for m in members)
-    ]
-    called = np.empty((len(members), len(seeds)), dtype=bool)
+    probs = portfolio.call_probabilities
+    called = np.empty((probs.size, len(seeds)), dtype=bool)
     for t, seed in enumerate(seeds):
-        called[:, t] = np.random.default_rng(int(seed)).random(len(members)) < probs
-    return called, _called_totals(called, announced)
+        called[:, t] = np.random.default_rng(int(seed)).random(probs.size) < probs
+    return called, _called_totals(called, report.baseline - report.committed)
 
 
 def _called_totals(called: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -309,45 +326,17 @@ def _called_totals(called: np.ndarray, values: np.ndarray) -> np.ndarray:
     return totals[-1].copy()
 
 
-def _behavior_for(behaviors: Mapping[str, Behavior], consumer_id: str) -> Behavior:
+def _by_id(mapping: Mapping, portfolio: Portfolio, what: str) -> list:
+    """The values of ``mapping`` for the portfolio's members, in order."""
     try:
-        return Behavior(behaviors[consumer_id])
-    except KeyError:
-        raise ValueError(f"no behavior defined for consumer {consumer_id!r}") from None
+        return [mapping[cid] for cid in portfolio.consumer_ids]
+    except KeyError as exc:
+        raise ValueError(f"no {what} for consumer {exc.args[0]!r}") from None
 
 
-def _behavior_masks(
-    members: Sequence[PortfolioMember], behaviors: Mapping[str, Behavior]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Which members are rational and which truthful; the rest are naive
-    gamers."""
-    kinds = [_behavior_for(behaviors, m.consumer_id) for m in members]
-    return (
-        np.array([k is Behavior.RATIONAL for k in kinds], dtype=bool),
-        np.array([k is Behavior.TRUTHFUL for k in kinds], dtype=bool),
-    )
-
-
-def _report_for(reports: Mapping[str, Report], consumer_id: str) -> Report:
-    try:
-        return reports[consumer_id]
-    except KeyError:
-        raise ValueError(f"no report for consumer {consumer_id!r}") from None
-
-
-def _signal_for(signals: Mapping[str, CallSignal], consumer_id: str) -> CallSignal:
-    try:
-        return CallSignal(signals[consumer_id])
-    except KeyError:
-        raise ValueError(f"no call signal for consumer {consumer_id!r}") from None
-
-
-def _settle(
-    portfolio: Portfolio,
-    reports: Mapping[str, Report],
-    behaviors: Mapping[str, Behavior],
-) -> OutcomeTable:
-    """Consumption, payment and profit of each member under each signal.
+def _settle(portfolio: Portfolio, report, kinds: list[Behavior]) -> OutcomeTable:
+    """Consumption, payment and profit of each member under each signal,
+    given the members' reports as :func:`columns` and their behaviors.
 
     Rational consumers best-respond to their own report. Truthful consumers
     follow the ideal rule. A naive gamer consumes its baseline when not
@@ -355,11 +344,9 @@ def _settle(
     since even a naive agent reacts to a realized charge.
     """
     prices = portfolio.prices
-    members = portfolio.members
-    member_reports = tuple(_report_for(reports, m.consumer_id) for m in members)
-    report = columns(Report, member_reports)
-    rational, truthful = _behavior_masks(members, behaviors)
-    params = columns(ConsumerParams, [m.params for m in members])
+    params = portfolio.params
+    rational = [k is Behavior.RATIONAL for k in kinds]
+    truthful = [k is Behavior.TRUTHFUL for k in kinds]
     best = solve(params, prices, report=report)
     not_called = np.where(rational, best.consumption[:, 0], params.baseline)
     called = np.where(
@@ -376,8 +363,8 @@ def _settle(
         for q, paid in zip((not_called, called), payment)
     ]
     return OutcomeTable(
-        consumer_ids=tuple(m.consumer_id for m in members),
-        reports=member_reports,
+        consumer_ids=portfolio.consumer_ids,
+        report=report,
         consumption=np.stack([not_called, called], axis=-1),
         payment=np.stack(payment, axis=-1),
         profit=np.stack(profit, axis=-1),
@@ -407,8 +394,7 @@ def _summarize(
 def _reduction(table: OutcomeTable) -> np.ndarray:
     """Each member's consumption when called below its reported baseline,
     floored at 0."""
-    baselines = np.array([r.baseline for r in table.reports], dtype=float)
-    return np.maximum(baselines - table.consumption[:, 1], 0.0)
+    return np.maximum(table.report.baseline - table.consumption[:, 1], 0.0)
 
 
 def settle_event(
@@ -429,9 +415,12 @@ def settle_event(
         signals = calls
         under = False
     called = np.array(
-        [_signal_for(signals, m.consumer_id) for m in portfolio.members], dtype=bool
+        [CallSignal(s) for s in _by_id(signals, portfolio, "call signal")],
+        dtype=bool,
     )
-    table = _settle(portfolio, reports, behaviors)
+    report = columns(Report, _by_id(reports, portfolio, "report"))
+    kinds = [Behavior(b) for b in _by_id(behaviors, portfolio, "behavior defined")]
+    table = _settle(portfolio, report, kinds)
     summary = _summarize(table, called[:, None], np.array([under]))[0]
     return list(TrialRecords(table, called)), summary
 
@@ -464,14 +453,15 @@ def run_monte_carlo(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    members = portfolio.members
-    check_record_count(len(members), trials)
+    check_record_count(len(portfolio.members), trials)
     reports = collect_reports(portfolio, behaviors)
-    table = _settle(portfolio, reports, behaviors)
+    report = columns(Report, _by_id(reports, portfolio, "report"))
+    kinds = [Behavior(b) for b in _by_id(behaviors, portfolio, "behavior defined")]
+    table = _settle(portfolio, report, kinds)
     seeds = np.random.SeedSequence(master_seed).generate_state(
         trials, dtype=np.uint64
     )
-    called, committed = _draw_calls(portfolio, reports, reduction_target, seeds)
+    called, committed = _draw_calls(portfolio, report, reduction_target, seeds)
     summaries = _summarize(table, called, committed < reduction_target)
     # Member k's statistics reduce row k of (n, trials) arrays, built one at a
     # time; a C-contiguous row is summed pairwise, like the row alone.
@@ -490,8 +480,8 @@ def run_monte_carlo(
         [called.mean(axis=1), mean_profit, variance, mean_payment, mean_reduction]
     )
     stats = [
-        ConsumerStats(cid, _behavior_for(behaviors, cid), trials, *row)
-        for cid, row in zip(table.consumer_ids, per_member.tolist())
+        ConsumerStats(cid, kind, trials, *row)
+        for cid, kind, row in zip(table.consumer_ids, kinds, per_member.tolist())
     ]
     return MonteCarloResult(
         stats=stats,

@@ -109,6 +109,27 @@ class TestSweepCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--from", "-0.5"], "swept call probability -0.5 outside [0, 1]"),
+            (["--param", "gamma", "--from", "0", "--to", "0.1"],
+             "swept marginal utility 0.0 must be > 0"),
+            (["--param", "gamma", "--from", "0.001"],
+             "swept marginal utility 0.001: max_consumption=16.0 must exceed "
+             "the saturation point baseline + p/gamma = 268.0"),
+            (["--param", "gamma", "--from", "0.5", "--to", "0.2"],
+             "sweep range must have stop >= start"),
+        ],
+    )
+    def test_bad_point_rejected_before_the_run(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"drcontract: {message}\n"
+        assert "scenario_hash=" not in err
+        assert not out.exists()
+
     def test_unknown_sweep_param_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--param", "q_max", "--out", str(tmp_path / "x.csv")])

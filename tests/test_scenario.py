@@ -109,8 +109,9 @@ class TestParsing:
 
     def test_trials_validated(self):
         text = GOOD + "\n[simulation]\ntrials = 0\n"
-        with pytest.raises(ScenarioError, match="trials"):
+        with pytest.raises(ScenarioError) as exc:
             parse_scenario(text)
+        assert str(exc.value) == "key 'trials' in [simulation] must be >= 1, got 0"
 
 
 class TestBoundaryValidation:

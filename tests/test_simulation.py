@@ -12,6 +12,7 @@ from drcontract import (
     Portfolio,
     PortfolioMember,
     Prices,
+    Report,
     allocate_calls,
     collect_reports,
     run_monte_carlo,
@@ -64,6 +65,27 @@ class TestPortfolio:
     def test_call_probability_bounds(self):
         with pytest.raises(ValueError):
             PortfolioMember("a", ConsumerParams(8.0, 0.05, 16.0), 1.2)
+
+    def test_columns_follow_the_members_and_are_read_only(self):
+        portfolio, _ = single_portfolio(0.25)
+        assert portfolio.consumer_ids == ("household",)
+        assert portfolio.params.max_consumption.tolist() == [16.0]
+        assert portfolio.call_probabilities.tolist() == [0.25]
+        for column in (portfolio.params.baseline, portfolio.call_probabilities):
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
+    def test_first_member_under_the_cap_names_itself(self):
+        members = tuple(
+            PortfolioMember(cid, ConsumerParams(8.0, 0.05, cap), 0.1)
+            for cid, cap in (("ok", 16.0), ("a", 13.0), ("b", 12.0))
+        )
+        with pytest.raises(ValueError) as exc:
+            Portfolio(members, Prices(0.26, 0.30))
+        assert str(exc.value) == (
+            "max_consumption=13.0 must exceed the saturation point "
+            "baseline + p/gamma = 13.2"
+        )
 
 
 class TestCollectReports:
@@ -212,6 +234,53 @@ class TestSettleEvent:
             settle_event(portfolio, reports, {}, behaviors)
         with pytest.raises(ValueError):
             settle_event(portfolio, {}, {"household": CallSignal.CALLED}, behaviors)
+
+
+class TestLookupMessages:
+    """Every public function names the first member, in portfolio order,
+    that a mapping leaves out."""
+
+    @staticmethod
+    def two_members():
+        members = tuple(
+            PortfolioMember(cid, ConsumerParams(8.0, 0.05, 16.0), 0.5)
+            for cid in ("a", "b")
+        )
+        portfolio = Portfolio(members, Prices(0.26, 0.30))
+        behaviors = {"a": Behavior.RATIONAL, "b": Behavior.TRUTHFUL}
+        reports = collect_reports(portfolio, behaviors)
+        signals = {"a": CallSignal.CALLED, "b": CallSignal.NOT_CALLED}
+        return portfolio, behaviors, reports, signals
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda p, bh, rp, sg: collect_reports(p, {"a": bh["a"]}),
+             "no behavior defined for consumer 'b'"),
+            (lambda p, bh, rp, sg: allocate_calls(p, {"a": rp["a"]}, 0.0, 1),
+             "no report for consumer 'b'"),
+            (lambda p, bh, rp, sg: settle_event(p, rp, {"a": sg["a"]}, bh),
+             "no call signal for consumer 'b'"),
+            (lambda p, bh, rp, sg: settle_event(p, {"a": rp["a"]}, sg, bh),
+             "no report for consumer 'b'"),
+            (lambda p, bh, rp, sg: settle_event(p, rp, sg, {"a": bh["a"]}),
+             "no behavior defined for consumer 'b'"),
+            (lambda p, bh, rp, sg: run_monte_carlo(p, {"a": bh["a"]}, trials=2),
+             "no behavior defined for consumer 'b'"),
+        ],
+        ids=[
+            "collect_reports-behavior",
+            "allocate_calls-report",
+            "settle_event-signal",
+            "settle_event-report",
+            "settle_event-behavior",
+            "run_monte_carlo-behavior",
+        ],
+    )
+    def test_missing_entry_is_named(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call(*self.two_members())
+        assert str(exc.value) == message
 
 
 class TestMonteCarlo:
@@ -416,6 +485,23 @@ class TestColumnarMonteCarlo:
         signals = {m.consumer_id: CallSignal.CALLED for m in portfolio.members}
         settle_event(portfolio, reports, signals, scenario.behaviors)
         assert len(calls) == 1
+
+    def test_inputs_become_columns_once_per_run(self, mixed, monkeypatch):
+        scenario, *_ = mixed
+        calls = []
+        build = simulation.columns
+
+        def counted(cls, values):
+            calls.append(cls)
+            return build(cls, values)
+
+        monkeypatch.setattr(simulation, "columns", counted)
+        portfolio = scenario.portfolio()
+        run_monte_carlo(portfolio, scenario.behaviors, trials=3)
+        assert calls == [ConsumerParams, Report]
+        # The portfolio keeps its columns for the next run.
+        run_monte_carlo(portfolio, scenario.behaviors, trials=3)
+        assert calls == [ConsumerParams, Report, Report]
 
     def test_records_are_lazy_views(self, mixed):
         scenario, result, _, settled = mixed
