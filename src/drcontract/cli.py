@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -70,13 +70,24 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an output path that is a directory or in a missing one."""
+    if path is not None and os.path.isdir(path):
+        raise ValueError(f"cannot write output file {path!r}: it is a directory")
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"cannot write output file {path!r}: no such directory")
+
+
 def _write_chunks(path: str | None, chunks: Iterable[str]) -> None:
     """Write text chunks one by one to ``path``, or to stdout when None."""
     if path is None:
         sys.stdout.writelines(chunks)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
+    except OSError as exc:
+        raise ValueError(f"cannot write output file {path!r}: {exc.strerror}") from None
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:
@@ -279,7 +290,7 @@ def _draw_instances(rng, draws: int) -> np.ndarray:
 
 
 def _instance(numbers: np.ndarray) -> tuple[ConsumerParams, Prices, Report]:
-    """The objects of one drawn row; their constructors check it."""
+    """The objects of one drawn row."""
     numbers = numbers.tolist()
     return ConsumerParams(*numbers[:3]), Prices(*numbers[3:5]), Report(*numbers[5:])
 
@@ -302,27 +313,15 @@ def run_verification(
     oracle_reports = grid_best_reports(
         probabilities, member.params, scenario.prices, report_grid
     )
-    # Every instance is drawn at once and checked as the constructors of its
-    # three objects would check it; the first bad row is rebuilt to raise
-    # their error.
+    # Every instance is drawn at once; the constructors check the columns.
     drawn = _draw_instances(np.random.default_rng(seed), draws)
-    b, g, q_max, p, p2, reported, committed = drawn.T
-    valid = (
-        np.isfinite(drawn[:, :5]).all(axis=1)
-        & (b > 0) & (g > 0) & (q_max > 0)
-        & (p >= 0) & (p2 >= p) & (p2 > 0)
-        & (0 <= committed) & (committed <= reported)
-    )
-    if not valid.all():
-        _instance(drawn[np.argmin(valid)])
-    params = SimpleNamespace(baseline=b, marginal_utility=g, max_consumption=q_max)
-    prices = SimpleNamespace(energy_price=p, incentive_price=p2)
-    report = SimpleNamespace(baseline=reported, committed=committed)
+    params = ConsumerParams(*drawn[:, :3].T)
+    prices = Prices(*drawn[:, 3:5].T)
+    report = Report(*drawn[:, 5:].T)
     closed = solve(params, prices, report=report)
     signals = (CallSignal.NOT_CALLED, CallSignal.CALLED)
-    oracle_q, oracle_payoff = grid_best_responses(
-        report, signals, params, prices, GridSpec.cover(q_max.max(), grid_step)
-    )
+    grid = GridSpec.cover(params.max_consumption.max(), grid_step)
+    oracle_q, oracle_payoff = grid_best_responses(report, signals, params, prices, grid)
     cases = np.stack(
         [max_feasible_case_payoff(report, s, params, prices) for s in signals],
         axis=1,
@@ -491,11 +490,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"sweep": cmd_sweep, "verify": cmd_verify, "simulate": cmd_simulate}
     try:
+        _check_out(args.out)
         return handlers[args.command](args)
-    except ScenarioError as exc:
-        print(f"drcontract: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ScenarioError included
         print(f"drcontract: {exc}", file=sys.stderr)
         return 1
 

@@ -9,9 +9,12 @@ floats: energies in kWh, money in $, marginal utility in $/kWh^2.
 The consumption-dependent functions accept either a scalar or a numpy array
 for the consumption argument and return a matching ``float`` or ``ndarray``,
 which lets the grid-search oracle evaluate them in bulk. They also broadcast
-over per-row parameters: wherever they take a :class:`ConsumerParams`,
-:class:`Prices` or :class:`Report`, they take the :func:`columns` of many
-such values too, so one call evaluates many consumers with the same formulas.
+over per-row parameters: :class:`ConsumerParams`, :class:`Prices` and
+:class:`Report` each hold either one value or columns (one float array per
+field, see :func:`columns`), so one call evaluates many consumers with the
+same formulas. Either form is checked by the same rules, and an error names
+the first offending row. Column-valued instances are neither hashable nor
+comparable with ``==``, as with numpy arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,6 +30,7 @@ __all__ = [
     "ConsumerParams",
     "Prices",
     "Report",
+    "check_call_probability",
     "check_consumption_cap",
     "columns",
     "ideal_consumption",
@@ -40,12 +43,22 @@ __all__ = [
 ]
 
 
-def _require_finite(obj, *names: str) -> None:
-    # A NaN passes every "<= 0" check, so finiteness is tested first.
-    for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+# abs(x) < _INF is False for NaN and both infinities, for floats and arrays.
+_INF = math.inf
+
+
+def require(ok, message: str, *values) -> None:
+    """Raise ``ValueError(message.format(*values))`` unless ``ok``, one flag
+    or one per row, holds; ``values`` (each one value or a column) are taken
+    at the first row where it does not. A ``bool`` is tested without numpy."""
+    if ok is True:
+        return
+    if ok is not False:
+        if ok.all():
+            return
+        bad = np.logical_not(ok)
+        values = [np.broadcast_to(v, bad.shape)[bad][0] for v in values]
+    raise ValueError(message.format(*values))
 
 
 class CallSignal(IntEnum):
@@ -57,7 +70,7 @@ class CallSignal(IntEnum):
 
 @dataclass(frozen=True)
 class Prices:
-    """Contract prices.
+    """Contract prices, one pair or columns of many (see :func:`columns`).
 
     Attributes:
         energy_price: retail price of energy, $/kWh, finite, >= 0.
@@ -70,24 +83,21 @@ class Prices:
     incentive_price: float
 
     def __post_init__(self) -> None:
-        _require_finite(self, "energy_price", "incentive_price")
-        if self.energy_price < 0:
-            raise ValueError(f"energy_price must be >= 0, got {self.energy_price}")
-        if self.incentive_price < self.energy_price:
-            raise ValueError(
-                "incentive_price must be >= energy_price, got "
-                f"{self.incentive_price} < {self.energy_price}"
-            )
-        if self.incentive_price == 0:
-            raise ValueError(
-                "incentive_price must be > 0: with both prices at 0 the call "
-                "threshold p / (p + p2) is undefined"
-            )
+        p, p2 = self.energy_price, self.incentive_price
+        require(abs(p) < _INF, "energy_price must be finite, got {}", p)
+        require(abs(p2) < _INF, "incentive_price must be finite, got {}", p2)
+        require(p >= 0, "energy_price must be >= 0, got {}", p)
+        require(p2 >= p, "incentive_price must be >= energy_price, got {} < {}", p2, p)
+        require(
+            p2 != 0,
+            "incentive_price must be > 0: with both prices at 0 the call "
+            "threshold p / (p + p2) is undefined",
+        )
 
 
 @dataclass(frozen=True)
 class ConsumerParams:
-    """Private type of one consumer.
+    """Private type of one consumer, or columns of many (see :func:`columns`).
 
     All three attributes must be finite.
 
@@ -106,22 +116,19 @@ class ConsumerParams:
     max_consumption: float
 
     def __post_init__(self) -> None:
-        _require_finite(self, "baseline", "marginal_utility", "max_consumption")
-        if self.baseline <= 0:
-            raise ValueError(f"baseline must be > 0, got {self.baseline}")
-        if self.marginal_utility <= 0:
-            raise ValueError(
-                f"marginal_utility must be > 0, got {self.marginal_utility}"
-            )
-        if self.max_consumption <= 0:
-            raise ValueError(
-                f"max_consumption must be > 0, got {self.max_consumption}"
-            )
+        b, g, q_max = self.baseline, self.marginal_utility, self.max_consumption
+        # A NaN passes every "> 0" check, so finiteness is tested first.
+        require(abs(b) < _INF, "baseline must be finite, got {}", b)
+        require(abs(g) < _INF, "marginal_utility must be finite, got {}", g)
+        require(abs(q_max) < _INF, "max_consumption must be finite, got {}", q_max)
+        require(b > 0, "baseline must be > 0, got {}", b)
+        require(g > 0, "marginal_utility must be > 0, got {}", g)
+        require(q_max > 0, "max_consumption must be > 0, got {}", q_max)
 
 
 @dataclass(frozen=True)
 class Report:
-    """The pair a consumer announces before the event.
+    """The pair a consumer announces before the event, or columns of many.
 
     Attributes:
         baseline: announced baseline, kWh. The gaming target.
@@ -132,35 +139,30 @@ class Report:
     committed: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.committed <= self.baseline:
-            raise ValueError(
-                "report must satisfy 0 <= committed <= baseline, got "
-                f"committed={self.committed}, baseline={self.baseline}"
-            )
+        b, q = self.baseline, self.committed
+        require(
+            (0 <= q) & (q <= b),
+            "report must satisfy 0 <= committed <= baseline, got "
+            "committed={}, baseline={}", q, b,
+        )
 
 
-def columns(cls: type, values) -> SimpleNamespace:
-    """The fields of ``values``, all of dataclass ``cls``, as float arrays.
-
-    The result has one attribute per field of ``cls`` (for example
-    ``columns(ConsumerParams, params).baseline``), each with one entry per
-    value in order. The values were validated when they were built; the
-    columns are not validated again.
+def columns(cls: type, values):
+    """The ``cls`` (:class:`ConsumerParams`, :class:`Prices` or :class:`Report`)
+    whose fields are those of ``values`` as float arrays, one entry per value
+    in order (no values give empty columns). It is checked as one value is,
+    and an error names the first offending row.
     """
-    return SimpleNamespace(
-        **{
-            f.name: np.array([getattr(v, f.name) for v in values], dtype=float)
-            for f in fields(cls)
-        }
-    )
+    return cls(*(
+        np.array([getattr(v, f.name) for v in values], dtype=float)
+        for f in fields(cls)
+    ))
 
 
-def first_flagged(value, flags):
-    """``value`` at the first row set in ``flags``, to name it in an error;
-    a scalar ``value`` is returned as it is."""
-    if np.ndim(value) == 0:
-        return value
-    return np.broadcast_to(value, np.shape(flags))[flags][0]
+def check_call_probability(call_probability) -> None:
+    """Refuse a call probability, or a column of them, outside [0, 1]."""
+    pr = call_probability
+    require((0 <= pr) & (pr <= 1), "call probability must lie in [0, 1], got {}", pr)
 
 
 def saturation_point(params: ConsumerParams, prices: Prices) -> float:
@@ -169,18 +171,20 @@ def saturation_point(params: ConsumerParams, prices: Prices) -> float:
 
 
 def check_consumption_cap(params: ConsumerParams, prices: Prices) -> None:
-    """Validate that the consumption cap exceeds the saturation point.
+    """Validate that the consumption cap exceeds the saturation point, for
+    one consumer or for columns, naming the first offending row.
 
     The contract analysis requires max_consumption > baseline + p/gamma.
     This couples ConsumerParams with Prices, so it is checked here (at
     scenario-assembly time) rather than in either constructor.
     """
+    q_max = params.max_consumption
     sat = saturation_point(params, prices)
-    if params.max_consumption <= sat:
-        raise ValueError(
-            f"max_consumption={params.max_consumption} must exceed the "
-            f"saturation point baseline + p/gamma = {sat}"
-        )
+    require(
+        q_max > sat,
+        "max_consumption={} must exceed the saturation point baseline + p/gamma = {}",
+        q_max, sat,
+    )
 
 
 def _scalar_or_array(value: np.ndarray, like) -> float | np.ndarray:
@@ -280,10 +284,8 @@ def stage2_profit(
         consumption: kWh, scalar or array, must lie in [0, max_consumption].
     """
     q = np.asarray(consumption, dtype=float)
-    outside = (q < 0) | (q > params.max_consumption)
-    if outside.any():
-        cap = first_flagged(params.max_consumption, outside)
-        raise ValueError(f"consumption must lie in [0, {cap}]")
+    q_max = params.max_consumption
+    require(~((q < 0) | (q > q_max)), "consumption must lie in [0, {}]", q_max)
     if signal == CallSignal.NOT_CALLED:
         paid = payment_not_called(q, report.baseline, prices)
     else:

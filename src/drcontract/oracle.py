@@ -21,6 +21,7 @@ from .core import (
     ConsumerParams,
     Prices,
     Report,
+    check_call_probability,
     saturation_point,
     stage2_profit,
     utility,
@@ -237,8 +238,7 @@ def grid_best_reports(
     """
     probabilities = list(call_probabilities)
     for pr in probabilities:
-        if not 0 <= pr <= 1:
-            raise ValueError(f"call probability must lie in [0, 1], got {pr}")
+        check_call_probability(pr)
     b = params.baseline
     g = params.marginal_utility
     p = prices.energy_price

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .core import ConsumerParams, Prices, check_consumption_cap
-from .simulation import Behavior, Portfolio, PortfolioMember, check_record_count
+from .simulation import (
+    Behavior, Portfolio, PortfolioMember, check_record_count, check_seed,
+)
 
 __all__ = [
     "MAX_SWEEP_STEPS",
@@ -222,18 +224,11 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
                 params=params,
                 call_probability=_get_float(section, "call_probability", name),
             )
+            behaviors[cid] = Behavior(section.get("behavior", "rational"))
         except ScenarioError:
             raise
         except ValueError as exc:
             raise ScenarioError(f"[{name}]: {exc}") from exc
-        kind = section.get("behavior", "rational")
-        try:
-            behaviors[cid] = Behavior(kind)
-        except ValueError:
-            raise ScenarioError(
-                f"[{name}]: unknown behavior {kind!r}; expected one of "
-                f"{[b.value for b in Behavior]}"
-            ) from None
         members.append(member)
     if not members:
         raise ScenarioError("scenario must define at least one [consumer.<id>]")
@@ -259,14 +254,10 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
             scenario.reduction_target = _get_float(
                 sim, "reduction_target_kwh", "simulation"
             )
-        if scenario.trials < 1:
-            raise ScenarioError(
-                f"key 'trials' in [simulation] must be >= 1, got {scenario.trials}"
-            )
-        if scenario.seed < 0:
-            raise ScenarioError(
-                f"key 'seed' in [simulation] must be >= 0, got {scenario.seed}"
-            )
+        try:
+            check_seed(scenario.seed, "key 'seed' in [simulation]")
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
         if scenario.grid_step <= 0:
             raise ScenarioError(
                 f"key 'grid_step_kwh' in [simulation] must be > 0, "

@@ -22,12 +22,12 @@ from .core import (
     ConsumerParams,
     Prices,
     Report,
+    check_call_probability,
     check_consumption_cap,
     columns,
     ideal_consumption,
     payment_called,
     payment_not_called,
-    saturation_point,
     utility,
 )
 from .strategy import solve
@@ -53,6 +53,7 @@ __all__ = [
     "TrialRecords",
     "allocate_calls",
     "check_record_count",
+    "check_seed",
     "collect_reports",
     "run_monte_carlo",
     "settle_event",
@@ -72,6 +73,12 @@ class Behavior(str, Enum):
     TRUTHFUL = "truthful"  # true baseline, ideal consumption
     NAIVE_GAMER = "naive_gamer"  # reports the cap, consumes the baseline
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(
+            f"unknown behavior {value!r}; expected one of {[b.value for b in cls]}"
+        )
+
 
 @dataclass(frozen=True)
 class PortfolioMember:
@@ -80,10 +87,7 @@ class PortfolioMember:
     call_probability: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.call_probability <= 1:
-            raise ValueError(
-                f"call probability must lie in [0, 1], got {self.call_probability}"
-            )
+        check_call_probability(self.call_probability)
 
 
 @dataclass(frozen=True)
@@ -99,11 +103,7 @@ class Portfolio:
         object.__setattr__(self, "members", tuple(self.members))
         if len(set(self.consumer_ids)) != len(self.members):
             raise ValueError("consumer ids must be unique")
-        params = self.params
-        under = params.max_consumption <= saturation_point(params, self.prices)
-        if under.any():
-            # Raise the first offender's own message.
-            check_consumption_cap(self.members[np.argmax(under)].params, self.prices)
+        check_consumption_cap(self.params, self.prices)
 
     @cached_property
     def consumer_ids(self) -> tuple[str, ...]:
@@ -249,7 +249,7 @@ def collect_reports(
     true baseline and naive gamers the cap; all commit to the reduced
     optimum (b - p2/g)+, which is the rational commitment too.
     """
-    kinds = [Behavior(b) for b in _by_id(behaviors, portfolio, "behavior defined")]
+    kinds = _behaviors(portfolio, behaviors)
     rational = [k is Behavior.RATIONAL for k in kinds]
     truthful = [k is Behavior.TRUTHFUL for k in kinds]
     params = portfolio.params
@@ -280,6 +280,7 @@ def allocate_calls(
     conditioning would break the probability each consumer optimized
     against.
     """
+    check_seed(seed)
     report = columns(Report, _by_id(reports, portfolio, "report"))
     called, committed = _draw_calls(portfolio, report, reduction_target, [seed])
     return CallAllocation(
@@ -332,6 +333,19 @@ def _by_id(mapping: Mapping, portfolio: Portfolio, what: str) -> list:
         return [mapping[cid] for cid in portfolio.consumer_ids]
     except KeyError as exc:
         raise ValueError(f"no {what} for consumer {exc.args[0]!r}") from None
+
+
+def _behaviors(portfolio: Portfolio, behaviors: Mapping) -> list[Behavior]:
+    """The :class:`Behavior` of each member, in portfolio order."""
+    kinds = []
+    for cid, kind in zip(
+        portfolio.consumer_ids, _by_id(behaviors, portfolio, "behavior defined")
+    ):
+        try:
+            kinds.append(Behavior(kind))
+        except ValueError as exc:
+            raise ValueError(f"consumer {cid!r}: {exc}") from None
+    return kinds
 
 
 def _settle(portfolio: Portfolio, report, kinds: list[Behavior]) -> OutcomeTable:
@@ -419,21 +433,30 @@ def settle_event(
         dtype=bool,
     )
     report = columns(Report, _by_id(reports, portfolio, "report"))
-    kinds = [Behavior(b) for b in _by_id(behaviors, portfolio, "behavior defined")]
+    kinds = _behaviors(portfolio, behaviors)
     table = _settle(portfolio, report, kinds)
     summary = _summarize(table, called[:, None], np.array([under]))[0]
     return list(TrialRecords(table, called)), summary
 
 
 def check_record_count(consumers: int, trials: int, name: str = "trials") -> None:
-    """Refuse a Monte Carlo run of more than :data:`MAX_RECORDS` records
-    (consumers x trials); ``name`` is the input that set the trial count."""
+    """Refuse a Monte Carlo run of no trials or over :data:`MAX_RECORDS`
+    records (consumers x trials); ``name`` is the input that set the trials."""
+    if trials < 1:
+        raise ValueError(f"{name} must be >= 1, got {trials}")
     if consumers * trials > MAX_RECORDS:
         raise ValueError(
             f"{name} = {trials} with {consumers} consumers gives "
             f"{consumers * trials} event records, over the limit of "
             f"{MAX_RECORDS}; use fewer trials"
         )
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Refuse a negative seed, which numpy cannot seed a generator with;
+    ``name`` is the input that set it."""
+    if seed < 0:
+        raise ValueError(f"{name} must be >= 0, got {seed}")
 
 
 def run_monte_carlo(
@@ -451,12 +474,11 @@ def run_monte_carlo(
     records and summary are bitwise identical to drawing and settling that
     trial alone with :func:`allocate_calls` and :func:`settle_event`.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     check_record_count(len(portfolio.members), trials)
+    check_seed(master_seed, "master_seed")
     reports = collect_reports(portfolio, behaviors)
     report = columns(Report, _by_id(reports, portfolio, "report"))
-    kinds = [Behavior(b) for b in _by_id(behaviors, portfolio, "behavior defined")]
+    kinds = _behaviors(portfolio, behaviors)
     table = _settle(portfolio, report, kinds)
     seeds = np.random.SeedSequence(master_seed).generate_state(
         trials, dtype=np.uint64

@@ -33,9 +33,10 @@ from .core import (
     ConsumerParams,
     Prices,
     Report,
-    first_flagged,
+    check_call_probability,
     ideal_consumption,
     opt_out_payoff,
+    require,
     saturation_point,
     stage2_profit,
 )
@@ -183,11 +184,11 @@ def _respond(signal: CallSignal, report, params, prices):
     q_max = params.max_consumption
     reported = report.baseline
     if signal == CallSignal.NOT_CALLED:
-        outside = np.logical_not((0 <= reported) & (reported <= q_max))
+        inside = (0 <= reported) & (reported <= q_max)
         levels = [b, reported, np.minimum(saturation_point(params, prices), q_max)]
         labels = [0, 1, 2]
     else:
-        outside = reported > q_max
+        inside = np.logical_not(reported > q_max)
         p2 = prices.incentive_price
         g = params.marginal_utility
         reduced_raw = b - p2 / g
@@ -199,9 +200,7 @@ def _respond(signal: CallSignal, report, params, prices):
             np.where(report.committed >= doubly_reduced, 3, 4),
             5,
         ]
-    if np.any(outside):
-        cap = first_flagged(q_max, outside)
-        raise ValueError(f"reported baseline must lie in [0, {cap}]")
+    require(inside, "reported baseline must lie in [0, {}]", q_max)
     rows = (
         b, params.marginal_utility, q_max, prices.energy_price,
         prices.incentive_price, reported, report.committed,
@@ -228,12 +227,8 @@ def _optimal_report(call_probability, params, prices):
     """The optimal report's baseline and commitment, and where the call
     probability lies above the threshold, per row; see :func:`best_report`."""
     pr = np.asarray(call_probability, dtype=float)
-    outside = np.logical_not((0 <= pr) & (pr <= 1))
-    if np.any(outside):
-        raise ValueError(
-            "call probability must lie in [0, 1], got "
-            f"{first_flagged(call_probability, outside)}"
-        )
+    # A single probability is named as it was given.
+    check_call_probability(pr if pr.ndim else call_probability)
     b = params.baseline
     q_max = params.max_consumption
     above = pr > call_threshold(prices)
@@ -255,13 +250,6 @@ def _optimal_report(call_probability, params, prices):
             )
         announced = np.where(clamped, q_max, announced)
     committed = ideal_consumption(params, prices, CallSignal.CALLED)
-    invalid = np.logical_not((0 <= committed) & (committed <= announced))
-    if np.any(invalid):
-        # Report raises its own error for the first invalid row.
-        Report(
-            float(first_flagged(announced, invalid)),
-            float(first_flagged(committed, invalid)),
-        )
     return announced, committed, np.broadcast_to(above, announced.shape)
 
 
@@ -280,7 +268,7 @@ def solve(params, prices, call_probability=None, report=None) -> Solutions:
     above = expected = None
     if call_probability is not None:
         baseline, committed, above = _optimal_report(call_probability, params, prices)
-        report = SimpleNamespace(baseline=baseline, committed=committed)
+        report = Report(baseline, committed)
     not_called = _respond(CallSignal.NOT_CALLED, report, params, prices)
     called = _respond(CallSignal.CALLED, report, params, prices)
     if call_probability is not None:
@@ -381,8 +369,7 @@ def expected_profit(
     kept only so the verification suite can demonstrate the resulting
     discontinuity; never use it for real computations.
     """
-    if not 0 <= call_probability <= 1:
-        raise ValueError(f"call probability must lie in [0, 1], got {call_probability}")
+    check_call_probability(call_probability)
     b = params.baseline
     g = params.marginal_utility
     p = prices.energy_price
@@ -424,8 +411,7 @@ def planned_consumption(
     below the threshold and the saturation point above it; when called, the
     reduced optimum (b - p2/g)+ regardless of the probability.
     """
-    if not 0 <= call_probability <= 1:
-        raise ValueError(f"call probability must lie in [0, 1], got {call_probability}")
+    check_call_probability(call_probability)
     b = params.baseline
     g = params.marginal_utility
     p2 = prices.incentive_price

@@ -672,3 +672,41 @@ class TestSimulateOutputIsStable:
         capsys.readouterr()
         assert main(["simulate", "--scenario", str(mixed_ini)]) == 0
         assert capsys.readouterr().out == "".join(read(p) for p in paths)
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is one error line, exit 1."""
+
+    @pytest.mark.parametrize("command", ["sweep", "verify", "simulate"])
+    def test_missing_directory_refused_before_the_run(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def run_monte_carlo(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", run_monte_carlo)
+        out = tmp_path / "missing" / "x.csv"
+        assert main([command, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"drcontract: cannot write output file {str(out)!r}: no such directory\n"
+        )
+
+    @pytest.mark.parametrize("command", ["sweep", "verify", "simulate"])
+    def test_directory_refused(self, tmp_path, capsys, command):
+        assert main([command, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"drcontract: cannot write output file {str(tmp_path)!r}: "
+            "it is a directory\n"
+        )
+
+    def test_failed_write_names_the_path(self, tmp_path, capsys):
+        # The records file can be written, its summaries sibling cannot.
+        (tmp_path / "run.summaries.csv").mkdir()
+        out = tmp_path / "run.csv"
+        assert main(["simulate", "--trials", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == (
+            "drcontract: cannot write output file "
+            f"{str(tmp_path / 'run.summaries.csv')!r}: Is a directory"
+        )
+        assert not any("Traceback" in line for line in err)

@@ -659,3 +659,84 @@ class TestTotalsAndStatsMatchLoops:
                     (summary.total_reduction, summary.total_payout),
                 )
             )
+
+
+class TestRunInputs:
+    """Seeds, trial counts and behavior names are refused before any work,
+    each by one check with one message."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the inputs were checked")
+
+        monkeypatch.setattr(simulation, "collect_reports", refuse)
+        monkeypatch.setattr(simulation, "_draw_calls", refuse)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda p, bh: run_monte_carlo(p, bh, trials=2, master_seed=-1),
+             "master_seed must be >= 0, got -1"),
+            (lambda p, bh: run_monte_carlo(p, bh, trials=0),
+             "trials must be >= 1, got 0"),
+            (lambda p, bh: run_monte_carlo(p, bh, trials=-5, master_seed=-1),
+             "trials must be >= 1, got -5"),
+        ],
+    )
+    def test_monte_carlo_inputs_refused_before_any_work(self, no_work, call, message):
+        with pytest.raises(ValueError) as exc:
+            call(*single_portfolio())
+        assert str(exc.value) == message
+
+    def test_negative_allocation_seed_refused_before_any_draw(self, no_work):
+        portfolio, _ = single_portfolio()
+        reports = {"household": Report(9.0, 2.0)}
+        with pytest.raises(ValueError) as exc:
+            allocate_calls(portfolio, reports, 0.0, seed=-3)
+        assert str(exc.value) == "seed must be >= 0, got -3"
+
+    @pytest.mark.parametrize(
+        "check, message",
+        [
+            (lambda: simulation.check_seed(-5, "key 'seed' in [simulation]"),
+             "key 'seed' in [simulation] must be >= 0, got -5"),
+            (lambda: simulation.check_record_count(3, 0, "--trials"),
+             "--trials must be >= 1, got 0"),
+        ],
+    )
+    def test_checks_name_their_input(self, check, message):
+        with pytest.raises(ValueError) as exc:
+            check()
+        assert str(exc.value) == message
+
+    def test_seed_zero_and_one_trial_accepted(self):
+        simulation.check_seed(0)
+        simulation.check_record_count(1, 1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, bh, rp, sg: collect_reports(p, bh),
+            lambda p, bh, rp, sg: settle_event(p, rp, sg, bh),
+            lambda p, bh, rp, sg: run_monte_carlo(p, bh, trials=2),
+        ],
+        ids=["collect_reports", "settle_event", "run_monte_carlo"],
+    )
+    def test_unknown_behavior_names_the_consumer(self, call):
+        portfolio, behaviors, reports, signals = TestLookupMessages.two_members()
+        behaviors = {"a": Behavior.RATIONAL, "b": "bogus"}
+        with pytest.raises(ValueError) as exc:
+            call(portfolio, behaviors, reports, signals)
+        assert str(exc.value) == (
+            "consumer 'b': unknown behavior 'bogus'; expected one of "
+            "['rational', 'truthful', 'naive_gamer']"
+        )
+
+    def test_behavior_names_are_accepted_as_strings(self):
+        portfolio, _ = single_portfolio()
+        by_name = run_monte_carlo(portfolio, {"household": "truthful"}, trials=3)
+        by_enum = run_monte_carlo(
+            portfolio, {"household": Behavior.TRUTHFUL}, trials=3
+        )
+        assert by_name == by_enum
