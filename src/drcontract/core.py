@@ -210,7 +210,8 @@ def utility(consumption, params: ConsumerParams, prices: Prices):
         consumption: kWh, scalar or array, >= 0.
     """
     q = np.asarray(consumption, dtype=float)
-    if (q < 0).any():
+    # Stated positively, so that a NaN consumption is refused too.
+    if not (q >= 0).all():
         raise ValueError("consumption must be >= 0")
     g = params.marginal_utility
     s = saturation_point(params, prices)
@@ -285,7 +286,7 @@ def stage2_profit(
     """
     q = np.asarray(consumption, dtype=float)
     q_max = params.max_consumption
-    require(~((q < 0) | (q > q_max)), "consumption must lie in [0, {}]", q_max)
+    require((0 <= q) & (q <= q_max), "consumption must lie in [0, {}]", q_max)
     if signal == CallSignal.NOT_CALLED:
         paid = payment_not_called(q, report.baseline, prices)
     else:

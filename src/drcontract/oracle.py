@@ -22,11 +22,17 @@ from .core import (
     Prices,
     Report,
     check_call_probability,
+    payment_called,
+    payment_not_called,
+    require,
     saturation_point,
-    stage2_profit,
     utility,
 )
 from .strategy import Regime, Stage1Solution, Stage2Solution, call_threshold
+
+# Not called here: it stays bound in this module because the benchmark's
+# tracer (perfbench/spans.py) looks it up by this name.
+from .core import stage2_profit  # noqa: F401
 
 __all__ = [
     "CASE_TO_STRATEGY",
@@ -45,10 +51,12 @@ _MAX_POINTS = 10**7
 # grid_best_reports does O(N^2) work on an N-point axis; 10**9 report pairs
 # take about half a minute on a 2-vCPU host.
 _MAX_REPORT_PAIRS = 10**9
-# grid_best_reports builds its (baseline, commitment) table a few rows at a
-# time, each block holding at most this many float64 entries (32 KiB) or one
-# row, so its memory stays flat in the grid size.
-_BLOCK_ELEMENTS = 2**12
+# grid_best_reports builds the lower triangle of its (baseline, commitment)
+# table in blocks of _BLOCK_ELEMENTS // N rows (at least one) of its N-point
+# axis. A block of rows below hi needs only the columns below hi, so it holds
+# at most this many float64 entries (128 KiB) or one row, and memory stays
+# flat in the grid size.
+_BLOCK_ELEMENTS = 2**14
 # grid_best_responses searches many rows at once, padded to the longest axis
 # of each block of rows; a block holds at most this many points or one row.
 _STAGE2_BLOCK_ELEMENTS = 2**14
@@ -63,6 +71,10 @@ class GridSpec:
     step: float = 0.01
 
     def __post_init__(self) -> None:
+        for name in ("lo", "hi"):
+            value = getattr(self, name)
+            if not abs(value) < np.inf:
+                raise ValueError(f"grid {name} must be finite, got {value}")
         if self.lo > self.hi:
             raise ValueError(f"grid lo {self.lo} exceeds hi {self.hi}")
         if not 0 < self.step < np.inf:
@@ -149,6 +161,10 @@ def grid_best_responses(
     step 0.01 kWh) must cover [0, q_max] of every row. Rows are searched
     longest axis first, in blocks of at most ``_STAGE2_BLOCK_ELEMENTS``
     points or one row; each axis is padded with its cap, which is on it.
+    A block checks its points and computes their utility once for all
+    signals; each signal then costs its payment. The grid part of a row
+    never decreases, so its first argmax is its smallest best consumption,
+    and only the cap and kinks after it are searched for ties.
 
     Returns the best consumption and its payoff, each of shape
     ``(*rows, len(signals))``; column i is for ``signals[i]``.
@@ -178,26 +194,40 @@ def grid_best_responses(
         size = max(1, _STAGE2_BLOCK_ELEMENTS // (width + 1 + kinks.shape[1]))
         rows = order[start : start + size]
         start += rows.size
-        j = np.arange(width)
         cap = q_max[rows, None]
-        # Grid points past a row's last one, and points or kinks above its
-        # cap, become the cap.
-        q = np.minimum(
-            np.concatenate(
-                [np.where(j <= last[rows, None], step * j, cap), cap, kinks[rows]],
-                axis=1,
-            ),
-            cap,
-        )
+        # Points or kinks above a row's cap become the cap. That includes
+        # every grid point past the row's last one: step * j rounds to at
+        # least q_max once j exceeds the rounded q_max / step.
+        grid_points = np.broadcast_to(step * np.arange(width), (rows.size, width))
+        q = np.minimum(np.concatenate([grid_points, cap, kinks[rows]], axis=1), cap)
         rep, par, pri = (
             SimpleNamespace(**{k: v[rows, None] for k, v in vars(ns).items()})
             for ns in (report, params, prices)
         )
+        # stage2_profit per signal, with its range check and utility, which
+        # do not depend on the signal, done once.
+        require((0 <= q) & (q <= cap), "consumption must lie in [0, {}]", cap)
+        gain = utility(q, par, pri)
+        r = np.arange(rows.size)
         for i, signal in enumerate(signals):
-            values = stage2_profit(q, rep, signal, par, pri)
-            top = values.max(axis=1)
+            if signal == CallSignal.NOT_CALLED:
+                values = gain - payment_not_called(q, rep.baseline, pri)
+            else:
+                values = gain - payment_called(q, rep, pri)
+            # The first width points of a row never decrease, so their
+            # first argmax is their smallest best consumption; the cap and
+            # kinks after them are in no order.
+            k = values[:, :width].argmax(axis=1)
+            grid_top, grid_q = values[r, k], q[r, k]
+            tail = values[:, width:]
+            tail_top = tail.max(axis=1)
+            tail_q = np.where(tail == tail_top[:, None], q[:, width:], np.inf).min(1)
+            top = np.maximum(grid_top, tail_top)
             payoff[rows, i] = top
-            consumption[rows, i] = np.where(values == top[:, None], q, np.inf).min(1)
+            consumption[rows, i] = np.minimum(
+                np.where(grid_top == top, grid_q, np.inf),
+                np.where(tail_top == top, tail_q, np.inf),
+            )
     out = (*shape, len(signals))
     return consumption.reshape(out), payoff.reshape(out)
 
@@ -218,6 +248,51 @@ def grid_best_response(
     return Stage2Solution(float(q[0]), None, float(payoff[0]))
 
 
+def _best_commitments(
+    x: np.ndarray, base_gain: np.ndarray, p2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The best called payoff under each baseline x[j] of the ascending axis
+    ``x``, and the index of its first best commitment.
+
+    Consuming q under a committed level c pays off h(q) - p2*|q - c| with
+    h(q) = base_gain(q) + p2*(x[j] - q)+, whose maximum over q for every c
+    at once is the pair of slope-limited prefix/suffix envelopes of h. Only
+    c = x[i] <= x[j] is a report; the first such i with the largest called
+    payoff is also the tie-broken best commitment at every call
+    probability, since the expected profit never decreases in the called
+    payoff.
+    """
+    n = x.size
+    called = np.empty(n)
+    commit = np.empty(n, dtype=np.intp)
+    cols = np.arange(n)
+    px = p2 * x
+    # Rows lo..hi-1 keep commitments c < hi only, for which the left envelope
+    # reads h at q < hi. At q >= hi, above every such row's baseline, h is
+    # base_gain + p2*0.0 in every row, so the right envelope's part there is
+    # one suffix max, shared[hi], built once. It enters each row's running
+    # max first, as it would in a whole row, so the bits do not change.
+    shared = np.append(
+        np.maximum.accumulate(((base_gain + p2 * 0.0) - px)[::-1])[::-1], -np.inf
+    )
+    block = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        rows = cols[lo:hi]
+        pxs = px[:hi]
+        h = base_gain[:hi] + p2 * np.maximum(x[rows, None] - x[:hi], 0.0)
+        left = np.maximum.accumulate(h + pxs, axis=1) - pxs
+        right = np.empty((rows.size, hi + 1))
+        np.subtract(h, pxs, out=right[:, :hi])
+        right[:, hi] = shared[hi]
+        right = np.maximum.accumulate(right[:, ::-1], axis=1)[:, :0:-1] + pxs
+        envelope = np.maximum(left, right)
+        envelope[cols[:hi] > rows[:, None]] = -np.inf
+        commit[rows] = envelope.argmax(axis=1)
+        called[rows] = envelope[rows - lo, commit[rows]]
+    return called, commit
+
+
 def grid_best_reports(
     call_probabilities: Iterable[float],
     params: ConsumerParams,
@@ -233,8 +308,11 @@ def grid_best_reports(
     payoff, then the smaller committed value, then the smaller baseline, so
     the degenerate zero-probability case stays comparable to the closed
     form. The inner optima do not depend on the call probability: they are
-    found once, with O(N^2) work on an N-point axis in row blocks of
-    bounded size, and each probability then costs O(N).
+    found once, and each probability then costs O(N). Finding them takes
+    O(N^2) work on an N-point axis, over the lower triangle of the
+    (baseline, commitment) table only (about N^2 / 2 entries), in row
+    blocks of bounded size, plus one O(N) suffix maximum that every block
+    shares.
     """
     probabilities = list(call_probabilities)
     for pr in probabilities:
@@ -266,27 +344,7 @@ def grid_best_reports(
     past = np.append(np.maximum.accumulate(base_gain[::-1])[::-1][1:], -np.inf)
     not_called = np.maximum(np.maximum.accumulate(gains) - p * x, past)
 
-    # Called under baseline x[j]: the payoff of consuming q under a committed
-    # level c is h(q) - p2*|q - c| with h(q) = G(q) - p*q + p2*(x[j] - q)+,
-    # whose maximum over q for every c at once is the pair of slope-limited
-    # prefix/suffix envelopes of h. Only c = x[i] <= x[j] is a report;
-    # commit[j] is the first such i with the largest called payoff, which is
-    # also the tie-broken best commitment at every call probability, since
-    # the expected profit never decreases in the called payoff.
-    called = np.empty(n)
-    commit = np.empty(n, dtype=np.intp)
-    cols = np.arange(n)
-    px = p2 * x
-    block = max(1, _BLOCK_ELEMENTS // n)
-    for lo in range(0, n, block):
-        rows = cols[lo : lo + block]
-        h = base_gain + p2 * np.maximum(x[rows, None] - x, 0.0)
-        left = np.maximum.accumulate(h + px, axis=1) - px
-        right = np.maximum.accumulate((h - px)[:, ::-1], axis=1)[:, ::-1] + px
-        envelope = np.maximum(left, right)
-        envelope[cols > rows[:, None]] = -np.inf
-        commit[rows] = envelope.argmax(axis=1)
-        called[rows] = envelope[rows - lo, commit[rows]]
+    called, commit = _best_commitments(x, base_gain, p2)
 
     threshold = call_threshold(prices)
     solutions = []

@@ -18,6 +18,7 @@ from drcontract import (
     stage2_profit,
     utility,
 )
+from drcontract.core import columns
 
 
 class TestTypes:
@@ -205,3 +206,40 @@ class TestStage2Profit:
         prices = Prices(0.26, 0.30)
         report = Report(baseline=reported, committed=committed_frac * reported)
         assert math.isfinite(stage2_profit(q, report, signal, household, prices))
+
+
+class TestNaNConsumption:
+    """A NaN consumption is refused like any other outside the domain."""
+
+    NAN = float("nan")
+
+    def two_caps(self, household):
+        return columns(ConsumerParams, [household, ConsumerParams(8.0, 0.05, 20.0)])
+
+    @pytest.mark.parametrize("consumption", [NAN, np.array([1.0, NAN, 3.0])])
+    def test_utility_refuses_a_scalar_or_array(self, household, prices, consumption):
+        with pytest.raises(ValueError, match="consumption must be >= 0"):
+            utility(consumption, household, prices)
+
+    def test_utility_refuses_a_column(self, household, prices):
+        with pytest.raises(ValueError, match="consumption must be >= 0"):
+            utility(np.array([1.0, self.NAN]), self.two_caps(household), prices)
+
+    @pytest.mark.parametrize("signal", list(CallSignal))
+    @pytest.mark.parametrize("consumption", [NAN, np.array([1.0, NAN, 3.0])])
+    def test_stage2_profit_refuses_a_scalar_or_array(
+        self, household, prices, signal, consumption
+    ):
+        with pytest.raises(ValueError, match=r"consumption must lie in \[0, 16.0\]"):
+            stage2_profit(consumption, Report(8.0, 2.0), signal, household, prices)
+
+    @pytest.mark.parametrize("signal", list(CallSignal))
+    def test_stage2_profit_names_the_row_of_a_column(self, household, prices, signal):
+        with pytest.raises(ValueError, match=r"consumption must lie in \[0, 20.0\]"):
+            stage2_profit(
+                np.array([1.0, self.NAN]),
+                Report(8.0, 2.0),
+                signal,
+                self.two_caps(household),
+                prices,
+            )

@@ -60,6 +60,13 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="finite"):
             GridSpec(0.0, 1.0, step=step)
 
+    @pytest.mark.parametrize("field", ["lo", "hi"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_bounds(self, field, value):
+        bounds = {"lo": 0.0, "hi": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"grid {field} must be finite, got"):
+            GridSpec(**bounds)
+
     def test_points_include_bounds_and_extras(self):
         pts = GridSpec(0.0, 1.0, 0.25).points(extra=[0.1, 2.0])
         assert pts[0] == 0.0 and pts[-1] == 1.0
@@ -690,3 +697,135 @@ class TestManyRowStage2Oracle:
             assert max_feasible_case_payoff(one[2], s, one[0], one[1]) == (
                 max_feasible_case_payoff(reports, s, params, prices_)[0]
             )
+
+
+def responses_and_references(rows, step, inject_breakpoints):
+    """(consumption, payoff) per signal of each row: from one many-row
+    search, and from the one-row reference on the row's own grid."""
+    params, prices, reports = (
+        columns(cls, values) for cls, values in zip(
+            (ConsumerParams, Prices, Report), zip(*rows)
+        )
+    )
+    grid = GridSpec.cover(params.max_consumption.max(), step)
+    q, payoff = grid_best_responses(
+        reports, SIGNALS, params, prices, grid, inject_breakpoints
+    )
+    got = [list(zip(qk.tolist(), pk.tolist())) for qk, pk in zip(q, payoff)]
+    want = [
+        reference_grid_best_responses(
+            report, SIGNALS, one, price,
+            GridSpec.cover(one.max_consumption, step), inject_breakpoints,
+        )
+        for one, price, report in rows
+    ]
+    return got, want
+
+
+class TestStage2TieBreaks:
+    """The many-row search splits each row into its grid points, which
+    never decrease, and a tail of the cap and the kinks; ties within and
+    between the two parts go to the smallest consumption."""
+
+    STEP = 0.25
+    # Not called with the report at the cap, the consumer pays for the cap
+    # whatever it consumes, so the payoff is flat from the saturation point
+    # (13.4, between the grid points 13.25 and 13.5) to the cap.
+    PLATEAU = (ConsumerParams(8.0, 0.05, 16.0), Prices(0.27, 0.30), Report(16.0, 2.0))
+    # The same with the saturation point on the grid (8 + 0.25/0.0625 = 12)
+    # and the report at 14.1: flat from 12 to the kink at 14.1.
+    ON_GRID = (ConsumerParams(8.0, 0.0625, 16.0), Prices(0.25, 0.30), Report(14.1, 2.0))
+
+    def test_saturated_plateau_goes_to_its_first_grid_point(self):
+        # Without kinks, 11 grid points and the cap tie.
+        got, want = responses_and_references([self.PLATEAU], self.STEP, False)
+        assert got == want
+        q, payoff = got[0][CallSignal.NOT_CALLED]
+        assert q == 13.5
+        assert payoff == utility(16.0, *self.PLATEAU[:2]) - 0.27 * 16.0
+
+    def test_kink_tying_at_a_smaller_consumption_wins(self):
+        got, want = responses_and_references([self.PLATEAU], self.STEP, True)
+        assert got == want
+        assert got[0][CallSignal.NOT_CALLED][0] == saturation_point(
+            *self.PLATEAU[:2]
+        )
+
+    def test_kink_tying_at_a_larger_consumption_loses(self):
+        # The kink at 14.1 ties the grid points 12 to 14 at a larger
+        # consumption (the kink at 12 ties at the same one).
+        for inject in (True, False):
+            got, want = responses_and_references([self.ON_GRID], self.STEP, inject)
+            assert got == want
+            assert got[0][CallSignal.NOT_CALLED][0] == 12.0
+
+    def test_cap_on_a_grid_point(self):
+        # A cap below the saturation point, on the grid, is the unique best
+        # consumption when not called; in a block with a longer row the cap
+        # also pads the row, so it ties itself several times.
+        low_cap = (
+            ConsumerParams(15.5, 0.05, 16.0), Prices(0.26, 0.30), Report(16.0, 2.0)
+        )
+        longer = (ConsumerParams(8.0, 0.05, 17.0), Prices(0.26, 0.30), Report(9.0, 2.0))
+        for inject in (True, False):
+            got, want = responses_and_references(
+                [low_cap, longer], self.STEP, inject
+            )
+            assert got == want
+            assert got[0][CallSignal.NOT_CALLED][0] == 16.0
+
+
+def report_axis(params, prices, grid):
+    """The two-stage search's axis and base_gain = utility - p * x on it."""
+    b = params.baseline
+    g = params.marginal_utility
+    p2 = prices.incentive_price
+    extra = [
+        b,
+        saturation_point(params, prices),
+        max(b - p2 / g, 0.0),
+        max(b - 2 * p2 / g, 0.0),
+    ]
+    x = oracle._checked_axis(grid, params, extra)
+    return x, utility(x, params, prices) - prices.energy_price * x
+
+
+def reference_best_commitments(x, base_gain, p2):
+    """Each baseline's row of the whole (baseline, commitment) table on its
+    own: the best called payoff and the first commitment reaching it."""
+    called, commit = [], []
+    for j in range(x.size):
+        h = base_gain + p2 * np.maximum(x[j] - x, 0.0)
+        left = np.maximum.accumulate(h + p2 * x) - p2 * x
+        right = np.maximum.accumulate((h - p2 * x)[::-1])[::-1] + p2 * x
+        envelope = np.maximum(left, right)[: j + 1]
+        commit.append(int(np.argmax(envelope)))
+        called.append(envelope[commit[-1]])
+    return np.array(called), np.array(commit)
+
+
+class TestTwoStageBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(two_stage_instances(), st.sampled_from(["1", "7", "n", "7n", "n^2"]))
+    def test_any_block_size_equals_the_whole_table(self, instance, elements):
+        # Blocks of one row, of seven rows (the last one cut short) and one
+        # block of all n rows. Every block but the last has hi < n and takes
+        # the shared suffix; it moves no report, as baselines too low to
+        # consume past never win, so each row's optimum is checked as well.
+        params, prices, step, pr = instance
+        grid = GridSpec.cover(params.max_consumption, step)
+        x, base_gain = report_axis(params, prices, grid)
+        n = x.size
+        size = {"1": 1, "7": 7, "n": n, "7n": 7 * n, "n^2": n * n}[elements]
+        probabilities = edge_probabilities(prices, [pr])
+        p2 = prices.incentive_price
+        with mock.patch.object(oracle, "_BLOCK_ELEMENTS", size):
+            got = grid_best_reports(probabilities, params, prices, grid)
+            called, commit = oracle._best_commitments(x, base_gain, p2)
+        want_called, want_commit = reference_best_commitments(x, base_gain, p2)
+        assert np.array_equal(called.view(np.int64), want_called.view(np.int64))
+        assert np.array_equal(commit, want_commit)
+        assert got == [
+            reference_grid_best_report(q, params, prices, grid)
+            for q in probabilities
+        ]
