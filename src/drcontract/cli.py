@@ -18,7 +18,14 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .core import CallSignal, ConsumerParams, Prices, Report, check_consumption_cap
+from .core import (
+    CallSignal,
+    ConsumerParams,
+    Prices,
+    Report,
+    check_call_probability,
+    check_consumption_cap,
+)
 from .oracle import GridSpec, grid_best_reports, grid_best_responses, max_feasible_case_payoff
 from .scenario import (
     DEFAULT_TRIALS,
@@ -232,22 +239,21 @@ def _sweep_points(
     spec: SweepSpec, member: PortfolioMember, prices: Prices
 ) -> list[tuple[float, float, ConsumerParams]]:
     """Each swept value with the call probability and parameters it gives
-    ``member``, all checked before any point is solved."""
+    ``member``, all checked by their owners before any point is solved."""
+    name = "call probability" if spec.param == "p_r" else "marginal utility"
     points = []
     for value in spec.values():
-        if spec.param == "p_r":
-            if not 0 <= value <= 1:
-                raise ScenarioError(f"swept call probability {value} outside [0, 1]")
-            points.append((value, value, member.params))
-            continue
-        if value <= 0:
-            raise ScenarioError(f"swept marginal utility {value} must be > 0")
-        params = replace(member.params, marginal_utility=value)
         try:
-            check_consumption_cap(params, prices)
+            if spec.param == "p_r":
+                check_call_probability(value)
+                point = (value, value, member.params)
+            else:
+                params = replace(member.params, marginal_utility=value)
+                check_consumption_cap(params, prices)
+                point = (value, member.call_probability, params)
         except ValueError as exc:
-            raise ScenarioError(f"swept marginal utility {value}: {exc}") from None
-        points.append((value, member.call_probability, params))
+            raise ScenarioError(f"swept {name} {value}: {exc}") from None
+        points.append(point)
     return points
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,6 +60,9 @@ _BLOCK_ELEMENTS = 2**14
 # grid_best_responses searches many rows at once, padded to the longest axis
 # of each block of rows; a block holds at most this many points or one row.
 _STAGE2_BLOCK_ELEMENTS = 2**14
+# grid_best_responses evaluates every point of every row's axis; 10**9
+# points take about half a minute on a 2-vCPU host.
+_MAX_STAGE2_POINTS = 10**9
 
 
 @dataclass(frozen=True)
@@ -185,6 +188,14 @@ def grid_best_responses(
         else np.empty((q_max.size, 0))
     )
     last = np.floor(q_max / step)  # index of each row's last grid point
+    # A row's axis is its grid points up to the last, its cap and its kinks.
+    points = int(last.sum()) + q_max.size * (2 + kinks.shape[1])
+    if points > _MAX_STAGE2_POINTS:
+        raise ValueError(
+            f"the stage-2 grid search would evaluate {points} points over "
+            f"{q_max.size} rows, over the limit of {_MAX_STAGE2_POINTS}; "
+            f"use a coarser grid step"
+        )
     order = np.argsort(-last, kind="stable")
     consumption = np.empty((q_max.size, len(signals)))
     payoff = np.empty_like(consumption)
@@ -378,8 +389,7 @@ def grid_best_report(
     return grid_best_reports([call_probability], params, prices, grid)[0]
 
 
-@dataclass(frozen=True)
-class CasePayoff:
+class CasePayoff(NamedTuple):
     """Optimal payoff of one analytic subcase, with its feasibility; arrays
     with one entry per row when the inputs are columns."""
 

@@ -19,7 +19,8 @@ from importlib import resources
 
 from .core import ConsumerParams, Prices, check_consumption_cap
 from .simulation import (
-    Behavior, Portfolio, PortfolioMember, check_record_count, check_seed,
+    Behavior, Portfolio, PortfolioMember, check_record_count,
+    check_reduction_target, check_seed,
 )
 
 __all__ = [
@@ -263,11 +264,12 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
                 f"key 'grid_step_kwh' in [simulation] must be > 0, "
                 f"got {scenario.grid_step}"
             )
-        if scenario.reduction_target < 0:
-            raise ScenarioError(
-                f"key 'reduction_target_kwh' in [simulation] must be >= 0, "
-                f"got {scenario.reduction_target}"
+        try:
+            check_reduction_target(
+                scenario.reduction_target, "key 'reduction_target_kwh' in [simulation]"
             )
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
     if "sweep" in sections:
         swp = sections["sweep"]
         param = swp.get("param", "p_r")

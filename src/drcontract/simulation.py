@@ -14,6 +14,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,7 @@ __all__ = [
     "TrialRecords",
     "allocate_calls",
     "check_record_count",
+    "check_reduction_target",
     "check_seed",
     "collect_reports",
     "run_monte_carlo",
@@ -124,8 +126,7 @@ class Portfolio:
         return probs
 
 
-@dataclass(frozen=True)
-class CallAllocation:
+class CallAllocation(NamedTuple):
     """Drawn call signals plus the reduction the called reports commit to."""
 
     signals: dict[str, CallSignal]
@@ -133,8 +134,7 @@ class CallAllocation:
     under_provisioned: bool
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     """Per-consumer outcome of one event."""
 
     consumer_id: str
@@ -145,16 +145,14 @@ class EventRecord:
     profit: float
 
 
-@dataclass(frozen=True)
-class EventSummary:
+class EventSummary(NamedTuple):
     called_count: int
     total_reduction: float
     total_payout: float
     under_provisioned: bool
 
 
-@dataclass(frozen=True)
-class ConsumerStats:
+class ConsumerStats(NamedTuple):
     consumer_id: str
     behavior: Behavior
     trials: int
@@ -249,9 +247,16 @@ def collect_reports(
     true baseline and naive gamers the cap; all commit to the reduced
     optimum (b - p2/g)+, which is the rational commitment too.
     """
-    kinds = _behaviors(portfolio, behaviors)
-    rational = [k is Behavior.RATIONAL for k in kinds]
-    truthful = [k is Behavior.TRUTHFUL for k in kinds]
+    _, *masks = _behaviors(portfolio, behaviors)
+    report = _reports(portfolio, *masks)
+    return dict(zip(
+        portfolio.consumer_ids,
+        map(Report, report.baseline.tolist(), report.committed.tolist()),
+    ))
+
+
+def _reports(portfolio: Portfolio, rational, truthful) -> Report:
+    """The reports of :func:`collect_reports`, as :func:`columns`."""
     params = portfolio.params
     best = solve(params, portfolio.prices, call_probability=portfolio.call_probabilities)
     announced = np.where(
@@ -259,10 +264,7 @@ def collect_reports(
         best.report_baseline,
         np.where(truthful, params.baseline, params.max_consumption),
     )
-    return dict(zip(
-        portfolio.consumer_ids,
-        map(Report, announced.tolist(), best.report_committed.tolist()),
-    ))
+    return Report(announced, best.report_committed)
 
 
 def allocate_calls(
@@ -281,6 +283,7 @@ def allocate_calls(
     against.
     """
     check_seed(seed)
+    check_reduction_target(reduction_target)
     report = columns(Report, _by_id(reports, portfolio, "report"))
     called, committed = _draw_calls(portfolio, report, reduction_target, [seed])
     return CallAllocation(
@@ -305,8 +308,6 @@ def _draw_calls(
     :func:`_called_totals` sum, so a trial gives the same bits alone or in a
     batch.
     """
-    if not reduction_target >= 0:
-        raise ValueError(f"reduction target must be >= 0, got {reduction_target}")
     probs = portfolio.call_probabilities
     called = np.empty((probs.size, len(seeds)), dtype=bool)
     for t, seed in enumerate(seeds):
@@ -335,8 +336,9 @@ def _by_id(mapping: Mapping, portfolio: Portfolio, what: str) -> list:
         raise ValueError(f"no {what} for consumer {exc.args[0]!r}") from None
 
 
-def _behaviors(portfolio: Portfolio, behaviors: Mapping) -> list[Behavior]:
-    """The :class:`Behavior` of each member, in portfolio order."""
+def _behaviors(portfolio: Portfolio, behaviors: Mapping) -> tuple:
+    """The :class:`Behavior` of each member, in portfolio order, then which
+    members are rational and which truthful, as bool columns."""
     kinds = []
     for cid, kind in zip(
         portfolio.consumer_ids, _by_id(behaviors, portfolio, "behavior defined")
@@ -345,12 +347,14 @@ def _behaviors(portfolio: Portfolio, behaviors: Mapping) -> list[Behavior]:
             kinds.append(Behavior(kind))
         except ValueError as exc:
             raise ValueError(f"consumer {cid!r}: {exc}") from None
-    return kinds
+    rational = np.array([k is Behavior.RATIONAL for k in kinds], dtype=bool)
+    truthful = np.array([k is Behavior.TRUTHFUL for k in kinds], dtype=bool)
+    return kinds, rational, truthful
 
 
-def _settle(portfolio: Portfolio, report, kinds: list[Behavior]) -> OutcomeTable:
+def _settle(portfolio: Portfolio, report, rational, truthful) -> OutcomeTable:
     """Consumption, payment and profit of each member under each signal,
-    given the members' reports as :func:`columns` and their behaviors.
+    given the members' reports as :func:`columns` and behavior masks.
 
     Rational consumers best-respond to their own report. Truthful consumers
     follow the ideal rule. A naive gamer consumes its baseline when not
@@ -359,8 +363,6 @@ def _settle(portfolio: Portfolio, report, kinds: list[Behavior]) -> OutcomeTable
     """
     prices = portfolio.prices
     params = portfolio.params
-    rational = [k is Behavior.RATIONAL for k in kinds]
-    truthful = [k is Behavior.TRUTHFUL for k in kinds]
     best = solve(params, prices, report=report)
     not_called = np.where(rational, best.consumption[:, 0], params.baseline)
     called = np.where(
@@ -433,8 +435,8 @@ def settle_event(
         dtype=bool,
     )
     report = columns(Report, _by_id(reports, portfolio, "report"))
-    kinds = _behaviors(portfolio, behaviors)
-    table = _settle(portfolio, report, kinds)
+    _, *masks = _behaviors(portfolio, behaviors)
+    table = _settle(portfolio, report, *masks)
     summary = _summarize(table, called[:, None], np.array([under]))[0]
     return list(TrialRecords(table, called)), summary
 
@@ -459,6 +461,13 @@ def check_seed(seed: int, name: str = "seed") -> None:
         raise ValueError(f"{name} must be >= 0, got {seed}")
 
 
+def check_reduction_target(target: float, name: str = "reduction target") -> None:
+    """Refuse a negative or NaN reduction target; ``name`` is the input that
+    set it."""
+    if not target >= 0:
+        raise ValueError(f"{name} must be >= 0, got {target}")
+
+
 def run_monte_carlo(
     portfolio: Portfolio,
     behaviors: Mapping[str, Behavior],
@@ -476,10 +485,10 @@ def run_monte_carlo(
     """
     check_record_count(len(portfolio.members), trials)
     check_seed(master_seed, "master_seed")
-    reports = collect_reports(portfolio, behaviors)
-    report = columns(Report, _by_id(reports, portfolio, "report"))
-    kinds = _behaviors(portfolio, behaviors)
-    table = _settle(portfolio, report, kinds)
+    check_reduction_target(reduction_target)
+    kinds, rational, truthful = _behaviors(portfolio, behaviors)
+    report = _reports(portfolio, rational, truthful)
+    table = _settle(portfolio, report, rational, truthful)
     seeds = np.random.SeedSequence(master_seed).generate_state(
         trials, dtype=np.uint64
     )

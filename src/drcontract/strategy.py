@@ -21,7 +21,6 @@ scalar solvers :func:`best_report`, :func:`best_response_called` and
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -88,8 +87,7 @@ class Regime(str, Enum):
     ABOVE_THRESHOLD = "above_threshold"
 
 
-@dataclass(frozen=True)
-class Stage2Solution:
+class Stage2Solution(NamedTuple):
     """Optimal consumption for one call signal, with its realized profit."""
 
     consumption: float
@@ -97,8 +95,7 @@ class Stage2Solution:
     payoff: float
 
 
-@dataclass(frozen=True)
-class Stage1Solution:
+class Stage1Solution(NamedTuple):
     """Optimal report and the expected profit it secures."""
 
     report: Report

@@ -1,9 +1,10 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
-from drcontract import ConsumerParams, Prices, Report, cli, load_scenario
+from drcontract import ConsumerParams, Prices, Report, cli, load_scenario, oracle
 from drcontract.cli import main, run_verification
 from drcontract.scenario import _read_flat
 from mixed_scenario import mixed_scenario_text
@@ -112,9 +113,11 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--from", "-0.5"], "swept call probability -0.5 outside [0, 1]"),
+            (["--from", "-0.5"],
+             "swept call probability -0.5: call probability must lie in [0, 1], "
+             "got -0.5"),
             (["--param", "gamma", "--from", "0", "--to", "0.1"],
-             "swept marginal utility 0.0 must be > 0"),
+             "swept marginal utility 0.0: marginal_utility must be > 0, got 0.0"),
             (["--param", "gamma", "--from", "0.001"],
              "swept marginal utility 0.001: max_consumption=16.0 must exceed "
              "the saturation point baseline + p/gamma = 268.0"),
@@ -200,6 +203,21 @@ class TestVerifyCommand:
         assert code == 1
         assert "coarser grid step" in capsys.readouterr().err
         assert not (tmp_path / "v.txt").exists()
+
+    def test_stage2_work_is_bounded(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_STAGE2_POINTS", 1000)
+        out = tmp_path / "v.txt"
+        code = main(
+            ["verify", "--draws", "5", "--grid-step", "0.05", "--out", str(out)]
+        )
+        assert code == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert re.fullmatch(
+            r"drcontract: the stage-2 grid search would evaluate \d+ points over "
+            r"5 rows, over the limit of 1000; use a coarser grid step",
+            last,
+        )
+        assert not out.exists()
 
     def test_invalid_scenario_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

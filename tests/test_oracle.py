@@ -624,6 +624,37 @@ class TestManyRowStage2Oracle:
         assert all(np.array_equal(a, b) for a, b in zip(blocked, one_row))
         assert_rows_equal_references(rows, 0.02, inject)
 
+    @pytest.mark.parametrize("inject", [True, False])
+    def test_total_points_bounded_before_any_block(self, monkeypatch, inject):
+        rng = np.random.default_rng(5)
+        rows = [draw_instance(rng) for _ in range(4)]
+        params, prices, reports = (
+            columns(cls, values) for cls, values in zip(
+                (ConsumerParams, Prices, Report), zip(*rows)
+            )
+        )
+        grid = GridSpec.cover(params.max_consumption.max(), 0.05)
+        # Each row's grid points 0 to floor(q_max / step), its cap and its
+        # six kinks.
+        points = int(np.floor(params.max_consumption / 0.05).sum()) + 4 * (
+            2 + 6 * inject
+        )
+        def refuse(*args):
+            raise AssertionError("a block was searched before the bound")
+
+        monkeypatch.setattr(oracle, "utility", refuse)
+        monkeypatch.setattr(oracle, "_MAX_STAGE2_POINTS", points - 1)
+        with pytest.raises(ValueError) as exc:
+            grid_best_responses(reports, SIGNALS, params, prices, grid, inject)
+        assert str(exc.value) == (
+            f"the stage-2 grid search would evaluate {points} points over 4 "
+            f"rows, over the limit of {points - 1}; use a coarser grid step"
+        )
+        monkeypatch.undo()
+        monkeypatch.setattr(oracle, "_MAX_STAGE2_POINTS", points)
+        q, _ = grid_best_responses(reports, SIGNALS, params, prices, grid, inject)
+        assert q.shape == (4, 2)
+
     def test_one_row_forms_take_single_values(self, household, prices):
         report = Report(8.0, 2.0)
         q, payoff = grid_best_responses(report, SIGNALS, household, prices)

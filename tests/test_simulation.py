@@ -19,7 +19,7 @@ from drcontract import (
     settle_event,
     utility,
 )
-from drcontract import simulation
+from drcontract import oracle, simulation, strategy
 from drcontract.scenario import parse_scenario
 from mixed_scenario import MIXED_PRICES, mixed_scenario_text
 
@@ -345,6 +345,7 @@ class TestMonteCarlo:
             raise AssertionError("reports were collected before the bound")
 
         monkeypatch.setattr(simulation, "collect_reports", no_reports)
+        monkeypatch.setattr(simulation, "_reports", no_reports)
         with pytest.raises(ValueError, match="^trials = 10000001 with 1 consumers"):
             run_monte_carlo(portfolio, behaviors, trials=10_000_001)
 
@@ -498,10 +499,45 @@ class TestColumnarMonteCarlo:
         monkeypatch.setattr(simulation, "columns", counted)
         portfolio = scenario.portfolio()
         run_monte_carlo(portfolio, scenario.behaviors, trials=3)
-        assert calls == [ConsumerParams, Report]
+        assert calls == [ConsumerParams]
         # The portfolio keeps its columns for the next run.
         run_monte_carlo(portfolio, scenario.behaviors, trials=3)
-        assert calls == [ConsumerParams, Report, Report]
+        assert calls == [ConsumerParams]
+
+    def test_collect_reports_equals_the_run_report_columns(self, mixed):
+        scenario, result, reports, _ = mixed
+        ids = [m.consumer_id for m in scenario.members]
+        assert list(reports) == ids
+        assert result.outcomes.consumer_ids == tuple(ids)
+        for name in ("baseline", "committed"):
+            column = getattr(result.outcomes.report, name)
+            want = np.array([getattr(reports[cid], name) for cid in ids])
+            assert column.dtype == want.dtype
+            assert column.tobytes() == want.tobytes()
+
+    def test_run_resolves_behaviors_once_into_one_report(self, mixed, monkeypatch):
+        scenario, *_ = mixed
+        resolved, built = [], []
+        resolve, report = simulation._behaviors, simulation.Report
+
+        def counted_resolve(*args):
+            resolved.append(args)
+            return resolve(*args)
+
+        def counted_report(*args):
+            built.append(args)
+            return report(*args)
+
+        def refuse(*args):
+            raise AssertionError("the run built the id-keyed reports")
+
+        monkeypatch.setattr(simulation, "_behaviors", counted_resolve)
+        monkeypatch.setattr(simulation, "Report", counted_report)
+        monkeypatch.setattr(simulation, "collect_reports", refuse)
+        run_monte_carlo(scenario.portfolio(), scenario.behaviors, trials=3)
+        assert len(resolved) == 1
+        assert len(built) == 1
+        assert built[0][0].shape == (len(scenario.members),)
 
     def test_records_are_lazy_views(self, mixed):
         scenario, result, _, settled = mixed
@@ -671,6 +707,7 @@ class TestRunInputs:
             raise AssertionError("work started before the inputs were checked")
 
         monkeypatch.setattr(simulation, "collect_reports", refuse)
+        monkeypatch.setattr(simulation, "_reports", refuse)
         monkeypatch.setattr(simulation, "_draw_calls", refuse)
 
     @pytest.mark.parametrize(
@@ -682,6 +719,13 @@ class TestRunInputs:
              "trials must be >= 1, got 0"),
             (lambda p, bh: run_monte_carlo(p, bh, trials=-5, master_seed=-1),
              "trials must be >= 1, got -5"),
+            (lambda p, bh: run_monte_carlo(p, bh, trials=2, reduction_target=-1.0),
+             "reduction target must be >= 0, got -1.0"),
+            (lambda p, bh: run_monte_carlo(
+                p, bh, trials=2, reduction_target=float("nan")),
+             "reduction target must be >= 0, got nan"),
+            (lambda p, bh: allocate_calls(p, {"household": Report(9.0, 2.0)}, -1.0, 3),
+             "reduction target must be >= 0, got -1.0"),
         ],
     )
     def test_monte_carlo_inputs_refused_before_any_work(self, no_work, call, message):
@@ -703,6 +747,8 @@ class TestRunInputs:
              "key 'seed' in [simulation] must be >= 0, got -5"),
             (lambda: simulation.check_record_count(3, 0, "--trials"),
              "--trials must be >= 1, got 0"),
+            (lambda: simulation.check_reduction_target(-2.5, "--target"),
+             "--target must be >= 0, got -2.5"),
         ],
     )
     def test_checks_name_their_input(self, check, message):
@@ -740,3 +786,33 @@ class TestRunInputs:
             portfolio, {"household": Behavior.TRUTHFUL}, trials=3
         )
         assert by_name == by_enum
+
+
+@pytest.mark.parametrize(
+    "cls, names",
+    [
+        (strategy.Stage2Solution, ("consumption", "label", "payoff")),
+        (strategy.Stage1Solution, ("report", "expected_profit", "regime")),
+        (oracle.CasePayoff, ("case_id", "payoff", "feasible")),
+        (simulation.CallAllocation,
+         ("signals", "committed_reduction", "under_provisioned")),
+        (simulation.EventRecord,
+         ("consumer_id", "signal", "report", "consumption", "payment", "profit")),
+        (simulation.EventSummary,
+         ("called_count", "total_reduction", "total_payout", "under_provisioned")),
+        (simulation.ConsumerStats,
+         ("consumer_id", "behavior", "trials", "call_frequency", "mean_profit",
+          "profit_variance", "mean_payment", "mean_reduction")),
+    ],
+)
+def test_result_records_are_named_tuples(cls, names):
+    assert issubclass(cls, tuple)
+    assert cls._fields == names
+    record = cls(*range(len(names)))
+    assert record == cls(*range(len(names)))
+    assert hash(record) == hash(cls(*range(len(names))))
+    assert repr(record) == (
+        f"{cls.__name__}(" + ", ".join(f"{n}={k}" for k, n in enumerate(names)) + ")"
+    )
+    with pytest.raises(AttributeError):
+        setattr(record, names[0], -1)
