@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from drcontract.cli import main
+from drcontract.cli import _record_chunks, main
 from drcontract.scenario import parse_scenario
 from drcontract.simulation import collect_reports, run_monte_carlo
 
@@ -52,6 +52,19 @@ def test_collect_reports(benchmark, text_2000):
     portfolio = scenario.portfolio()
     reports = benchmark(collect_reports, portfolio, scenario.behaviors)
     assert len(reports) == 2000
+
+
+def test_records_csv(benchmark, text_2000):
+    scenario = parse_scenario(text_2000)
+    result = run_monte_carlo(
+        scenario.portfolio(),
+        scenario.behaviors,
+        250,
+        reduction_target=scenario.reduction_target,
+        master_seed=scenario.seed,
+    )
+    text = benchmark(lambda: "".join(_record_chunks(result)))
+    assert text.count("\n") == 1 + 2000 * 250
 
 
 def test_simulate_end_to_end(benchmark, tmp_path, text_2000):

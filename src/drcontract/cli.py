@@ -26,15 +26,21 @@ from .core import (
     check_call_probability,
     check_consumption_cap,
 )
-from .oracle import GridSpec, grid_best_reports, grid_best_responses, max_feasible_case_payoff
+from .oracle import (
+    GridSpec,
+    grid_best_reports,
+    grid_best_responses,
+    max_feasible_case_payoff,
+    report_axis,
+)
 from .scenario import (
     DEFAULT_TRIALS,
     MAX_SWEEP_STEPS,
     Scenario,
     ScenarioError,
     SweepSpec,
-    default_sweep,
     load_scenario,
+    sweep_over,
 )
 from .simulation import (
     MonteCarloResult,
@@ -101,11 +107,18 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
     _write_chunks(path, ["\n".join(lines) + "\n"])
 
 
-def _log_run(scenario: Scenario, seed: int) -> None:
+def _log_run(scenario: Scenario) -> None:
     print(
-        f"scenario_hash={scenario.source_hash} seed={seed} version={__version__}",
+        f"scenario_hash={scenario.source_hash} seed={scenario.seed} "
+        f"version={__version__}",
         file=sys.stderr,
     )
+
+
+def _given(args, *names: str) -> dict:
+    """The flags among ``names`` that were given, by name."""
+    flags = vars(args)
+    return {name: flags[name] for name in names if flags.get(name) is not None}
 
 
 def _int_in(lo: int, hi: int | None = None):
@@ -202,17 +215,8 @@ def _build_parser() -> _Parser:
 
 
 def _sweep_spec(scenario: Scenario, args) -> SweepSpec:
-    base = scenario.sweep
-    if args.param is not None and (base is None or base.param != args.param):
-        base = default_sweep(args.param)
-    if base is None:
-        base = default_sweep("p_r")
-    return SweepSpec(
-        param=base.param,
-        start=args.start if args.start is not None else base.start,
-        stop=args.stop if args.stop is not None else base.stop,
-        steps=args.steps if args.steps is not None else base.steps,
-    )
+    ranges = _given(args, "start", "stop", "steps")
+    return sweep_over(args.param, scenario.sweep, **ranges)
 
 
 def _sweep_row(param: str, value: float, call_probability: float,
@@ -257,12 +261,10 @@ def _sweep_points(
     return points
 
 
-def cmd_sweep(args) -> int:
-    scenario = load_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else scenario.seed
+def cmd_sweep(args, scenario: Scenario) -> int:
     spec = _sweep_spec(scenario, args)
     points = _sweep_points(spec, scenario.members[0], scenario.prices)
-    _log_run(scenario, seed)
+    _log_run(scenario)
     lines = [SWEEP_HEADER] + [
         _sweep_row(spec.param, value, call_probability, params, scenario.prices)
         for value, call_probability, params in points
@@ -311,14 +313,11 @@ def run_verification(
 ) -> bool:
     """Run all consistency suites; return True when every tolerance holds."""
     ok = True
-    # The two-stage oracle runs first, so that a grid too fine for its
-    # quadratic search is refused before any draw; it is reported last.
+    # The suites run in the order they are reported. A grid too fine for
+    # the two-stage oracle's quadratic search is refused before any draw.
     member = scenario.members[0]
-    probabilities = [k / 10 for k in range(11)]
     report_grid = GridSpec.cover(member.params.max_consumption, grid_step)
-    oracle_reports = grid_best_reports(
-        probabilities, member.params, scenario.prices, report_grid
-    )
+    report_axis(member.params, scenario.prices, report_grid)
     # Every instance is drawn at once; the constructors check the columns.
     drawn = _draw_instances(np.random.default_rng(seed), draws)
     params = ConsumerParams(*drawn[:, :3].T)
@@ -374,6 +373,10 @@ def run_verification(
         )
         ok = ok and cont_ok
 
+    probabilities = [k / 10 for k in range(11)]
+    oracle_reports = grid_best_reports(
+        probabilities, member.params, scenario.prices, report_grid
+    )
     closed_reports = solve(
         member.params, scenario.prices, call_probability=np.array(probabilities)
     )
@@ -396,17 +399,14 @@ def run_verification(
     return ok
 
 
-def cmd_verify(args) -> int:
-    scenario = load_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else scenario.seed
-    grid_step = args.grid_step if args.grid_step is not None else scenario.grid_step
-    _log_run(scenario, seed)
+def cmd_verify(args, scenario: Scenario) -> int:
+    _log_run(scenario)
     lines: list[str] = []
     ok = run_verification(
         scenario,
-        grid_step,
+        scenario.grid_step,
         args.draws,
-        seed,
+        scenario.seed,
         literal_above_threshold=args.literal_above_threshold,
         echo=lines.append,
     )
@@ -453,23 +453,21 @@ def _record_chunks(result: MonteCarloResult) -> Iterator[str]:
         yield prefix + prefix.join(np.where(called, rows[:, 1], rows[:, 0]).tolist())
 
 
-def cmd_simulate(args) -> int:
-    scenario = load_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else scenario.seed
-    if args.trials is not None:
-        trials, source = args.trials, "--trials"
-    else:
-        # A trials key was checked on load, so only the default can fail here.
-        trials = scenario.trials
-        source = f"key 'trials' in [simulation] (default {DEFAULT_TRIALS})"
-    check_record_count(len(scenario.members), trials, source)
-    _log_run(scenario, seed)
+def cmd_simulate(args, scenario: Scenario) -> int:
+    # A trials key was checked on load, so only the flag or the default can
+    # fail here.
+    source = (
+        "--trials" if args.trials is not None
+        else f"key 'trials' in [simulation] (default {DEFAULT_TRIALS})"
+    )
+    check_record_count(len(scenario.members), scenario.trials, source)
+    _log_run(scenario)
     result = run_monte_carlo(
         scenario.portfolio(),
         scenario.behaviors,
-        trials=trials,
+        trials=scenario.trials,
         reduction_target=scenario.reduction_target,
-        master_seed=seed,
+        master_seed=scenario.seed,
     )
     summaries = [SUMMARIES_HEADER] + [
         f"{t},{s.called_count},{_fmt(s.total_reduction)},{_fmt(s.total_payout)},"
@@ -487,7 +485,10 @@ def cmd_simulate(args) -> int:
     _write_chunks(args.out, _record_chunks(result))
     for suffix, lines in (("summaries", summaries), ("stats", stats)):
         _write_lines(args.out and _sibling_path(args.out, suffix), lines)
-    print(f"reproduce with seed={seed} trials={trials}", file=sys.stderr)
+    print(
+        f"reproduce with seed={scenario.seed} trials={scenario.trials}",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -497,7 +498,10 @@ def main(argv=None) -> int:
     handlers = {"sweep": cmd_sweep, "verify": cmd_verify, "simulate": cmd_simulate}
     try:
         _check_out(args.out)
-        return handlers[args.command](args)
+        scenario = load_scenario(args.scenario)._replace(
+            **_given(args, "seed", "grid_step", "trials")
+        )
+        return handlers[args.command](args, scenario)
     except ValueError as exc:  # ScenarioError included
         print(f"drcontract: {exc}", file=sys.stderr)
         return 1

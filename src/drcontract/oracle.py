@@ -44,6 +44,7 @@ __all__ = [
     "grid_best_response",
     "grid_best_responses",
     "max_feasible_case_payoff",
+    "report_axis",
 ]
 
 # Points-per-grid guard; a finer request is almost certainly a unit mistake.
@@ -304,6 +305,33 @@ def _best_commitments(
     return called, commit
 
 
+def report_axis(
+    params: ConsumerParams, prices: Prices, grid: GridSpec | None = None
+) -> np.ndarray:
+    """The ascending consumption axis that :func:`grid_best_reports`
+    searches: the points of ``grid`` in [0, q_max] and the kinks of the
+    profit in the consumption. Raises before any search when the axis would
+    give more than ``_MAX_REPORT_PAIRS`` report pairs."""
+    b = params.baseline
+    g = params.marginal_utility
+    p2 = prices.incentive_price
+    extra = [
+        b,
+        saturation_point(params, prices),
+        max(b - p2 / g, 0.0),
+        max(b - 2 * p2 / g, 0.0),
+    ]
+    x = _checked_axis(grid, params, extra)
+    n = x.size
+    if n**2 > _MAX_REPORT_PAIRS:
+        raise ValueError(
+            f"the two-stage grid search would compare {n**2} report pairs "
+            f"({n} grid points squared), over the limit of "
+            f"{_MAX_REPORT_PAIRS}; use a coarser grid step"
+        )
+    return x
+
+
 def grid_best_reports(
     call_probabilities: Iterable[float],
     params: ConsumerParams,
@@ -328,24 +356,9 @@ def grid_best_reports(
     probabilities = list(call_probabilities)
     for pr in probabilities:
         check_call_probability(pr)
-    b = params.baseline
-    g = params.marginal_utility
+    x = report_axis(params, prices, grid)
     p = prices.energy_price
     p2 = prices.incentive_price
-    extra = [
-        b,
-        saturation_point(params, prices),
-        max(b - p2 / g, 0.0),
-        max(b - 2 * p2 / g, 0.0),
-    ]
-    x = _checked_axis(grid, params, extra)
-    n = x.size
-    if n**2 > _MAX_REPORT_PAIRS:
-        raise ValueError(
-            f"the two-stage grid search would compare {n**2} report pairs "
-            f"({n} grid points squared), over the limit of "
-            f"{_MAX_REPORT_PAIRS}; use a coarser grid step"
-        )
     gains = utility(x, params, prices)
     base_gain = gains - p * x
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from importlib import resources
+from typing import NamedTuple
 
 from .core import ConsumerParams, Prices, check_consumption_cap
 from .simulation import (
@@ -86,47 +87,66 @@ def default_sweep(param: str) -> SweepSpec:
     return SweepSpec("gamma", *_DEFAULT_GAMMA_RANGE, 101)
 
 
-@dataclass
-class Scenario:
+def sweep_over(
+    param: str | None, base: SweepSpec | None = None, **given
+) -> SweepSpec:
+    """The sweep of ``param`` with the ``given`` fields (start, stop, steps)
+    put over ``base``, or over ``param``'s default range when ``base`` is
+    None or sweeps another parameter. ``param`` None keeps ``base``'s
+    parameter, or p_r without a base."""
+    if base is None or param not in (None, base.param):
+        base = default_sweep(param or "p_r")
+    return replace(base, param=param or base.param, **given)
+
+
+class Scenario(NamedTuple):
+    """Everything a scenario file sets, read and checked once. Command-line
+    flags override fields through ``_replace``."""
+
     prices: Prices
-    members: list[PortfolioMember]
+    members: tuple[PortfolioMember, ...]
     behaviors: dict[str, Behavior]
     trials: int = DEFAULT_TRIALS
     seed: int = 42
     grid_step: float = 0.01
     reduction_target: float = 0.0
     sweep: SweepSpec | None = None
-    source_hash: str = field(default="unknown")
+    source_hash: str = "unknown"
 
     def portfolio(self) -> Portfolio:
-        return Portfolio(members=tuple(self.members), prices=self.prices)
+        return Portfolio(members=self.members, prices=self.prices)
 
 
-def _get_float(section, key: str, where: str) -> float:
+# The [simulation] keys in the order they are read, with the Scenario field
+# each one sets and its type.
+_SIMULATION_KEYS = (
+    ("trials", "trials", int),
+    ("seed", "seed", int),
+    ("grid_step_kwh", "grid_step", float),
+    ("reduction_target_kwh", "reduction_target", float),
+)
+# The [sweep] keys that set a range, with the SweepSpec field of each.
+_SWEEP_KEYS = (("from", "start", float), ("to", "stop", float), ("steps", "steps", int))
+
+
+def _get(section, key: str, where: str, kind=float):
+    """``section[key]`` as a ``kind`` (float or int), finite when a float."""
     try:
-        value = float(section[key])
+        text = section[key]
     except KeyError:
         raise ScenarioError(f"missing key {key!r} in [{where}]") from None
+    try:
+        value = kind(text)
     except ValueError:
+        noun = "a number" if kind is float else "an integer"
         raise ScenarioError(
-            f"key {key!r} in [{where}] is not a number: {section[key]!r}"
+            f"key {key!r} in [{where}] is not {noun}: {text!r}"
         ) from None
-    if not math.isfinite(value):
+    if kind is float and not math.isfinite(value):
         raise ScenarioError(
-            f"key {key!r} in [{where}] must be a finite number, got {section[key]!r}"
+            f"key {key!r} in [{where}] must be a finite number, got {text!r}"
         )
     return value
-
-
-def _get_int(section, key: str, where: str) -> int:
-    try:
-        return int(section[key])
-    except KeyError:
-        raise ScenarioError(f"missing key {key!r} in [{where}]") from None
-    except ValueError:
-        raise ScenarioError(
-            f"key {key!r} in [{where}] is not an integer: {section[key]!r}"
-        ) from None
 
 
 def _read_flat(text: str) -> dict[str, dict[str, str]] | None:
@@ -190,10 +210,8 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
     sections = _read_sections(text)
     if "prices" not in sections:
         raise ScenarioError("scenario must contain a [prices] section")
-    energy_price = _get_float(sections["prices"], "price_usd_per_kwh", "prices")
-    incentive_price = _get_float(
-        sections["prices"], "incentive_usd_per_kwh", "prices"
-    )
+    energy_price = _get(sections["prices"], "price_usd_per_kwh", "prices")
+    incentive_price = _get(sections["prices"], "incentive_usd_per_kwh", "prices")
     try:
         prices = Prices(energy_price=energy_price, incentive_price=incentive_price)
     except ValueError as exc:
@@ -213,17 +231,15 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
             )
         try:
             params = ConsumerParams(
-                baseline=_get_float(section, "baseline_kwh", name),
-                marginal_utility=_get_float(
-                    section, "marginal_utility_usd_per_kwh2", name
-                ),
-                max_consumption=_get_float(section, "max_consumption_kwh", name),
+                baseline=_get(section, "baseline_kwh", name),
+                marginal_utility=_get(section, "marginal_utility_usd_per_kwh2", name),
+                max_consumption=_get(section, "max_consumption_kwh", name),
             )
             check_consumption_cap(params, prices)
             member = PortfolioMember(
                 consumer_id=cid,
                 params=params,
-                call_probability=_get_float(section, "call_probability", name),
+                call_probability=_get(section, "call_probability", name),
             )
             behaviors[cid] = Behavior(section.get("behavior", "rational"))
         except ScenarioError:
@@ -234,54 +250,45 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
     if not members:
         raise ScenarioError("scenario must define at least one [consumer.<id>]")
 
-    scenario = Scenario(
-        prices=prices, members=members, behaviors=behaviors, source_hash=source_hash
-    )
-    if "simulation" in sections:
-        sim = sections["simulation"]
-        if "trials" in sim:
-            scenario.trials = _get_int(sim, "trials", "simulation")
-            try:
-                check_record_count(
-                    len(members), scenario.trials, "key 'trials' in [simulation]"
-                )
-            except ValueError as exc:
-                raise ScenarioError(str(exc)) from None
-        if "seed" in sim:
-            scenario.seed = _get_int(sim, "seed", "simulation")
-        if "grid_step_kwh" in sim:
-            scenario.grid_step = _get_float(sim, "grid_step_kwh", "simulation")
-        if "reduction_target_kwh" in sim:
-            scenario.reduction_target = _get_float(
-                sim, "reduction_target_kwh", "simulation"
-            )
-        try:
-            check_seed(scenario.seed, "key 'seed' in [simulation]")
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
-        if scenario.grid_step <= 0:
-            raise ScenarioError(
+    sim = sections.get("simulation", {})
+    settings = {}
+    try:
+        for key, field, kind in _SIMULATION_KEYS:
+            if key in sim:
+                settings[field] = _get(sim, key, "simulation", kind)
+                if field == "trials":  # checked before the other keys are read
+                    check_record_count(
+                        len(members), settings[field], "key 'trials' in [simulation]"
+                    )
+        values = {**Scenario._field_defaults, **settings}
+        check_seed(values["seed"], "key 'seed' in [simulation]")
+        if values["grid_step"] <= 0:
+            raise ValueError(
                 f"key 'grid_step_kwh' in [simulation] must be > 0, "
-                f"got {scenario.grid_step}"
+                f"got {values['grid_step']}"
             )
-        try:
-            check_reduction_target(
-                scenario.reduction_target, "key 'reduction_target_kwh' in [simulation]"
-            )
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
+        check_reduction_target(
+            values["reduction_target"], "key 'reduction_target_kwh' in [simulation]"
+        )
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
+
+    sweep = None
     if "sweep" in sections:
         swp = sections["sweep"]
-        param = swp.get("param", "p_r")
-        base = default_sweep(param)
-        start = _get_float(swp, "from", "sweep") if "from" in swp else base.start
-        stop = _get_float(swp, "to", "sweep") if "to" in swp else base.stop
-        steps = _get_int(swp, "steps", "sweep") if "steps" in swp else base.steps
+        ranges = {
+            field: _get(swp, key, "sweep", kind)
+            for key, field, kind in _SWEEP_KEYS
+            if key in swp
+        }
         try:
-            scenario.sweep = SweepSpec(param, start, stop, steps)
+            sweep = sweep_over(swp.get("param", "p_r"), **ranges)
         except ScenarioError as exc:
             raise ScenarioError(f"[sweep]: {exc}") from None
-    return scenario
+    return Scenario(
+        prices, tuple(members), behaviors, **settings, sweep=sweep,
+        source_hash=source_hash,
+    )
 
 
 def scenario_hash(data: bytes) -> str:

@@ -219,6 +219,23 @@ class TestVerifyCommand:
         )
         assert not out.exists()
 
+    def test_stage2_bound_comes_before_the_two_stage_search(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_search(*args):
+            raise AssertionError("the two-stage search ran before the stage-2 bound")
+
+        monkeypatch.setattr(oracle, "_best_commitments", no_search)
+        monkeypatch.setattr(oracle, "_MAX_STAGE2_POINTS", 1000)
+        out = tmp_path / "v.txt"
+        code = main(
+            ["verify", "--draws", "5", "--grid-step", "0.05", "--out", str(out)]
+        )
+        assert code == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("drcontract: the stage-2 grid search would evaluate")
+        assert not out.exists()
+
     def test_invalid_scenario_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text(BAD_SCENARIO)

@@ -210,6 +210,176 @@ class TestBoundaryValidation:
         assert (scenario.trials, scenario.seed, scenario.sweep.steps) == (7, 3, 5)
 
 
+def with_value(section, key, value):
+    """GOOD with ``key`` of ``[section]`` set to ``value``, or removed when
+    None; a section GOOD lacks is appended with that one key."""
+    if f"[{section}]" not in GOOD:
+        return GOOD + f"\n[{section}]\n{key} = {value}\n"
+    lines = [
+        line for line in GOOD.splitlines() if not line.startswith(f"{key} =")
+    ]
+    if value is not None:
+        lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+SECOND_CONSUMER = GOOD[GOOD.index("[consumer.a]"):].replace("consumer.a", "consumer.b")
+HUGE_TRIALS = "1" + "0" * 400
+
+
+class TestLoaderMessages:
+    """Every key's message, pinned word for word."""
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("prices", "price_usd_per_kwh", None,
+             "missing key 'price_usd_per_kwh' in [prices]"),
+            ("prices", "price_usd_per_kwh", "abc",
+             "key 'price_usd_per_kwh' in [prices] is not a number: 'abc'"),
+            ("prices", "price_usd_per_kwh", "nan",
+             "key 'price_usd_per_kwh' in [prices] must be a finite number, got 'nan'"),
+            ("prices", "price_usd_per_kwh", "-0.1",
+             "[prices]: energy_price must be >= 0, got -0.1"),
+            ("prices", "incentive_usd_per_kwh", None,
+             "missing key 'incentive_usd_per_kwh' in [prices]"),
+            ("prices", "incentive_usd_per_kwh", "abc",
+             "key 'incentive_usd_per_kwh' in [prices] is not a number: 'abc'"),
+            ("prices", "incentive_usd_per_kwh", "nan",
+             "key 'incentive_usd_per_kwh' in [prices] must be a finite number, "
+             "got 'nan'"),
+            ("prices", "incentive_usd_per_kwh", "0.1",
+             "[prices]: incentive_price must be >= energy_price, got 0.1 < 0.26"),
+            ("consumer.a", "baseline_kwh", None,
+             "missing key 'baseline_kwh' in [consumer.a]"),
+            ("consumer.a", "baseline_kwh", "abc",
+             "key 'baseline_kwh' in [consumer.a] is not a number: 'abc'"),
+            ("consumer.a", "baseline_kwh", "nan",
+             "key 'baseline_kwh' in [consumer.a] must be a finite number, got 'nan'"),
+            ("consumer.a", "baseline_kwh", "-1",
+             "[consumer.a]: baseline must be > 0, got -1.0"),
+            ("consumer.a", "marginal_utility_usd_per_kwh2", None,
+             "missing key 'marginal_utility_usd_per_kwh2' in [consumer.a]"),
+            ("consumer.a", "marginal_utility_usd_per_kwh2", "abc",
+             "key 'marginal_utility_usd_per_kwh2' in [consumer.a] is not a number: "
+             "'abc'"),
+            ("consumer.a", "marginal_utility_usd_per_kwh2", "nan",
+             "key 'marginal_utility_usd_per_kwh2' in [consumer.a] must be a finite "
+             "number, got 'nan'"),
+            ("consumer.a", "marginal_utility_usd_per_kwh2", "0",
+             "[consumer.a]: marginal_utility must be > 0, got 0.0"),
+            ("consumer.a", "max_consumption_kwh", None,
+             "missing key 'max_consumption_kwh' in [consumer.a]"),
+            ("consumer.a", "max_consumption_kwh", "abc",
+             "key 'max_consumption_kwh' in [consumer.a] is not a number: 'abc'"),
+            ("consumer.a", "max_consumption_kwh", "nan",
+             "key 'max_consumption_kwh' in [consumer.a] must be a finite number, "
+             "got 'nan'"),
+            ("consumer.a", "max_consumption_kwh", "13",
+             "[consumer.a]: max_consumption=13.0 must exceed the saturation point "
+             "baseline + p/gamma = 13.2"),
+            ("consumer.a", "call_probability", None,
+             "missing key 'call_probability' in [consumer.a]"),
+            ("consumer.a", "call_probability", "abc",
+             "key 'call_probability' in [consumer.a] is not a number: 'abc'"),
+            ("consumer.a", "call_probability", "nan",
+             "key 'call_probability' in [consumer.a] must be a finite number, "
+             "got 'nan'"),
+            ("consumer.a", "call_probability", "1.5",
+             "[consumer.a]: call probability must lie in [0, 1], got 1.5"),
+            ("consumer.a", "behavior", "abc",
+             "[consumer.a]: unknown behavior 'abc'; expected one of "
+             "['rational', 'truthful', 'naive_gamer']"),
+            ("simulation", "trials", "abc",
+             "key 'trials' in [simulation] is not an integer: 'abc'"),
+            ("simulation", "trials", "1.5",
+             "key 'trials' in [simulation] is not an integer: '1.5'"),
+            ("simulation", "trials", "0",
+             "key 'trials' in [simulation] must be >= 1, got 0"),
+            ("simulation", "trials", HUGE_TRIALS,
+             f"key 'trials' in [simulation] = {HUGE_TRIALS} with 1 consumers gives "
+             f"{HUGE_TRIALS} event records, over the limit of 10000000; "
+             "use fewer trials"),
+            ("simulation", "seed", "abc",
+             "key 'seed' in [simulation] is not an integer: 'abc'"),
+            ("simulation", "seed", "1.5",
+             "key 'seed' in [simulation] is not an integer: '1.5'"),
+            ("simulation", "seed", "-1",
+             "key 'seed' in [simulation] must be >= 0, got -1"),
+            ("simulation", "grid_step_kwh", "abc",
+             "key 'grid_step_kwh' in [simulation] is not a number: 'abc'"),
+            ("simulation", "grid_step_kwh", "nan",
+             "key 'grid_step_kwh' in [simulation] must be a finite number, got 'nan'"),
+            ("simulation", "grid_step_kwh", "0",
+             "key 'grid_step_kwh' in [simulation] must be > 0, got 0.0"),
+            ("simulation", "reduction_target_kwh", "abc",
+             "key 'reduction_target_kwh' in [simulation] is not a number: 'abc'"),
+            ("simulation", "reduction_target_kwh", "nan",
+             "key 'reduction_target_kwh' in [simulation] must be a finite number, "
+             "got 'nan'"),
+            ("simulation", "reduction_target_kwh", "-1",
+             "key 'reduction_target_kwh' in [simulation] must be >= 0, got -1.0"),
+            ("sweep", "param", "q_max",
+             "[sweep]: sweep parameter must be one of ('p_r', 'gamma'), got 'q_max'"),
+            ("sweep", "from", "abc", "key 'from' in [sweep] is not a number: 'abc'"),
+            ("sweep", "from", "nan",
+             "key 'from' in [sweep] must be a finite number, got 'nan'"),
+            ("sweep", "from", "2", "[sweep]: sweep range must have stop >= start"),
+            ("sweep", "to", "abc", "key 'to' in [sweep] is not a number: 'abc'"),
+            ("sweep", "to", "nan",
+             "key 'to' in [sweep] must be a finite number, got 'nan'"),
+            ("sweep", "to", "-1", "[sweep]: sweep range must have stop >= start"),
+            ("sweep", "steps", "abc",
+             "key 'steps' in [sweep] is not an integer: 'abc'"),
+            ("sweep", "steps", "1.5",
+             "key 'steps' in [sweep] is not an integer: '1.5'"),
+            ("sweep", "steps", "0", "[sweep]: steps must lie in [1, 100000], got 0"),
+        ],
+    )
+    def test_each_key(self, section, key, value, message):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(with_value(section, key, value))
+        assert str(info.value) == message
+
+    # A file with several errors names the first in file order, and within
+    # a section the first in the order its keys are read and checked.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                GOOD.replace("call_probability = 0.1", "call_probability = 1.5")
+                + SECOND_CONSUMER.replace("baseline_kwh = 8.0", "baseline_kwh = abc"),
+                "[consumer.a]: call probability must lie in [0, 1], got 1.5",
+            ),
+            (
+                GOOD + "\n[simulation]\ntrials = 0\nseed = abc\n",
+                "key 'trials' in [simulation] must be >= 1, got 0",
+            ),
+            (
+                GOOD + "\n[simulation]\nseed = -5\ngrid_step_kwh = abc\n",
+                "key 'grid_step_kwh' in [simulation] is not a number: 'abc'",
+            ),
+            (
+                GOOD.replace("16.0", "13.0")
+                .replace("call_probability = 0.1", "call_probability = abc"),
+                "[consumer.a]: max_consumption=13.0 must exceed the saturation "
+                "point baseline + p/gamma = 13.2",
+            ),
+            (
+                GOOD + "\n[simulation]\nreduction_target_kwh = -1\n"
+                "\n[sweep]\nsteps = abc\n",
+                "key 'reduction_target_kwh' in [simulation] must be >= 0, got -1.0",
+            ),
+        ],
+        ids=["two-consumers", "trials-and-seed", "seed-and-grid-step",
+             "cap-and-probability", "simulation-and-sweep"],
+    )
+    def test_several_errors_name_the_first(self, text, message):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text)
+        assert str(info.value) == message
+
+
 class TestSweepSpec:
     def test_default_ranges(self):
         pr = default_sweep("p_r")
