@@ -13,7 +13,7 @@ import pytest
 
 from drcontract import CallSignal, ConsumerParams, Prices, Report
 from drcontract.cli import _draw_instances, main
-from drcontract.oracle import GridSpec, grid_best_reports, grid_best_responses
+from drcontract.oracle import grid_best_reports, grid_best_responses
 from drcontract.scenario import load_scenario
 
 SIGNALS = (CallSignal.NOT_CALLED, CallSignal.CALLED)
@@ -33,8 +33,7 @@ def verify_draws():
 @pytest.mark.parametrize("step", [0.01, 0.1])
 def test_grid_best_responses(benchmark, verify_draws, step):
     report, params, prices = verify_draws
-    grid = GridSpec.cover(params.max_consumption.max(), step)
-    q, _ = benchmark(grid_best_responses, report, SIGNALS, params, prices, grid)
+    q, _ = benchmark(grid_best_responses, report, SIGNALS, params, prices, step)
     assert q.shape == (2000, 2)
 
 
@@ -42,10 +41,9 @@ def test_grid_best_responses(benchmark, verify_draws, step):
 def test_grid_best_reports(benchmark, step):
     scenario = load_scenario(None)
     params = scenario.members[0].params
-    grid = GridSpec.cover(params.max_consumption, step)
     probabilities = [k / 10 for k in range(11)]
     solutions = benchmark(
-        grid_best_reports, probabilities, params, scenario.prices, grid
+        grid_best_reports, probabilities, params, scenario.prices, step
     )
     assert len(solutions) == 11
 

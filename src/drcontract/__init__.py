@@ -24,7 +24,6 @@ from .core import (
 )
 from .oracle import (
     CasePayoff,
-    GridSpec,
     case_payoffs,
     grid_best_report,
     grid_best_reports,
@@ -73,7 +72,6 @@ __all__ = [
     "ConsumerStats",
     "EventRecord",
     "EventSummary",
-    "GridSpec",
     "MonteCarloResult",
     "Portfolio",
     "PortfolioMember",

@@ -27,7 +27,6 @@ from .core import (
     check_consumption_cap,
 )
 from .oracle import (
-    GridSpec,
     grid_best_reports,
     grid_best_responses,
     max_feasible_case_payoff,
@@ -36,6 +35,7 @@ from .oracle import (
 from .scenario import (
     DEFAULT_TRIALS,
     MAX_SWEEP_STEPS,
+    SWEEPABLE_PARAMS,
     Scenario,
     ScenarioError,
     SweepSpec,
@@ -177,7 +177,7 @@ def _build_parser() -> _Parser:
     p_sweep = sub.add_parser(
         "sweep", parents=[common], help="evaluate closed forms over a parameter range"
     )
-    p_sweep.add_argument("--param", choices=("p_r", "gamma"), help="swept parameter")
+    p_sweep.add_argument("--param", choices=SWEEPABLE_PARAMS, help="swept parameter")
     p_sweep.add_argument("--from", dest="start", type=_finite(), help="sweep start")
     p_sweep.add_argument("--to", dest="stop", type=_finite(), help="sweep end")
     p_sweep.add_argument(
@@ -311,13 +311,13 @@ def run_verification(
     literal_above_threshold: bool = False,
     echo=print,
 ) -> bool:
-    """Run all consistency suites; return True when every tolerance holds."""
+    """Run all consistency suites; return True when every tolerance holds.
+
+    The two-stage search, which runs last, refuses a grid step too fine for
+    the first consumer; ``cmd_verify`` checks that step before any draw.
+    """
     ok = True
-    # The suites run in the order they are reported. A grid too fine for
-    # the two-stage oracle's quadratic search is refused before any draw.
-    member = scenario.members[0]
-    report_grid = GridSpec.cover(member.params.max_consumption, grid_step)
-    report_axis(member.params, scenario.prices, report_grid)
+    # The suites run in the order they are reported.
     # Every instance is drawn at once; the constructors check the columns.
     drawn = _draw_instances(np.random.default_rng(seed), draws)
     params = ConsumerParams(*drawn[:, :3].T)
@@ -325,8 +325,9 @@ def run_verification(
     report = Report(*drawn[:, 5:].T)
     closed = solve(params, prices, report=report)
     signals = (CallSignal.NOT_CALLED, CallSignal.CALLED)
-    grid = GridSpec.cover(params.max_consumption.max(), grid_step)
-    oracle_q, oracle_payoff = grid_best_responses(report, signals, params, prices, grid)
+    oracle_q, oracle_payoff = grid_best_responses(
+        report, signals, params, prices, grid_step
+    )
     cases = np.stack(
         [max_feasible_case_payoff(report, s, params, prices) for s in signals],
         axis=1,
@@ -373,9 +374,10 @@ def run_verification(
         )
         ok = ok and cont_ok
 
+    member = scenario.members[0]
     probabilities = [k / 10 for k in range(11)]
     oracle_reports = grid_best_reports(
-        probabilities, member.params, scenario.prices, report_grid
+        probabilities, member.params, scenario.prices, grid_step
     )
     closed_reports = solve(
         member.params, scenario.prices, call_probability=np.array(probabilities)
@@ -400,6 +402,10 @@ def run_verification(
 
 
 def cmd_verify(args, scenario: Scenario) -> int:
+    # A grid too fine for the first consumer's two-stage search is bad
+    # input, refused before the run header and any draw, as sweep and
+    # simulate refuse theirs.
+    report_axis(scenario.members[0].params, scenario.prices, scenario.grid_step)
     _log_run(scenario)
     lines: list[str] = []
     ok = run_verification(

@@ -10,7 +10,6 @@ between the three is a meaningful check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
 
@@ -37,7 +36,6 @@ from .core import stage2_profit  # noqa: F401
 __all__ = [
     "CASE_TO_STRATEGY",
     "CasePayoff",
-    "GridSpec",
     "case_payoffs",
     "grid_best_report",
     "grid_best_reports",
@@ -66,59 +64,13 @@ _STAGE2_BLOCK_ELEMENTS = 2**14
 _MAX_STAGE2_POINTS = 10**9
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform search grid over a consumption interval, in kWh."""
-
-    lo: float
-    hi: float
-    step: float = 0.01
-
-    def __post_init__(self) -> None:
-        for name in ("lo", "hi"):
-            value = getattr(self, name)
-            if not abs(value) < np.inf:
-                raise ValueError(f"grid {name} must be finite, got {value}")
-        if self.lo > self.hi:
-            raise ValueError(f"grid lo {self.lo} exceeds hi {self.hi}")
-        if not 0 < self.step < np.inf:
-            raise ValueError(f"grid step must be finite and > 0, got {self.step}")
-        if (self.hi - self.lo) / self.step > _MAX_POINTS:
-            raise ValueError(
-                f"grid would exceed {_MAX_POINTS} points; widen the step"
-            )
-
-    @classmethod
-    def cover(cls, hi: float, step: float = 0.01) -> "GridSpec":
-        return cls(lo=0.0, hi=hi, step=step)
-
-    def points(self, extra: Iterable[float] = ()) -> np.ndarray:
-        """Sorted unique grid points plus any extra points inside [lo, hi].
-
-        Points are lo + k*step up to hi, with hi always included, so the
-        spacing is exactly the requested step except possibly the last gap.
-        """
-        n = int(np.floor((self.hi - self.lo) / self.step))
-        base = self.lo + self.step * np.arange(n + 1)
-        base = base[base <= self.hi]
-        extras = np.asarray(
-            [x for x in extra if self.lo <= x <= self.hi], dtype=float
-        )
-        pts = np.unique(np.concatenate([base, [self.hi], extras]))
-        if pts.size == 0:
-            raise ValueError("empty grid")
-        return pts
-
-
-def _stage2_breakpoints(report, params, prices) -> list:
-    """Kinks and piece vertices of the stage-2 profit in the consumption,
-    per row."""
+def _kinks(params, prices) -> list:
+    """Kinks and piece vertices of the profit in the consumption that do not
+    depend on the report, per row."""
     b = params.baseline
     p2 = prices.incentive_price
     g = params.marginal_utility
     return [
-        report.baseline,
-        report.committed,
         b,
         saturation_point(params, prices),
         np.maximum(b - p2 / g, 0.0),
@@ -126,23 +78,13 @@ def _stage2_breakpoints(report, params, prices) -> list:
     ]
 
 
-def _covering(grid: GridSpec | None, q_max) -> GridSpec:
-    """``grid``, or the default grid over [0, max(q_max)], checked to cover
-    [0, q_max] for every cap in ``q_max``."""
-    top = float(np.max(q_max))
-    if grid is None:
-        return GridSpec.cover(top)
-    if grid.lo > 0 or grid.hi < top:
-        raise ValueError(f"grid [{grid.lo}, {grid.hi}] must cover [0, {top}]")
-    return grid
-
-
-def _checked_axis(
-    grid: GridSpec | None, params: ConsumerParams, extra: Iterable[float]
-) -> np.ndarray:
-    q_max = params.max_consumption
-    pts = _covering(grid, q_max).points(extra)
-    return pts[(pts >= 0.0) & (pts <= q_max)]
+def _check_step(step: float, q_max) -> None:
+    """Refuse a grid step that is not finite and > 0, or that puts more than
+    ``_MAX_POINTS`` points on the grid over [0, max(q_max)]."""
+    if not 0 < step < np.inf:
+        raise ValueError(f"grid step must be finite and > 0, got {step}")
+    if np.max(q_max) / step > _MAX_POINTS:
+        raise ValueError(f"grid would exceed {_MAX_POINTS} points; widen the step")
 
 
 def grid_best_responses(
@@ -150,19 +92,18 @@ def grid_best_responses(
     signals: Sequence[CallSignal],
     params,
     prices,
-    grid: GridSpec | None = None,
+    step: float = 0.01,
     inject_breakpoints: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exhaustive-search best consumption for each call signal, row by row.
 
     ``report``, ``params`` and ``prices`` are single values or
     :func:`~drcontract.core.columns`, broadcast row by row. A row searches
-    the points of ``GridSpec.cover(q_max, grid.step)`` for its own cap and,
-    by default, every kink and piece vertex of its profit in [0, q_max],
-    which makes the search exact, as the profit is piecewise quadratic.
-    Without them the payoff carries an O(step^2) error, which the refinement
-    tests rely on. Ties go to the smallest consumption. ``grid`` (default
-    step 0.01 kWh) must cover [0, q_max] of every row. Rows are searched
+    the points ``step * k`` (in kWh) of its own [0, q_max], its cap and, by
+    default, every kink and piece vertex of its profit in [0, q_max], which
+    makes the search exact, as the profit is piecewise quadratic. Without
+    them the payoff carries an O(step^2) error, which the refinement tests
+    rely on. Ties go to the smallest consumption. Rows are searched
     longest axis first, in blocks of at most ``_STAGE2_BLOCK_ELEMENTS``
     points or one row; each axis is padded with its cap, which is on it.
     A block checks its points and computes their utility once for all
@@ -182,9 +123,11 @@ def grid_best_responses(
         for ns in given
     )
     q_max = params.max_consumption
-    step = _covering(grid, q_max).step
+    _check_step(step, q_max)
     kinks = (
-        np.stack(_stage2_breakpoints(report, params, prices), axis=1)
+        np.stack(
+            [report.baseline, report.committed, *_kinks(params, prices)], axis=1
+        )
         if inject_breakpoints
         else np.empty((q_max.size, 0))
     )
@@ -249,13 +192,13 @@ def grid_best_response(
     signal: CallSignal,
     params: ConsumerParams,
     prices: Prices,
-    grid: GridSpec | None = None,
+    step: float = 0.01,
     inject_breakpoints: bool = True,
 ) -> Stage2Solution:
     """Exhaustive-search best consumption for one report and call signal;
     the one-row form of :func:`grid_best_responses`."""
     q, payoff = grid_best_responses(
-        report, [signal], params, prices, grid, inject_breakpoints
+        report, [signal], params, prices, step, inject_breakpoints
     )
     return Stage2Solution(float(q[0]), None, float(payoff[0]))
 
@@ -306,22 +249,18 @@ def _best_commitments(
 
 
 def report_axis(
-    params: ConsumerParams, prices: Prices, grid: GridSpec | None = None
+    params: ConsumerParams, prices: Prices, step: float = 0.01
 ) -> np.ndarray:
     """The ascending consumption axis that :func:`grid_best_reports`
-    searches: the points of ``grid`` in [0, q_max] and the kinks of the
-    profit in the consumption. Raises before any search when the axis would
-    give more than ``_MAX_REPORT_PAIRS`` report pairs."""
-    b = params.baseline
-    g = params.marginal_utility
-    p2 = prices.incentive_price
-    extra = [
-        b,
-        saturation_point(params, prices),
-        max(b - p2 / g, 0.0),
-        max(b - 2 * p2 / g, 0.0),
-    ]
-    x = _checked_axis(grid, params, extra)
+    searches: the points ``step * k`` (in kWh) of [0, q_max], the cap and the
+    kinks of the profit in the consumption that lie in [0, q_max]. Raises
+    before any search when the axis would give more than
+    ``_MAX_REPORT_PAIRS`` report pairs."""
+    q_max = params.max_consumption
+    _check_step(step, q_max)
+    grid = step * np.arange(np.floor(q_max / step) + 1)
+    x = np.unique(np.concatenate([grid, [q_max], _kinks(params, prices)]))
+    x = x[(0.0 <= x) & (x <= q_max)]
     n = x.size
     if n**2 > _MAX_REPORT_PAIRS:
         raise ValueError(
@@ -336,7 +275,7 @@ def grid_best_reports(
     call_probabilities: Iterable[float],
     params: ConsumerParams,
     prices: Prices,
-    grid: GridSpec | None = None,
+    step: float = 0.01,
 ) -> list[Stage1Solution]:
     """Exhaustive-search best report over the (baseline, committed) grid,
     for each call probability in order.
@@ -356,7 +295,7 @@ def grid_best_reports(
     probabilities = list(call_probabilities)
     for pr in probabilities:
         check_call_probability(pr)
-    x = report_axis(params, prices, grid)
+    x = report_axis(params, prices, step)
     p = prices.energy_price
     p2 = prices.incentive_price
     gains = utility(x, params, prices)
@@ -395,11 +334,11 @@ def grid_best_report(
     call_probability: float,
     params: ConsumerParams,
     prices: Prices,
-    grid: GridSpec | None = None,
+    step: float = 0.01,
 ) -> Stage1Solution:
     """Exhaustive-search best report for one call probability; see
     :func:`grid_best_reports`."""
-    return grid_best_reports([call_probability], params, prices, grid)[0]
+    return grid_best_reports([call_probability], params, prices, step)[0]
 
 
 class CasePayoff(NamedTuple):

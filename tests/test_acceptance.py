@@ -15,7 +15,6 @@ from drcontract import (
     Behavior,
     CallSignal,
     ConsumerParams,
-    GridSpec,
     Portfolio,
     PortfolioMember,
     Prices,
@@ -75,11 +74,10 @@ def test_03_report_curve_shape_and_oracle_agreement():
             assert sol.report.committed == pytest.approx(2.0, abs=1e-9)
             called = planned_consumption(pr, CallSignal.CALLED, HOUSEHOLD, PRICES)
             assert called == pytest.approx(2.0, abs=1e-9)
-        grid = GridSpec.cover(HOUSEHOLD.max_consumption, 0.01)
         for k in range(11):
             pr = k / 10
             closed = best_report(pr, HOUSEHOLD, PRICES)
-            oracle = grid_best_report(pr, HOUSEHOLD, PRICES, grid)
+            oracle = grid_best_report(pr, HOUSEHOLD, PRICES, 0.01)
             assert abs(closed.report.baseline - oracle.report.baseline) <= 0.02
 
 
@@ -128,10 +126,9 @@ def test_07_expected_profit_continuity_and_upper_branch():
         )
         assert below == pytest.approx(2.380, abs=1e-9)
         assert abs(above - below) <= 1e-9
-        grid = GridSpec.cover(HOUSEHOLD.max_consumption, 0.01)
         for pr in (0.6, 0.8, 1.0):
             closed = expected_profit(pr, HOUSEHOLD, PRICES)
-            oracle = grid_best_report(pr, HOUSEHOLD, PRICES, grid)
+            oracle = grid_best_report(pr, HOUSEHOLD, PRICES, 0.01)
             assert closed == pytest.approx(oracle.expected_profit, abs=1e-4)
 
 
@@ -149,15 +146,15 @@ def test_08_oracle_equivalence_on_random_draws():
             prices = Prices(p, p2)
             reported = rng.uniform(0.0, params.max_consumption)
             report = Report(reported, rng.uniform(0.0, reported))
-            grid = GridSpec.cover(params.max_consumption, 0.01)
+            step = 0.01
             for signal in (CallSignal.NOT_CALLED, CallSignal.CALLED):
                 if signal == CallSignal.CALLED:
                     closed = best_response_called(report, params, prices)
                 else:
                     closed = best_response_not_called(report.baseline, params, prices)
-                oracle = grid_best_response(report, signal, params, prices, grid)
+                oracle = grid_best_response(report, signal, params, prices, step)
                 assert abs(closed.payoff - oracle.payoff) <= 1e-6
-                assert abs(closed.consumption - oracle.consumption) <= 2 * grid.step
+                assert abs(closed.consumption - oracle.consumption) <= 2 * step
                 analytic = max_feasible_case_payoff(report, signal, params, prices)
                 assert abs(analytic - oracle.payoff) <= 1e-9
 

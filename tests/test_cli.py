@@ -133,10 +133,13 @@ class TestSweepCommand:
         assert "scenario_hash=" not in err
         assert not out.exists()
 
-    def test_unknown_sweep_param_is_usage_error(self, tmp_path):
+    def test_unknown_sweep_param_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--param", "q_max", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            "argument --param: invalid choice: 'q_max' (choose from 'p_r', 'gamma')\n"
+        )
 
     @pytest.mark.parametrize("steps", ["0", "100001", "1000000000"])
     def test_steps_out_of_range_rejected(self, tmp_path, capsys, steps):
@@ -203,6 +206,25 @@ class TestVerifyCommand:
         assert code == 1
         assert "coarser grid step" in capsys.readouterr().err
         assert not (tmp_path / "v.txt").exists()
+
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ("1e-4",
+             "the two-stage grid search would compare 25600960009 report pairs "
+             "(160003 grid points squared), over the limit of 1000000000; use a "
+             "coarser grid step"),
+            ("1e-6", "grid would exceed 10000000 points; widen the step"),
+        ],
+    )
+    def test_too_fine_grid_is_refused_before_the_run_header(
+        self, tmp_path, capsys, step, message
+    ):
+        out = tmp_path / "v.txt"
+        code = main(["verify", "--grid-step", step, "--draws", "3", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"drcontract: {message}\n"
+        assert not out.exists()
 
     def test_stage2_work_is_bounded(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "_MAX_STAGE2_POINTS", 1000)

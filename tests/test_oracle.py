@@ -10,7 +10,6 @@ import drcontract.oracle as oracle
 from drcontract import (
     CallSignal,
     ConsumerParams,
-    GridSpec,
     Prices,
     Regime,
     Report,
@@ -18,6 +17,7 @@ from drcontract import (
     Stage2Solution,
     best_response_called,
     best_response_not_called,
+    best_report,
     call_threshold,
     case_payoffs,
     grid_best_report,
@@ -33,6 +33,8 @@ from drcontract.core import columns
 from drcontract.oracle import CASE_TO_STRATEGY
 from drcontract.strategy import solve
 
+SIGNALS = (CallSignal.NOT_CALLED, CallSignal.CALLED)
+
 
 def draw_instance(rng):
     baseline = rng.uniform(1.0, 20.0)
@@ -46,41 +48,90 @@ def draw_instance(rng):
     return params, prices, report
 
 
-class TestGridSpec:
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            GridSpec(1.0, 0.0)
-        with pytest.raises(ValueError):
-            GridSpec(0.0, 1.0, step=0.0)
-        with pytest.raises(ValueError):
-            GridSpec(0.0, 1e9, step=1e-3)
+def reference_axis(q_max, step, extra=()):
+    """The points step * k of [0, q_max], the cap and the points of
+    ``extra`` in [0, q_max], sorted and unique: the axis a one-row search
+    covers."""
+    points = np.concatenate(
+        [step * np.arange(int(np.floor(q_max / step)) + 1), [q_max], list(extra)]
+    )
+    return np.unique(points[(0 <= points) & (points <= q_max)])
 
-    @pytest.mark.parametrize("step", [float("nan"), float("inf")])
-    def test_rejects_non_finite_step(self, step):
-        with pytest.raises(ValueError, match="finite"):
-            GridSpec(0.0, 1.0, step=step)
 
-    @pytest.mark.parametrize("field", ["lo", "hi"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-    def test_rejects_non_finite_bounds(self, field, value):
-        bounds = {"lo": 0.0, "hi": 1.0, field: value}
-        with pytest.raises(ValueError, match=f"grid {field} must be finite, got"):
-            GridSpec(**bounds)
+def two_stage_kinks(params, prices):
+    """The kinks of the profit in the consumption that do not depend on the
+    report: b, the saturation point and the two reduced optima, at least 0."""
+    b = params.baseline
+    g = params.marginal_utility
+    p2 = prices.incentive_price
+    return [
+        b,
+        saturation_point(params, prices),
+        max(b - p2 / g, 0.0),
+        max(b - 2 * p2 / g, 0.0),
+    ]
 
-    def test_points_include_bounds_and_extras(self):
-        pts = GridSpec(0.0, 1.0, 0.25).points(extra=[0.1, 2.0])
-        assert pts[0] == 0.0 and pts[-1] == 1.0
-        assert 0.1 in pts
-        assert 2.0 not in pts  # outside the interval
 
-    def test_grid_must_cover_the_consumption_domain(self, household, prices):
-        with pytest.raises(ValueError):
-            grid_best_response(
-                Report(8.0, 2.0),
-                CallSignal.CALLED,
-                household,
-                prices,
-                GridSpec(0.0, 10.0),
+# Each oracle, called on the household at a given grid step.
+SEARCHES = {
+    "grid_best_response": lambda params, prices, step: grid_best_response(
+        Report(8.0, 2.0), CallSignal.CALLED, params, prices, step
+    ),
+    "grid_best_responses": lambda params, prices, step: grid_best_responses(
+        Report(8.0, 2.0), SIGNALS, params, prices, step
+    ),
+    "grid_best_report": lambda params, prices, step: grid_best_report(
+        0.1, params, prices, step
+    ),
+    "grid_best_reports": lambda params, prices, step: grid_best_reports(
+        [0.1], params, prices, step
+    ),
+    "report_axis": oracle.report_axis,
+}
+
+
+class TestGridStep:
+    @pytest.mark.parametrize("search", SEARCHES)
+    @pytest.mark.parametrize("step", [0.0, -0.01, float("nan"), float("inf")])
+    def test_every_oracle_rejects_a_bad_step(self, household, prices, search, step):
+        with pytest.raises(ValueError) as exc:
+            SEARCHES[search](household, prices, step)
+        assert str(exc.value) == f"grid step must be finite and > 0, got {step}"
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_points_bound_comes_before_the_pair_bound(
+        self, household, prices, search
+    ):
+        # 1.6e7 points over the cap of 16 kWh, and 2.6e14 report pairs.
+        with pytest.raises(ValueError) as exc:
+            SEARCHES[search](household, prices, 1e-6)
+        assert str(exc.value) == "grid would exceed 10000000 points; widen the step"
+
+    def test_report_axis_holds_zero_the_cap_and_the_kinks_on_it(self, prices):
+        # The kinks are b = 8, b - p2/g (about 2) and b - 2 p2/g clipped to
+        # 0; the saturation point 13.2 lies above the cap 12.1, which is no
+        # multiple of the step.
+        params = ConsumerParams(8.0, 0.05, 12.1)
+        x = oracle.report_axis(params, prices, 0.3)
+        assert x[0] == 0.0 and x[-1] == 12.1
+        assert np.all(np.diff(x) > 0)
+        grid = 0.3 * np.arange(41)
+        assert set(x.tolist()) == set(grid.tolist()) | {12.1, 8.0, 8.0 - 0.3 / 0.05}
+        assert 13.2 not in x
+
+    def test_each_row_searches_its_own_cap(self, household, prices):
+        # 16 is no multiple of 0.3: the cap is still searched, and at 0.9
+        # the best report is the cap itself, as in the closed form.
+        want = best_report(0.9, household, prices)
+        assert want.report.baseline == 16.0
+        got = [
+            grid_best_report(0.9, household, prices, 0.3),
+            *grid_best_reports([0.9], household, prices, 0.3),
+        ]
+        for solution in got:
+            assert solution.report.baseline == 16.0
+            assert solution.expected_profit == pytest.approx(
+                want.expected_profit, abs=1e-9
             )
 
 
@@ -113,16 +164,16 @@ class TestGridBestResponse:
         rng = np.random.default_rng(123)
         for _ in range(120):
             params, prices, report = draw_instance(rng)
-            grid = GridSpec.cover(params.max_consumption, 0.01)
+            step = 0.01
             for signal in (CallSignal.NOT_CALLED, CallSignal.CALLED):
                 if signal == CallSignal.CALLED:
                     closed = best_response_called(report, params, prices)
                 else:
                     closed = best_response_not_called(report.baseline, params, prices)
-                oracle = grid_best_response(report, signal, params, prices, grid)
+                oracle = grid_best_response(report, signal, params, prices, step)
                 assert oracle.payoff <= closed.payoff + 1e-6
                 assert abs(oracle.payoff - closed.payoff) <= 1e-6
-                assert abs(oracle.consumption - closed.consumption) <= 2 * grid.step
+                assert abs(oracle.consumption - closed.consumption) <= 2 * step
 
     def test_refinement_converges_quadratically(self, prices):
         # Reports with off-grid optima at interior parabola vertices (an
@@ -144,7 +195,7 @@ class TestGridBestResponse:
                     signal,
                     params,
                     prices,
-                    GridSpec.cover(params.max_consumption, step),
+                    step,
                     inject_breakpoints=False,
                 ).payoff
                 halved = grid_best_response(
@@ -152,7 +203,7 @@ class TestGridBestResponse:
                     signal,
                     params,
                     prices,
-                    GridSpec.cover(params.max_consumption, step / 2),
+                    step / 2,
                     inject_breakpoints=False,
                 ).payoff
                 assert 0 <= exact - coarse <= gamma * step**2 / 8 + 1e-12
@@ -267,33 +318,24 @@ class TestGridBestReport:
 
     def test_quadratic_work_is_bounded(self, household, prices):
         # 160 001 points: the 1-D grid is fine, its 2.6e10 report pairs are not.
-        grid = GridSpec.cover(household.max_consumption, 1e-4)
         with pytest.raises(ValueError, match="coarser grid step"):
-            grid_best_report(0.1, household, prices, grid)
+            grid_best_report(0.1, household, prices, 1e-4)
 
     def test_probability_out_of_range_rejected(self, household, prices):
         with pytest.raises(ValueError):
             grid_best_report(-0.1, household, prices)
 
 
-def reference_grid_best_report(pr, params, prices, grid):
+def reference_grid_best_report(pr, params, prices, step):
     """The two-stage search one candidate baseline x[j] at a time.
 
     This is the per-baseline loop that grid_best_reports replaced, kept as
     the reference its blocked, probability-shared form must equal bit for
     bit.
     """
-    b = params.baseline
-    g = params.marginal_utility
     p = prices.energy_price
     p2 = prices.incentive_price
-    extra = [
-        b,
-        saturation_point(params, prices),
-        max(b - p2 / g, 0.0),
-        max(b - 2 * p2 / g, 0.0),
-    ]
-    x = oracle._checked_axis(grid, params, extra)
+    x = reference_axis(params.max_consumption, step, two_stage_kinks(params, prices))
     gains = utility(x, params, prices)
     base_gain = gains - p * x
     best_key = None
@@ -360,34 +402,31 @@ class TestBlockedTwoStageSearch:
     @given(two_stage_instances())
     def test_equals_per_baseline_loop_bitwise(self, instance):
         params, prices, step, pr = instance
-        grid = GridSpec.cover(params.max_consumption, step)
         probabilities = edge_probabilities(prices, [pr])
-        got = grid_best_reports(probabilities, params, prices, grid)
+        got = grid_best_reports(probabilities, params, prices, step)
         want = [
-            reference_grid_best_report(q, params, prices, grid)
+            reference_grid_best_report(q, params, prices, step)
             for q in probabilities
         ]
         assert got == want
 
     def test_one_row_blocks_change_nothing(self, household, prices, monkeypatch):
-        grid = GridSpec.cover(household.max_consumption, 0.05)
         probabilities = [k / 10 for k in range(11)] + edge_probabilities(prices)
-        blocked = grid_best_reports(probabilities, household, prices, grid)
+        blocked = grid_best_reports(probabilities, household, prices, 0.05)
         monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 1)
-        assert grid_best_reports(probabilities, household, prices, grid) == blocked
+        assert grid_best_reports(probabilities, household, prices, 0.05) == blocked
         assert blocked == [
-            reference_grid_best_report(q, household, prices, grid)
+            reference_grid_best_report(q, household, prices, 0.05)
             for q in probabilities
         ]
 
     def test_single_probability_wrapper(self, household, prices):
-        grid = GridSpec.cover(household.max_consumption, 0.05)
-        both = grid_best_reports([0.1, 0.6], household, prices, grid)
+        both = grid_best_reports([0.1, 0.6], household, prices, 0.05)
         assert both == [
-            grid_best_report(0.1, household, prices, grid),
-            grid_best_report(0.6, household, prices, grid),
+            grid_best_report(0.1, household, prices, 0.05),
+            grid_best_report(0.6, household, prices, 0.05),
         ]
-        assert grid_best_reports([], household, prices, grid) == []
+        assert grid_best_reports([], household, prices, 0.05) == []
 
     def test_any_probability_out_of_range_rejected(self, household, prices):
         with pytest.raises(ValueError, match="call probability"):
@@ -400,12 +439,11 @@ class TestSharedStage2Axis:
         signals = (CallSignal.NOT_CALLED, CallSignal.CALLED)
         for _ in range(20):
             params, prices, report = draw_instance(rng)
-            grid = GridSpec.cover(params.max_consumption, 0.05)
-            q, payoff = grid_best_responses(report, signals, params, prices, grid)
+            q, payoff = grid_best_responses(report, signals, params, prices, 0.05)
             assert [
                 Stage2Solution(float(q[i]), None, float(payoff[i])) for i in (0, 1)
-            ] == [grid_best_response(report, s, params, prices, grid) for s in signals]
-            reverse = grid_best_responses(report, signals[::-1], params, prices, grid)
+            ] == [grid_best_response(report, s, params, prices, 0.05) for s in signals]
+            reverse = grid_best_responses(report, signals[::-1], params, prices, 0.05)
             assert np.array_equal(reverse[0], q[::-1])
             assert np.array_equal(reverse[1], payoff[::-1])
 
@@ -447,8 +485,7 @@ class TestKernelOracleCaseTableAgree:
         )
         signals = (CallSignal.NOT_CALLED, CallSignal.CALLED)
         for k, (one, price, report) in enumerate(rows):
-            grid = GridSpec.cover(one.max_consumption, self.STEP)
-            q, payoff = grid_best_responses(report, signals, one, price, grid)
+            q, payoff = grid_best_responses(report, signals, one, price, self.STEP)
             for s in signals:
                 assert abs(closed.payoff[k, s] - payoff[s]) <= 1e-6
                 assert abs(closed.consumption[k, s] - q[s]) <= 2 * self.STEP
@@ -456,16 +493,13 @@ class TestKernelOracleCaseTableAgree:
                 assert abs(case - payoff[s]) <= 1e-9
 
 
-SIGNALS = (CallSignal.NOT_CALLED, CallSignal.CALLED)
-
-
 def reference_grid_best_responses(
-    report, signals, params, prices, grid, inject_breakpoints=True
+    report, signals, params, prices, step, inject_breakpoints=True
 ):
     """The stage-2 search one report at a time, over the sorted unique axis
-    of GridSpec.points: the per-draw loop that the many-row form replaced,
-    kept as the reference it must equal. One (consumption, payoff) pair per
-    signal."""
+    of its grid points, cap and kinks: the per-draw loop that the many-row
+    form replaced, kept as the reference it must equal. One (consumption,
+    payoff) pair per signal."""
     b = params.baseline
     g = params.marginal_utility
     p2 = prices.incentive_price
@@ -481,7 +515,7 @@ def reference_grid_best_responses(
         if inject_breakpoints
         else ()
     )
-    q = oracle._checked_axis(grid, params, extra)
+    q = reference_axis(params.max_consumption, step, extra)
     pairs = []
     for signal in signals:
         values = stage2_profit(q, report, signal, params, prices)
@@ -558,9 +592,8 @@ def assert_rows_equal_references(rows, step, inject_breakpoints=True):
         columns(Prices, prices),
         columns(Report, reports),
     )
-    grid = GridSpec.cover(params.max_consumption.max(), step)
     q, payoff = grid_best_responses(
-        reports, SIGNALS, params, prices, grid, inject_breakpoints
+        reports, SIGNALS, params, prices, step, inject_breakpoints
     )
     assert q.shape == payoff.shape == (len(rows), 2)
     for s in SIGNALS:
@@ -576,8 +609,7 @@ def assert_rows_equal_references(rows, step, inject_breakpoints=True):
             assert best[k] == max(feasible)
     for k, (one, price, report) in enumerate(rows):
         want = reference_grid_best_responses(
-            report, SIGNALS, one, price,
-            GridSpec.cover(one.max_consumption, step), inject_breakpoints,
+            report, SIGNALS, one, price, step, inject_breakpoints
         )
         assert list(zip(q[k].tolist(), payoff[k].tolist())) == want
 
@@ -617,10 +649,9 @@ class TestManyRowStage2Oracle:
                 (ConsumerParams, Prices, Report), zip(*rows)
             )
         )
-        grid = GridSpec.cover(params.max_consumption.max(), 0.02)
-        blocked = grid_best_responses(reports, SIGNALS, params, prices, grid, inject)
+        blocked = grid_best_responses(reports, SIGNALS, params, prices, 0.02, inject)
         monkeypatch.setattr(oracle, "_STAGE2_BLOCK_ELEMENTS", 1)
-        one_row = grid_best_responses(reports, SIGNALS, params, prices, grid, inject)
+        one_row = grid_best_responses(reports, SIGNALS, params, prices, 0.02, inject)
         assert all(np.array_equal(a, b) for a, b in zip(blocked, one_row))
         assert_rows_equal_references(rows, 0.02, inject)
 
@@ -633,7 +664,6 @@ class TestManyRowStage2Oracle:
                 (ConsumerParams, Prices, Report), zip(*rows)
             )
         )
-        grid = GridSpec.cover(params.max_consumption.max(), 0.05)
         # Each row's grid points 0 to floor(q_max / step), its cap and its
         # six kinks.
         points = int(np.floor(params.max_consumption / 0.05).sum()) + 4 * (
@@ -645,14 +675,14 @@ class TestManyRowStage2Oracle:
         monkeypatch.setattr(oracle, "utility", refuse)
         monkeypatch.setattr(oracle, "_MAX_STAGE2_POINTS", points - 1)
         with pytest.raises(ValueError) as exc:
-            grid_best_responses(reports, SIGNALS, params, prices, grid, inject)
+            grid_best_responses(reports, SIGNALS, params, prices, 0.05, inject)
         assert str(exc.value) == (
             f"the stage-2 grid search would evaluate {points} points over 4 "
             f"rows, over the limit of {points - 1}; use a coarser grid step"
         )
         monkeypatch.undo()
         monkeypatch.setattr(oracle, "_MAX_STAGE2_POINTS", points)
-        q, _ = grid_best_responses(reports, SIGNALS, params, prices, grid, inject)
+        q, _ = grid_best_responses(reports, SIGNALS, params, prices, 0.05, inject)
         assert q.shape == (4, 2)
 
     def test_one_row_forms_take_single_values(self, household, prices):
@@ -665,22 +695,13 @@ class TestManyRowStage2Oracle:
         best = max_feasible_case_payoff(report, CallSignal.CALLED, household, prices)
         assert type(best) is float and best == pytest.approx(2.5, abs=1e-12)
 
-    def test_grid_must_cover_every_row(self, prices):
-        caps = np.array([16.0, 12.0])
-        params = SimpleNamespace(
-            baseline=8.0, marginal_utility=0.05, max_consumption=caps
-        )
-        with pytest.raises(ValueError, match=r"must cover \[0, 16.0\]"):
-            grid_best_responses(
-                Report(8.0, 2.0), SIGNALS, params, prices, GridSpec(0.0, 14.0)
-            )
-
-    def test_grid_spec_validation_uses_the_largest_cap(self, prices):
+    def test_points_bound_uses_the_largest_cap(self, prices):
         params = SimpleNamespace(
             baseline=8.0, marginal_utility=0.05, max_consumption=np.array([16.0, 2e9])
         )
-        with pytest.raises(ValueError, match="exceed"):
+        with pytest.raises(ValueError) as exc:
             grid_best_responses(Report(8.0, 2.0), SIGNALS, params, prices)
+        assert str(exc.value) == "grid would exceed 10000000 points; widen the step"
 
     def test_no_feasible_subcase_in_any_row_is_an_error(self, household, prices):
         reports = SimpleNamespace(
@@ -732,21 +753,19 @@ class TestManyRowStage2Oracle:
 
 def responses_and_references(rows, step, inject_breakpoints):
     """(consumption, payoff) per signal of each row: from one many-row
-    search, and from the one-row reference on the row's own grid."""
+    search, and from the one-row reference on the row's own axis."""
     params, prices, reports = (
         columns(cls, values) for cls, values in zip(
             (ConsumerParams, Prices, Report), zip(*rows)
         )
     )
-    grid = GridSpec.cover(params.max_consumption.max(), step)
     q, payoff = grid_best_responses(
-        reports, SIGNALS, params, prices, grid, inject_breakpoints
+        reports, SIGNALS, params, prices, step, inject_breakpoints
     )
     got = [list(zip(qk.tolist(), pk.tolist())) for qk, pk in zip(q, payoff)]
     want = [
         reference_grid_best_responses(
-            report, SIGNALS, one, price,
-            GridSpec.cover(one.max_consumption, step), inject_breakpoints,
+            report, SIGNALS, one, price, step, inject_breakpoints
         )
         for one, price, report in rows
     ]
@@ -806,18 +825,9 @@ class TestStage2TieBreaks:
             assert got[0][CallSignal.NOT_CALLED][0] == 16.0
 
 
-def report_axis(params, prices, grid):
+def two_stage_axis(params, prices, step):
     """The two-stage search's axis and base_gain = utility - p * x on it."""
-    b = params.baseline
-    g = params.marginal_utility
-    p2 = prices.incentive_price
-    extra = [
-        b,
-        saturation_point(params, prices),
-        max(b - p2 / g, 0.0),
-        max(b - 2 * p2 / g, 0.0),
-    ]
-    x = oracle._checked_axis(grid, params, extra)
+    x = reference_axis(params.max_consumption, step, two_stage_kinks(params, prices))
     return x, utility(x, params, prices) - prices.energy_price * x
 
 
@@ -844,19 +854,18 @@ class TestTwoStageBlocks:
         # the shared suffix; it moves no report, as baselines too low to
         # consume past never win, so each row's optimum is checked as well.
         params, prices, step, pr = instance
-        grid = GridSpec.cover(params.max_consumption, step)
-        x, base_gain = report_axis(params, prices, grid)
+        x, base_gain = two_stage_axis(params, prices, step)
         n = x.size
         size = {"1": 1, "7": 7, "n": n, "7n": 7 * n, "n^2": n * n}[elements]
         probabilities = edge_probabilities(prices, [pr])
         p2 = prices.incentive_price
         with mock.patch.object(oracle, "_BLOCK_ELEMENTS", size):
-            got = grid_best_reports(probabilities, params, prices, grid)
+            got = grid_best_reports(probabilities, params, prices, step)
             called, commit = oracle._best_commitments(x, base_gain, p2)
         want_called, want_commit = reference_best_commitments(x, base_gain, p2)
         assert np.array_equal(called.view(np.int64), want_called.view(np.int64))
         assert np.array_equal(commit, want_commit)
         assert got == [
-            reference_grid_best_report(q, params, prices, grid)
+            reference_grid_best_report(q, params, prices, step)
             for q in probabilities
         ]

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from drcontract import (
     CallSignal,
     ConsumerParams,
-    GridSpec,
     Prices,
     Regime,
     Report,
@@ -263,8 +262,8 @@ class TestExpectedProfitDomain:
     def test_kernel_matches_the_two_stage_oracle(self, household):
         # verify's two-stage tolerance, on a 1000-step grid over the cap.
         params, prices, pr = household
-        grid = GridSpec.cover(params.max_consumption, params.max_consumption / 1000)
-        oracle = grid_best_reports([pr], params, prices, grid)[0].expected_profit
+        step = params.max_consumption / 1000
+        oracle = grid_best_reports([pr], params, prices, step)[0].expected_profit
         kernel = float(solve(params, prices, call_probability=pr).expected_profit)
         assert abs(kernel - oracle) <= 1e-4
         assert oracle <= kernel + 1e-12 * max(1.0, abs(kernel))
@@ -294,8 +293,7 @@ class TestExpectedProfitDomain:
         assert formula == pytest.approx(2.24857142857, abs=1e-9)
         kernel = solve(params, prices, call_probability=pr).expected_profit
         assert float(kernel) == pytest.approx(1.52257142857, abs=1e-9)
-        grid = GridSpec.cover(params.max_consumption, 0.05)
-        oracle = grid_best_report(pr, params, prices, grid).expected_profit
+        oracle = grid_best_report(pr, params, prices, 0.05).expected_profit
         assert oracle == pytest.approx(1.52257, abs=1e-5)
 
 

@@ -40,6 +40,12 @@ max_consumption_kwh = 16.0
 call_probability = 0.1
 """
 CONSUMER = GOOD[GOOD.index("[consumer.a]"):]
+# A household with a 0.2 kWh cap: its two-stage axis at step 1e-5 stays
+# under the report-pair bound, while verify's drawn stage-2 rows, with caps
+# of up to about 80 kWh, do not stay under the stage-2 total bound.
+SMALL_CAP = (
+    GOOD.replace("= 8.0", "= 0.1").replace("= 0.05", "= 10").replace("= 16.0", "= 0.2")
+)
 
 # One scenario per rule of the loader, each breaking only that rule.
 BAD_SCENARIOS = {
@@ -120,6 +126,18 @@ CONFIGURATIONS: dict[str, tuple[list[str], str | None]] = {
         ["verify", "--draws", "300", "--grid-step", "0.03",
          "--literal-above-threshold", "--out", "verify.txt"],
         None,
+    ),
+    # The three bounds on verify's grid work, each refused.
+    **{
+        f"verify-{bound}-bound": (
+            ["verify", "--grid-step", step, "--out", "verify.txt"], None
+        )
+        for bound, step in (("pair", "1e-4"), ("points", "1e-6"))
+    },
+    "verify-stage2-bound": (
+        ["verify", "--scenario", "scenario.ini", "--grid-step", "1e-5",
+         "--draws", "500", "--seed", "7", "--out", "verify.txt"],
+        SMALL_CAP,
     ),
     "unreadable-scenario": (["simulate", "--scenario", "missing.ini"], None),
     **{
