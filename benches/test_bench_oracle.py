@@ -30,7 +30,8 @@ def verify_draws():
     )
 
 
-@pytest.mark.parametrize("step", [0.01, 0.1])
+# Step 0.001 gives rows of up to about 80 000 points, each a block of its own.
+@pytest.mark.parametrize("step", [0.1, 0.01, 0.001])
 def test_grid_best_responses(benchmark, verify_draws, step):
     report, params, prices = verify_draws
     q, _ = benchmark(grid_best_responses, report, SIGNALS, params, prices, step)

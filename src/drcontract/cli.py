@@ -79,16 +79,27 @@ STATS_HEADER = (
 )
 
 
+# The files simulate writes beside its records, at <stem>.<suffix>.csv.
+_SIBLINGS = ("summaries", "stats")
+
+
 def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _check_out(path: str | None) -> None:
-    """Refuse an output path that is a directory or in a missing one."""
-    if path is not None and os.path.isdir(path):
-        raise ValueError(f"cannot write output file {path!r}: it is a directory")
-    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-        raise ValueError(f"cannot write output file {path!r}: no such directory")
+def _check_out(args) -> None:
+    """Refuse an output path that is a directory or in a missing one: the
+    ``--out`` path and, for simulate, its summaries and stats siblings."""
+    if args.out is None:
+        return
+    paths = [args.out]
+    if args.command == "simulate":
+        paths += [_sibling_path(args.out, suffix) for suffix in _SIBLINGS]
+    for path in paths:
+        if os.path.isdir(path):
+            raise ValueError(f"cannot write output file {path!r}: it is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"cannot write output file {path!r}: no such directory")
 
 
 def _write_chunks(path: str | None, chunks: Iterable[str]) -> None:
@@ -304,19 +315,19 @@ def _instance(numbers: np.ndarray) -> tuple[ConsumerParams, Prices, Report]:
 
 
 def run_verification(
-    scenario: Scenario,
-    grid_step: float,
-    draws: int,
-    seed: int,
-    literal_above_threshold: bool = False,
-    echo=print,
-) -> bool:
-    """Run all consistency suites; return True when every tolerance holds.
+    scenario: Scenario, draws: int, literal_above_threshold: bool = False
+) -> tuple[bool, list[str]]:
+    """Run all consistency suites at the scenario's grid step and seed;
+    return whether every tolerance holds, and the report lines.
 
-    The two-stage search, which runs last, refuses a grid step too fine for
-    the first consumer; ``cmd_verify`` checks that step before any draw.
+    Every grid bound is refused before any suite runs: the first
+    consumer's two-stage axis first, then, after the draws, the stage-2
+    bounds of the drawn rows.
     """
-    ok = True
+    step, seed = scenario.grid_step, scenario.seed
+    member = scenario.members[0]
+    report_axis(member.params, scenario.prices, step)
+    lines: list[str] = []
     # The suites run in the order they are reported.
     # Every instance is drawn at once; the constructors check the columns.
     drawn = _draw_instances(np.random.default_rng(seed), draws)
@@ -325,9 +336,7 @@ def run_verification(
     report = Report(*drawn[:, 5:].T)
     closed = solve(params, prices, report=report)
     signals = (CallSignal.NOT_CALLED, CallSignal.CALLED)
-    oracle_q, oracle_payoff = grid_best_responses(
-        report, signals, params, prices, grid_step
-    )
+    oracle_q, oracle_payoff = grid_best_responses(report, signals, params, prices, step)
     cases = np.stack(
         [max_feasible_case_payoff(report, s, params, prices) for s in signals],
         axis=1,
@@ -341,20 +350,20 @@ def run_verification(
     worst_dev = np.maximum(payoff_dev, case_dev)
     k, s = np.unravel_index(np.argmax(worst_dev), worst_dev.shape)
     worst = (*_instance(drawn[k]), int(s)) if worst_dev[k, s] > 0 else None
-    stage2_ok = max_payoff_dev <= 1e-6 and max_q_dev <= 2 * grid_step
+    stage2_ok = max_payoff_dev <= 1e-6 and max_q_dev <= 2 * step
     cases_ok = max_case_dev <= 1e-9
-    echo(
+    lines.append(
         f"stage-2 closed form vs grid oracle ({draws} draws x 2 signals): "
         f"max payoff dev {max_payoff_dev:.3g}, max q dev {max_q_dev:.3g} kWh "
         f"-> {'PASS' if stage2_ok else 'FAIL'}"
     )
-    echo(
+    lines.append(
         f"analytic case table vs grid oracle: max dev {max_case_dev:.3g} "
         f"-> {'PASS' if cases_ok else 'FAIL'}"
     )
     if not (stage2_ok and cases_ok) and worst is not None:
-        echo(f"offending draw (seed={seed}): {worst}")
-    ok = ok and stage2_ok and cases_ok
+        lines.append(f"offending draw (seed={seed}): {worst}")
+    ok = stage2_ok and cases_ok
 
     for consumer in scenario.members:
         threshold = call_threshold(scenario.prices)
@@ -368,54 +377,42 @@ def run_verification(
         )
         jump = abs(just_above - at)
         cont_ok = jump <= 1e-9
-        echo(
+        lines.append(
             f"expected-profit continuity at threshold ({consumer.consumer_id}): "
             f"|jump| {jump:.3g} -> {'PASS' if cont_ok else 'FAIL'}"
         )
         ok = ok and cont_ok
 
-    member = scenario.members[0]
     probabilities = [k / 10 for k in range(11)]
     oracle_reports = grid_best_reports(
-        probabilities, member.params, scenario.prices, grid_step
+        probabilities, member.params, scenario.prices, step
     )
     closed_reports = solve(
         member.params, scenario.prices, call_probability=np.array(probabilities)
     )
-    max_b_dev = 0.0
-    max_e_dev = 0.0
-    for baseline, profit, oracle in zip(
-        closed_reports.report_baseline.tolist(),
-        closed_reports.expected_profit.tolist(),
-        oracle_reports,
-    ):
-        max_b_dev = max(max_b_dev, abs(baseline - oracle.report.baseline))
-        max_e_dev = max(max_e_dev, abs(profit - oracle.expected_profit))
-    report_ok = max_b_dev <= 2 * grid_step and max_e_dev <= 1e-4
-    echo(
+    # A max of absolute differences is exact in any order.
+    max_b_dev = float(np.abs(
+        closed_reports.report_baseline - [o.report.baseline for o in oracle_reports]
+    ).max())
+    max_e_dev = float(np.abs(
+        closed_reports.expected_profit - [o.expected_profit for o in oracle_reports]
+    ).max())
+    report_ok = max_b_dev <= 2 * step and max_e_dev <= 1e-4
+    lines.append(
         f"two-stage oracle vs closed form (11 call probabilities, "
         f"{member.consumer_id}): max baseline dev {max_b_dev:.3g} kWh, "
         f"max profit dev {max_e_dev:.3g} -> {'PASS' if report_ok else 'FAIL'}"
     )
-    ok = ok and report_ok
-    return ok
+    return ok and report_ok, lines
 
 
 def cmd_verify(args, scenario: Scenario) -> int:
-    # A grid too fine for the first consumer's two-stage search is bad
-    # input, refused before the run header and any draw, as sweep and
-    # simulate refuse theirs.
-    report_axis(scenario.members[0].params, scenario.prices, scenario.grid_step)
-    _log_run(scenario)
-    lines: list[str] = []
-    ok = run_verification(
-        scenario,
-        scenario.grid_step,
-        args.draws,
-        scenario.seed,
-        literal_above_threshold=args.literal_above_threshold,
-        echo=lines.append,
+    # The header follows the suites, so a refused grid prints only the one
+    # drcontract: line, as sweep and simulate refuse theirs.
+    ok, lines = run_verification(
+        scenario, args.draws, literal_above_threshold=args.literal_above_threshold
     )
+    _log_run(scenario)
     lines.append("VERIFY " + ("PASS" if ok else "FAIL"))
     _write_lines(args.out, lines)
     return 0 if ok else 2
@@ -489,7 +486,7 @@ def cmd_simulate(args, scenario: Scenario) -> int:
         for s in result.stats
     ]
     _write_chunks(args.out, _record_chunks(result))
-    for suffix, lines in (("summaries", summaries), ("stats", stats)):
+    for suffix, lines in zip(_SIBLINGS, (summaries, stats)):
         _write_lines(args.out and _sibling_path(args.out, suffix), lines)
     print(
         f"reproduce with seed={scenario.seed} trials={scenario.trials}",
@@ -503,7 +500,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"sweep": cmd_sweep, "verify": cmd_verify, "simulate": cmd_simulate}
     try:
-        _check_out(args.out)
+        _check_out(args)
         scenario = load_scenario(args.scenario)._replace(
             **_given(args, "seed", "grid_step", "trials")
         )

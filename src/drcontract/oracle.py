@@ -103,13 +103,12 @@ def grid_best_responses(
     default, every kink and piece vertex of its profit in [0, q_max], which
     makes the search exact, as the profit is piecewise quadratic. Without
     them the payoff carries an O(step^2) error, which the refinement tests
-    rely on. Ties go to the smallest consumption. Rows are searched
-    longest axis first, in blocks of at most ``_STAGE2_BLOCK_ELEMENTS``
-    points or one row; each axis is padded with its cap, which is on it.
-    A block checks its points and computes their utility once for all
-    signals; each signal then costs its payment. The grid part of a row
-    never decreases, so its first argmax is its smallest best consumption,
-    and only the cap and kinks after it are searched for ties.
+    rely on. Rows are searched longest axis first, in blocks of at most
+    ``_STAGE2_BLOCK_ELEMENTS`` points or one row; each axis is padded with
+    its cap, which is on it, and sorted. A block checks its points and
+    computes their utility once for all signals; each signal then costs
+    its payment and one first argmax, so ties go to the smallest
+    consumption.
 
     Returns the best consumption and its payoff, each of shape
     ``(*rows, len(signals))``; column i is for ``signals[i]``.
@@ -155,6 +154,9 @@ def grid_best_responses(
         # least q_max once j exceeds the rounded q_max / step.
         grid_points = np.broadcast_to(step * np.arange(width), (rows.size, width))
         q = np.minimum(np.concatenate([grid_points, cap, kinks[rows]], axis=1), cap)
+        # A row is one ascending run of grid points, then its cap and kinks,
+        # so a stable sort merges it in about linear time.
+        q.sort(axis=1, kind="stable")
         rep, par, pri = (
             SimpleNamespace(**{k: v[rows, None] for k, v in vars(ns).items()})
             for ns in (report, params, prices)
@@ -169,20 +171,9 @@ def grid_best_responses(
                 values = gain - payment_not_called(q, rep.baseline, pri)
             else:
                 values = gain - payment_called(q, rep, pri)
-            # The first width points of a row never decrease, so their
-            # first argmax is their smallest best consumption; the cap and
-            # kinks after them are in no order.
-            k = values[:, :width].argmax(axis=1)
-            grid_top, grid_q = values[r, k], q[r, k]
-            tail = values[:, width:]
-            tail_top = tail.max(axis=1)
-            tail_q = np.where(tail == tail_top[:, None], q[:, width:], np.inf).min(1)
-            top = np.maximum(grid_top, tail_top)
-            payoff[rows, i] = top
-            consumption[rows, i] = np.minimum(
-                np.where(grid_top == top, grid_q, np.inf),
-                np.where(tail_top == top, tail_q, np.inf),
-            )
+            k = values.argmax(axis=1)
+            payoff[rows, i] = values[r, k]
+            consumption[rows, i] = q[r, k]
     out = (*shape, len(signals))
     return consumption.reshape(out), payoff.reshape(out)
 

@@ -127,6 +127,16 @@ _SIMULATION_KEYS = (
 )
 # The [sweep] keys that set a range, with the SweepSpec field of each.
 _SWEEP_KEYS = (("from", "start", float), ("to", "stop", float), ("steps", "steps", int))
+# The keys each kind of section reads, in the order they are read.
+_SECTION_KEYS = {
+    "prices": ["price_usd_per_kwh", "incentive_usd_per_kwh"],
+    "consumer.<id>": [
+        "baseline_kwh", "marginal_utility_usd_per_kwh2", "max_consumption_kwh",
+        "call_probability", "behavior",
+    ],
+    "simulation": [key for key, _, _ in _SIMULATION_KEYS],
+    "sweep": ["param"] + [key for key, _, _ in _SWEEP_KEYS],
+}
 
 
 def _get(section, key: str, where: str, kind=float):
@@ -187,10 +197,12 @@ def _read_flat(text: str) -> dict[str, dict[str, str]] | None:
     return sections
 
 
-def _read_sections(text: str) -> dict[str, dict[str, str]]:
+def _read_sections(text: str) -> tuple[dict[str, dict[str, str]], set[str]]:
+    """The sections of ``text``, and the keys of its ``[DEFAULT]`` section,
+    which configparser puts in every section."""
     sections = _read_flat(text)
     if sections is not None:
-        return sections
+        return sections, set()
     import configparser  # only for INI syntax outside the flat subset
 
     parser = configparser.ConfigParser(interpolation=None)
@@ -198,7 +210,26 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ScenarioError(f"malformed scenario file: {exc}") from exc
-    return {name: dict(parser.items(name)) for name in parser.sections()}
+    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    return sections, set(parser.defaults())
+
+
+def _check_known(sections: dict[str, dict[str, str]], shared: set[str]) -> None:
+    """Refuse a section that no rule reads, or a key that its section does
+    not read, other than the ``shared`` keys of a ``[DEFAULT]`` section."""
+    for name, section in sections.items():
+        kind = "consumer.<id>" if name.startswith("consumer.") else name
+        if kind not in _SECTION_KEYS:
+            raise ScenarioError(
+                f"unknown section [{name}]; expected [prices], "
+                f"[consumer.<id>], [simulation] or [sweep]"
+            )
+        for key in section:
+            if key not in _SECTION_KEYS[kind] and key not in shared:
+                raise ScenarioError(
+                    f"unknown key {key!r} in [{name}]; expected one of "
+                    f"{_SECTION_KEYS[kind]}"
+                )
 
 
 def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
@@ -207,7 +238,7 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
     Raises ScenarioError on any malformed or physically invalid input,
     including a consumption cap at or below the saturation point.
     """
-    sections = _read_sections(text)
+    sections, shared = _read_sections(text)
     if "prices" not in sections:
         raise ScenarioError("scenario must contain a [prices] section")
     energy_price = _get(sections["prices"], "price_usd_per_kwh", "prices")
@@ -285,6 +316,8 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
             sweep = sweep_over(swp.get("param", "p_r"), **ranges)
         except ScenarioError as exc:
             raise ScenarioError(f"[sweep]: {exc}") from None
+    # Checked after every other rule, whose messages come first.
+    _check_known(sections, shared)
     return Scenario(
         prices, tuple(members), behaviors, **settings, sweep=sweep,
         source_hash=source_hash,

@@ -22,6 +22,13 @@ call_probability = 0.1
 """
 # The same consumer with a cap above its saturation point.
 GOOD_SCENARIO = BAD_SCENARIO.replace("= 13.0", "= 16.0")
+# A household with a 0.2 kWh cap, whose two-stage axis stays small at steps
+# where verify's drawn rows, with caps of up to about 80 kWh, do not.
+SMALL_CAP = (
+    GOOD_SCENARIO.replace("= 8.0", "= 0.1")
+    .replace("= 0.05", "= 10")
+    .replace("= 16.0", "= 0.2")
+)
 
 # Two consumers under prices whose call threshold 0.2/0.55 lies off every
 # probability k/10 that verify's two-stage check solves at.
@@ -233,11 +240,27 @@ class TestVerifyCommand:
             ["verify", "--draws", "5", "--grid-step", "0.05", "--out", str(out)]
         )
         assert code == 1
-        last = capsys.readouterr().err.splitlines()[-1]
         assert re.fullmatch(
             r"drcontract: the stage-2 grid search would evaluate \d+ points over "
-            r"5 rows, over the limit of 1000; use a coarser grid step",
-            last,
+            r"5 rows, over the limit of 1000; use a coarser grid step\n",
+            capsys.readouterr().err,
+        )
+        assert not out.exists()
+
+    def test_drawn_cap_points_bound_is_one_line(self, tmp_path, capsys):
+        # The largest cap drawn at seed 7 is 70.4 kWh: step 6.5e-6 puts
+        # about 31 000 points on the household's two-stage axis, within both
+        # of its bounds, and over 10^7 on that drawn row's grid.
+        scenario = tmp_path / "small.ini"
+        scenario.write_text(SMALL_CAP)
+        out = tmp_path / "v.txt"
+        code = main(
+            ["verify", "--scenario", str(scenario), "--grid-step", "6.5e-6",
+             "--draws", "500", "--seed", "7", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "drcontract: grid would exceed 10000000 points; widen the step\n"
         )
         assert not out.exists()
 
@@ -283,9 +306,9 @@ class TestVerifyCommand:
         first_only.write_text(TWO_CONSUMERS[: TWO_CONSUMERS.index("[consumer.b]")])
         lines = {}
         for name in (path, first_only):
-            echoed = []
-            scenario = load_scenario(str(name))
-            assert run_verification(scenario, 0.05, 1, 42, echo=echoed.append)
+            scenario = load_scenario(str(name))._replace(grid_step=0.05, seed=42)
+            ok, echoed = run_verification(scenario, 1)
+            assert ok
             lines[name] = [line for line in echoed if line.startswith("two-stage")]
         assert lines[path] == lines[first_only]
         assert "(11 call probabilities, a)" in lines[path][0]
@@ -756,14 +779,32 @@ class TestUnwritableOutput:
             "it is a directory\n"
         )
 
-    def test_failed_write_names_the_path(self, tmp_path, capsys):
+    @pytest.mark.parametrize("suffix", ["summaries", "stats"])
+    def test_directory_at_a_sibling_refused(self, tmp_path, capsys, suffix):
+        sibling = tmp_path / f"run.{suffix}.csv"
+        sibling.mkdir()
+        out = tmp_path / "run.csv"
+        assert main(["simulate", "--trials", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"drcontract: cannot write output file {str(sibling)!r}: "
+            "it is a directory\n"
+        )
+        assert not out.exists()
+
+    def test_failed_write_names_the_path(self, tmp_path, capsys, monkeypatch):
         # The records file can be written, its summaries sibling cannot.
-        (tmp_path / "run.summaries.csv").mkdir()
+        summaries = str(tmp_path / "run.summaries.csv")
+
+        def failing_open(path, *args, **kwargs):
+            if path == summaries:
+                raise PermissionError(13, "Permission denied")
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
         out = tmp_path / "run.csv"
         assert main(["simulate", "--trials", "2", "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == (
-            "drcontract: cannot write output file "
-            f"{str(tmp_path / 'run.summaries.csv')!r}: Is a directory"
+            f"drcontract: cannot write output file {summaries!r}: Permission denied"
         )
         assert not any("Traceback" in line for line in err)

@@ -773,9 +773,9 @@ def responses_and_references(rows, step, inject_breakpoints):
 
 
 class TestStage2TieBreaks:
-    """The many-row search splits each row into its grid points, which
-    never decrease, and a tail of the cap and the kinks; ties within and
-    between the two parts go to the smallest consumption."""
+    """The many-row search sorts each row's grid points, cap and kinks into
+    one ascending axis, so a tie among any of them goes to the smallest
+    consumption."""
 
     STEP = 0.25
     # Not called with the report at the cap, the consumer pays for the cap

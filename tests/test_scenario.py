@@ -334,6 +334,22 @@ class TestLoaderMessages:
             ("sweep", "steps", "1.5",
              "key 'steps' in [sweep] is not an integer: '1.5'"),
             ("sweep", "steps", "0", "[sweep]: steps must lie in [1, 100000], got 0"),
+            ("prices", "price_usd_per_kwh2", "0.26",
+             "unknown key 'price_usd_per_kwh2' in [prices]; expected one of "
+             "['price_usd_per_kwh', 'incentive_usd_per_kwh']"),
+            ("consumer.a", "behaviour", "truthful",
+             "unknown key 'behaviour' in [consumer.a]; expected one of "
+             "['baseline_kwh', 'marginal_utility_usd_per_kwh2', "
+             "'max_consumption_kwh', 'call_probability', 'behavior']"),
+            ("simulation", "trails", "5",
+             "unknown key 'trails' in [simulation]; expected one of "
+             "['trials', 'seed', 'grid_step_kwh', 'reduction_target_kwh']"),
+            ("sweep", "behavior", "rational",
+             "unknown key 'behavior' in [sweep]; expected one of "
+             "['param', 'from', 'to', 'steps']"),
+            ("simulaton", "trials", "5",
+             "unknown section [simulaton]; expected [prices], [consumer.<id>], "
+             "[simulation] or [sweep]"),
         ],
     )
     def test_each_key(self, section, key, value, message):
@@ -370,9 +386,13 @@ class TestLoaderMessages:
                 "\n[sweep]\nsteps = abc\n",
                 "key 'reduction_target_kwh' in [simulation] must be >= 0, got -1.0",
             ),
+            (
+                with_value("prices", "spot_price", "0.1") + "\n[sweep]\nsteps = 0\n",
+                "[sweep]: steps must lie in [1, 100000], got 0",
+            ),
         ],
         ids=["two-consumers", "trials-and-seed", "seed-and-grid-step",
-             "cap-and-probability", "simulation-and-sweep"],
+             "cap-and-probability", "simulation-and-sweep", "unknown-key-last"],
     )
     def test_several_errors_name_the_first(self, text, message):
         with pytest.raises(ScenarioError) as info:

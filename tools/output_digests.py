@@ -40,9 +40,10 @@ max_consumption_kwh = 16.0
 call_probability = 0.1
 """
 CONSUMER = GOOD[GOOD.index("[consumer.a]"):]
-# A household with a 0.2 kWh cap: its two-stage axis at step 1e-5 stays
-# under the report-pair bound, while verify's drawn stage-2 rows, with caps
-# of up to about 80 kWh, do not stay under the stage-2 total bound.
+# A household with a 0.2 kWh cap: its two-stage axis at steps 1e-5 and
+# 6.5e-6 stays under the report-pair bound, while verify's drawn stage-2
+# rows, with caps of up to about 80 kWh, do not stay under the stage-2 total
+# bound at 1e-5, nor under 10^7 points on the largest row at 6.5e-6.
 SMALL_CAP = (
     GOOD.replace("= 8.0", "= 0.1").replace("= 0.05", "= 10").replace("= 16.0", "= 0.2")
 )
@@ -70,6 +71,13 @@ BAD_SCENARIOS = {
     "unknown-sweep-param": GOOD + "[sweep]\nparam = q_max\n",
     "sweep-steps-out-of-range": GOOD + "[sweep]\nsteps = 0\n",
     "sweep-range-reversed": GOOD + "[sweep]\nfrom = 0.9\nto = 0.1\n",
+    "unknown-key-prices": GOOD.replace(
+        "[consumer.a]", "price_usd_per_kwh2 = 0.26\n\n[consumer.a]"
+    ),
+    "unknown-key-consumer": GOOD + "behaviour = truthful\n",
+    "unknown-key-simulation": GOOD + "[simulation]\ntrails = 5\n",
+    "unknown-key-sweep": GOOD + "[sweep]\nbehavior = rational\n",
+    "unknown-section": GOOD + "[simulaton]\ntrials = 5\n",
 }
 
 # name -> (argv, text of scenario.ini or None)
@@ -127,18 +135,21 @@ CONFIGURATIONS: dict[str, tuple[list[str], str | None]] = {
          "--literal-above-threshold", "--out", "verify.txt"],
         None,
     ),
-    # The three bounds on verify's grid work, each refused.
+    # The four bounds on verify's grid work, each refused.
     **{
         f"verify-{bound}-bound": (
             ["verify", "--grid-step", step, "--out", "verify.txt"], None
         )
         for bound, step in (("pair", "1e-4"), ("points", "1e-6"))
     },
-    "verify-stage2-bound": (
-        ["verify", "--scenario", "scenario.ini", "--grid-step", "1e-5",
-         "--draws", "500", "--seed", "7", "--out", "verify.txt"],
-        SMALL_CAP,
-    ),
+    **{
+        f"verify-{bound}-bound": (
+            ["verify", "--scenario", "scenario.ini", "--grid-step", step,
+             "--draws", "500", "--seed", "7", "--out", "verify.txt"],
+            SMALL_CAP,
+        )
+        for bound, step in (("stage2", "1e-5"), ("drawn-points", "6.5e-6"))
+    },
     "unreadable-scenario": (["simulate", "--scenario", "missing.ini"], None),
     **{
         f"bad-{rule}-{command}": (
