@@ -10,6 +10,7 @@ between the three is a meaningful check.
 
 from __future__ import annotations
 
+import contextlib
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
 
@@ -21,8 +22,6 @@ from .core import (
     Prices,
     Report,
     check_call_probability,
-    payment_called,
-    payment_not_called,
     require,
     saturation_point,
     utility,
@@ -60,7 +59,8 @@ _BLOCK_ELEMENTS = 2**14
 # of each block of rows; a block holds at most this many points or one row.
 _STAGE2_BLOCK_ELEMENTS = 2**14
 # grid_best_responses evaluates every point of every row's axis; 10**9
-# points take about half a minute on a 2-vCPU host.
+# points take about 20 s on a 2-vCPU Xeon host, in rows of 2*10**6 points
+# (rows that fit in cache run nearly twice as fast).
 _MAX_STAGE2_POINTS = 10**9
 
 
@@ -87,6 +87,73 @@ def _check_step(step: float, q_max) -> None:
         raise ValueError(f"grid would exceed {_MAX_POINTS} points; widen the step")
 
 
+# numpy copies a (rows, 1) operand of a (rows, width) ufunc through its
+# buffer, at about three times the cost of a scalar operand, whenever the
+# rows are shorter than the buffer (8192 elements by default). Below the
+# row length it runs at scalar speed. Elementwise results do not depend on
+# the buffer size, but sums may, so only the block loops of the two grid
+# searches, which take no float sum, run under it.
+_UFUNC_BUFFER = 64
+
+
+@contextlib.contextmanager
+def _ufunc_buffer(size: int):
+    """Run the body with numpy's ufunc buffer at ``size`` elements, and
+    restore the previous size on every exit."""
+    old = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+def _search_block(q, report, signals, params, prices, gain, paid, work):
+    """Each signal's first best point and its payoff in every row of the
+    sorted block ``q``, as two ``(rows, len(signals))`` arrays.
+
+    The payoff is :func:`~drcontract.core.stage2_profit` by the operations
+    of ``utility``, ``payment_not_called`` and ``payment_called``, in their
+    order, written into the buffers ``gain``, ``paid`` and ``work`` of
+    ``q``'s shape. Only the utility's plateau is taken differently:
+    peak - 0.5*g*(d*d) with d = min(q, s) - s, which is 0.0 past the
+    saturation point s, gives the same bits as the peak itself there.
+    """
+    g = params.marginal_utility
+    s = saturation_point(params, prices)
+    peak = 0.5 * g * s * s
+    np.minimum(q, s, out=work)
+    np.subtract(work, s, out=work)
+    np.multiply(work, work, out=work)
+    np.multiply(0.5 * g, work, out=work)
+    np.subtract(peak, work, out=gain)
+    p = prices.energy_price
+    p2 = prices.incentive_price
+    r = np.arange(q.shape[0])
+    consumption = np.empty((q.shape[0], len(signals)))
+    payoff = np.empty_like(consumption)
+    for i, signal in enumerate(signals):
+        if signal == CallSignal.NOT_CALLED:
+            # p * max(baseline, q)
+            np.maximum(report.baseline, q, out=paid)
+            np.multiply(p, paid, out=paid)
+        else:
+            # p*q - p2*max(baseline - q, 0.0) + p2*|q - committed|
+            np.multiply(p, q, out=paid)
+            np.subtract(report.baseline, q, out=work)
+            np.maximum(work, 0.0, out=work)
+            np.multiply(p2, work, out=work)
+            np.subtract(paid, work, out=paid)
+            np.subtract(q, report.committed, out=work)
+            np.abs(work, out=work)
+            np.multiply(p2, work, out=work)
+            np.add(paid, work, out=paid)
+        np.subtract(gain, paid, out=paid)
+        k = paid.argmax(axis=1)
+        consumption[:, i] = q[r, k]
+        payoff[:, i] = paid[r, k]
+    return consumption, payoff
+
+
 def grid_best_responses(
     report,
     signals: Sequence[CallSignal],
@@ -105,10 +172,10 @@ def grid_best_responses(
     them the payoff carries an O(step^2) error, which the refinement tests
     rely on. Rows are searched longest axis first, in blocks of at most
     ``_STAGE2_BLOCK_ELEMENTS`` points or one row; each axis is padded with
-    its cap, which is on it, and sorted. A block checks its points and
-    computes their utility once for all signals; each signal then costs
-    its payment and one first argmax, so ties go to the smallest
-    consumption.
+    its cap, which is on it, and sorted. Every row's range is checked once,
+    before the first block. A block computes its utility once for all
+    signals; each signal then costs its payment and one first argmax, so
+    ties go to the smallest consumption.
 
     Returns the best consumption and its payoff, each of shape
     ``(*rows, len(signals))``; column i is for ``signals[i]``.
@@ -139,41 +206,46 @@ def grid_best_responses(
             f"{q_max.size} rows, over the limit of {_MAX_STAGE2_POINTS}; "
             f"use a coarser grid step"
         )
+    # Every point is min(x, cap) of a grid point step * j >= 0, the cap or a
+    # kink, so all of a row's points lie in [0, cap] exactly when its cap and
+    # kinks are >= 0 (and not NaN). Rows are named in search order.
     order = np.argsort(-last, kind="stable")
+    ok = (0 <= q_max) & (0 <= kinks).all(axis=1)
+    require(ok[order], "consumption must lie in [0, {}]", q_max[order])
     consumption = np.empty((q_max.size, len(signals)))
     payoff = np.empty_like(consumption)
+    # The first block holds the longest row, so no block needs more than
+    # max(_STAGE2_BLOCK_ELEMENTS, its row length) points of each buffer.
+    longest = int(last[order[0]]) + 1 if order.size else 0
+    grid = step * np.arange(longest)
+    buffers = np.empty(
+        (4, max(_STAGE2_BLOCK_ELEMENTS, longest + 1 + kinks.shape[1]))
+    )
     start = 0
-    while start < order.size:
-        width = int(last[order[start]]) + 1
-        size = max(1, _STAGE2_BLOCK_ELEMENTS // (width + 1 + kinks.shape[1]))
-        rows = order[start : start + size]
-        start += rows.size
-        cap = q_max[rows, None]
-        # Points or kinks above a row's cap become the cap. That includes
-        # every grid point past the row's last one: step * j rounds to at
-        # least q_max once j exceeds the rounded q_max / step.
-        grid_points = np.broadcast_to(step * np.arange(width), (rows.size, width))
-        q = np.minimum(np.concatenate([grid_points, cap, kinks[rows]], axis=1), cap)
-        # A row is one ascending run of grid points, then its cap and kinks,
-        # so a stable sort merges it in about linear time.
-        q.sort(axis=1, kind="stable")
-        rep, par, pri = (
-            SimpleNamespace(**{k: v[rows, None] for k, v in vars(ns).items()})
-            for ns in (report, params, prices)
-        )
-        # stage2_profit per signal, with its range check and utility, which
-        # do not depend on the signal, done once.
-        require((0 <= q) & (q <= cap), "consumption must lie in [0, {}]", cap)
-        gain = utility(q, par, pri)
-        r = np.arange(rows.size)
-        for i, signal in enumerate(signals):
-            if signal == CallSignal.NOT_CALLED:
-                values = gain - payment_not_called(q, rep.baseline, pri)
-            else:
-                values = gain - payment_called(q, rep, pri)
-            k = values.argmax(axis=1)
-            payoff[rows, i] = values[r, k]
-            consumption[rows, i] = q[r, k]
+    with _ufunc_buffer(_UFUNC_BUFFER):
+        while start < order.size:
+            width = int(last[order[start]]) + 1
+            n = width + 1 + kinks.shape[1]
+            rows = order[start : start + max(1, _STAGE2_BLOCK_ELEMENTS // n)]
+            start += rows.size
+            q, *scratch = (b[: rows.size * n].reshape(rows.size, n) for b in buffers)
+            # Points or kinks above a row's cap become the cap. That includes
+            # every grid point past the row's last one: step * j rounds to at
+            # least q_max once j exceeds the rounded q_max / step.
+            cap = q_max[rows, None]
+            np.minimum(grid[:width], cap, out=q[:, :width])
+            q[:, width] = q_max[rows]
+            np.minimum(kinks[rows], cap, out=q[:, width + 1 :])
+            # A row is one ascending run of grid points, then its cap and
+            # kinks, so a stable sort merges it in about linear time.
+            q.sort(axis=1, kind="stable")
+            rep, par, pri = (
+                SimpleNamespace(**{k: v[rows, None] for k, v in vars(ns).items()})
+                for ns in (report, params, prices)
+            )
+            consumption[rows], payoff[rows] = _search_block(
+                q, rep, signals, par, pri, *scratch
+            )
     out = (*shape, len(signals))
     return consumption.reshape(out), payoff.reshape(out)
 
@@ -222,20 +294,21 @@ def _best_commitments(
         np.maximum.accumulate(((base_gain + p2 * 0.0) - px)[::-1])[::-1], -np.inf
     )
     block = max(1, _BLOCK_ELEMENTS // n)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        rows = cols[lo:hi]
-        pxs = px[:hi]
-        h = base_gain[:hi] + p2 * np.maximum(x[rows, None] - x[:hi], 0.0)
-        left = np.maximum.accumulate(h + pxs, axis=1) - pxs
-        right = np.empty((rows.size, hi + 1))
-        np.subtract(h, pxs, out=right[:, :hi])
-        right[:, hi] = shared[hi]
-        right = np.maximum.accumulate(right[:, ::-1], axis=1)[:, :0:-1] + pxs
-        envelope = np.maximum(left, right)
-        envelope[cols[:hi] > rows[:, None]] = -np.inf
-        commit[rows] = envelope.argmax(axis=1)
-        called[rows] = envelope[rows - lo, commit[rows]]
+    with _ufunc_buffer(_UFUNC_BUFFER):
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            rows = cols[lo:hi]
+            pxs = px[:hi]
+            h = base_gain[:hi] + p2 * np.maximum(x[rows, None] - x[:hi], 0.0)
+            left = np.maximum.accumulate(h + pxs, axis=1) - pxs
+            right = np.empty((rows.size, hi + 1))
+            np.subtract(h, pxs, out=right[:, :hi])
+            right[:, hi] = shared[hi]
+            right = np.maximum.accumulate(right[:, ::-1], axis=1)[:, :0:-1] + pxs
+            envelope = np.maximum(left, right)
+            envelope[cols[:hi] > rows[:, None]] = -np.inf
+            commit[rows] = envelope.argmax(axis=1)
+            called[rows] = envelope[rows - lo, commit[rows]]
     return called, commit
 
 

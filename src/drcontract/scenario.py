@@ -197,12 +197,12 @@ def _read_flat(text: str) -> dict[str, dict[str, str]] | None:
     return sections
 
 
-def _read_sections(text: str) -> tuple[dict[str, dict[str, str]], set[str]]:
-    """The sections of ``text``, and the keys of its ``[DEFAULT]`` section,
-    which configparser puts in every section."""
+def _read_sections(text: str) -> tuple[dict[str, dict[str, str]], list[str]]:
+    """The sections of ``text``, and the keys of its ``[DEFAULT]`` section in
+    file order, which configparser puts in every section."""
     sections = _read_flat(text)
     if sections is not None:
-        return sections, set()
+        return sections, []
     import configparser  # only for INI syntax outside the flat subset
 
     parser = configparser.ConfigParser(interpolation=None)
@@ -211,12 +211,14 @@ def _read_sections(text: str) -> tuple[dict[str, dict[str, str]], set[str]]:
     except configparser.Error as exc:
         raise ScenarioError(f"malformed scenario file: {exc}") from exc
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
-    return sections, set(parser.defaults())
+    return sections, list(parser.defaults())
 
 
-def _check_known(sections: dict[str, dict[str, str]], shared: set[str]) -> None:
-    """Refuse a section that no rule reads, or a key that its section does
-    not read, other than the ``shared`` keys of a ``[DEFAULT]`` section."""
+def _check_known(sections: dict[str, dict[str, str]], shared: list[str]) -> None:
+    """Refuse a section that no rule reads, a key that its section does not
+    read, other than the ``shared`` keys of a ``[DEFAULT]`` section, and a
+    shared key that no section present reads."""
+    read = set()
     for name, section in sections.items():
         kind = "consumer.<id>" if name.startswith("consumer.") else name
         if kind not in _SECTION_KEYS:
@@ -224,12 +226,19 @@ def _check_known(sections: dict[str, dict[str, str]], shared: set[str]) -> None:
                 f"unknown section [{name}]; expected [prices], "
                 f"[consumer.<id>], [simulation] or [sweep]"
             )
+        read.update(_SECTION_KEYS[kind])
         for key in section:
             if key not in _SECTION_KEYS[kind] and key not in shared:
                 raise ScenarioError(
                     f"unknown key {key!r} in [{name}]; expected one of "
                     f"{_SECTION_KEYS[kind]}"
                 )
+    for key in shared:
+        if key not in read:
+            raise ScenarioError(
+                f"unknown key {key!r} in [DEFAULT]; no section of the "
+                f"scenario reads it"
+            )
 
 
 def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:

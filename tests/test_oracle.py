@@ -592,9 +592,11 @@ def assert_rows_equal_references(rows, step, inject_breakpoints=True):
         columns(Prices, prices),
         columns(Report, reports),
     )
+    bufsize = np.getbufsize()
     q, payoff = grid_best_responses(
         reports, SIGNALS, params, prices, step, inject_breakpoints
     )
+    assert np.getbufsize() == bufsize
     assert q.shape == payoff.shape == (len(rows), 2)
     for s in SIGNALS:
         best = max_feasible_case_payoff(reports, s, params, prices)
@@ -672,7 +674,7 @@ class TestManyRowStage2Oracle:
         def refuse(*args):
             raise AssertionError("a block was searched before the bound")
 
-        monkeypatch.setattr(oracle, "utility", refuse)
+        monkeypatch.setattr(oracle, "_search_block", refuse)
         monkeypatch.setattr(oracle, "_MAX_STAGE2_POINTS", points - 1)
         with pytest.raises(ValueError) as exc:
             grid_best_responses(reports, SIGNALS, params, prices, 0.05, inject)
@@ -684,6 +686,80 @@ class TestManyRowStage2Oracle:
         monkeypatch.setattr(oracle, "_MAX_STAGE2_POINTS", points)
         q, _ = grid_best_responses(reports, SIGNALS, params, prices, 0.05, inject)
         assert q.shape == (4, 2)
+
+    # numpy's ufunc buffer holds 8192 elements by default, and the block
+    # loop runs under a smaller one. At step 0.002 these caps give rows of
+    # about 8 050 to 40 000 points: in blocks of the default size, every row
+    # over 8192 points is a block of its own, and a block of 2^16 points
+    # holds rows on both sides of 8192.
+    @pytest.mark.parametrize("block", [oracle._STAGE2_BLOCK_ELEMENTS, 2**16])
+    @pytest.mark.parametrize("inject", [True, False])
+    def test_rows_on_both_sides_of_the_ufunc_buffer(self, block, inject):
+        rng = np.random.default_rng(17)
+        rows = []
+        for cap in (16.1, 16.3, 16.5, 18.0, 79.9):
+            # The saturation point is at most 6 + 0.5 / 0.05 = 16 kWh.
+            p = rng.uniform(0.05, 0.5)
+            params = ConsumerParams(
+                rng.uniform(1.0, 6.0), rng.uniform(0.05, 0.2), cap
+            )
+            prices = Prices(p, rng.uniform(p, 2 * p))
+            rows += [(params, prices, r) for r in edge_reports(params, prices)]
+        lengths = [np.floor(c / 0.002) + 8 for c in (16.1, 16.5, 79.9)]
+        assert lengths[0] < np.getbufsize() < lengths[1] < lengths[2]
+        with mock.patch.object(oracle, "_STAGE2_BLOCK_ELEMENTS", block):
+            assert_rows_equal_references(rows, 0.002, inject)
+
+    def test_block_loop_runs_under_a_small_ufunc_buffer(self, household, prices):
+        default = np.getbufsize()
+        seen = []
+        real = oracle._search_block
+
+        def search(*args):
+            seen.append(np.getbufsize())
+            return real(*args)
+
+        with mock.patch.object(oracle, "_search_block", search):
+            grid_best_responses(Report(8.0, 2.0), SIGNALS, household, prices)
+        assert seen == [oracle._UFUNC_BUFFER] and np.getbufsize() == default
+
+    def test_ufunc_buffer_restored_on_every_exit(self, household, prices):
+        default = np.getbufsize()
+        report = Report(8.0, 2.0)
+        for step in (0.0, 1e-6):  # the step refusal and the points bound
+            with pytest.raises(ValueError):
+                grid_best_responses(report, SIGNALS, household, prices, step)
+            assert np.getbufsize() == default
+        with mock.patch.object(oracle, "_MAX_STAGE2_POINTS", 10):
+            with pytest.raises(ValueError, match="stage-2 grid search"):
+                grid_best_responses(report, SIGNALS, household, prices)
+        assert np.getbufsize() == default
+        with mock.patch.object(oracle, "_search_block", side_effect=KeyError):
+            with pytest.raises(KeyError):
+                grid_best_responses(report, SIGNALS, household, prices)
+        assert np.getbufsize() == default
+        grid_best_reports([0.1], household, prices, 0.1)
+        assert np.getbufsize() == default
+
+    def test_range_checked_once_before_any_block(self, household, prices, monkeypatch):
+        # A duck-typed report may hold what Report refuses. Rows are named in
+        # search order, longest axis first: the cap 20.0 before 16.0.
+        report = SimpleNamespace(
+            baseline=np.array([8.0, 8.0, 8.0]), committed=np.array([-1.0, 2.0, -1.0])
+        )
+        params = SimpleNamespace(
+            baseline=8.0,
+            marginal_utility=0.05,
+            max_consumption=np.array([16.0, 24.0, 20.0]),
+        )
+
+        def refuse(*args):
+            raise AssertionError("a block was searched before the range check")
+
+        monkeypatch.setattr(oracle, "_search_block", refuse)
+        with pytest.raises(ValueError) as exc:
+            grid_best_responses(report, SIGNALS, params, prices)
+        assert str(exc.value) == "consumption must lie in [0, 20.0]"
 
     def test_one_row_forms_take_single_values(self, household, prices):
         report = Report(8.0, 2.0)

@@ -529,6 +529,32 @@ class TestConfigparserFallback:
         text = "[DEFAULT]\nbehavior = truthful\n" + GOOD
         assert parse_scenario(text).behaviors["a"] is Behavior.TRUTHFUL
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            # A typo of trials, which the bundled [simulation] would read.
+            (
+                "[DEFAULT]\ntrails = 5\n"
+                + default_scenario_text().replace("trials = 1000\n", ""),
+                "trails",
+            ),
+            # A [simulation] key without a [simulation] section to read it.
+            ("[DEFAULT]\ntrials = 5\n" + GOOD, "trials"),
+        ],
+    )
+    def test_default_key_that_no_section_reads_is_refused(self, text, key):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text)
+        assert str(info.value) == (
+            f"unknown key {key!r} in [DEFAULT]; no section of the scenario reads it"
+        )
+
+    def test_default_key_read_by_a_present_section_loads(self):
+        text = "[DEFAULT]\ntrials = 5\n" + default_scenario_text().replace(
+            "trials = 1000\n", ""
+        )
+        assert parse_scenario(text).trials == 5
+
     # The messages configparser gives, as they read before the flat reader.
     @pytest.mark.parametrize(
         "text, message",

@@ -135,6 +135,14 @@ CONFIGURATIONS: dict[str, tuple[list[str], str | None]] = {
          "--literal-above-threshold", "--out", "verify.txt"],
         None,
     ),
+    # Drawn stage-2 rows of up to about 40 000 points, longer than numpy's
+    # default ufunc buffer of 8192 elements; at step 0.03 every row is
+    # shorter than it.
+    "verify-long-rows": (
+        ["verify", "--draws", "200", "--grid-step", "0.002", "--seed", "3",
+         "--out", "verify.txt"],
+        None,
+    ),
     # The four bounds on verify's grid work, each refused.
     **{
         f"verify-{bound}-bound": (
