@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from drcontract.cli import _record_chunks, main
-from drcontract.scenario import parse_scenario
+from drcontract.cli import _record_chunks, _stats_lines, _summary_lines, main
+from drcontract.scenario import load_scenario, parse_scenario
 from drcontract.simulation import collect_reports, run_monte_carlo
 
 # The seeded mixed portfolio the tests share.
@@ -54,17 +54,36 @@ def test_collect_reports(benchmark, text_2000):
     assert len(reports) == 2000
 
 
-def test_records_csv(benchmark, text_2000):
+@pytest.fixture(scope="module")
+def result_2000(text_2000):
     scenario = parse_scenario(text_2000)
-    result = run_monte_carlo(
+    return run_monte_carlo(
         scenario.portfolio(),
         scenario.behaviors,
         250,
         reduction_target=scenario.reduction_target,
         master_seed=scenario.seed,
     )
-    text = benchmark(lambda: "".join(_record_chunks(result)))
+
+
+def test_load_scenario(benchmark, tmp_path, text_2000):
+    path = tmp_path / "mixed.ini"
+    path.write_text(text_2000)
+    scenario = benchmark(load_scenario, str(path))
+    assert len(scenario.members) == 2000
+
+
+def test_records_csv(benchmark, result_2000):
+    text = benchmark(lambda: "".join(_record_chunks(result_2000)))
     assert text.count("\n") == 1 + 2000 * 250
+
+
+def test_summary_lines(benchmark, result_2000):
+    assert len(benchmark(_summary_lines, result_2000)) == 1 + 250
+
+
+def test_stats_lines(benchmark, result_2000):
+    assert len(benchmark(_stats_lines, result_2000)) == 1 + 2000
 
 
 def test_simulate_end_to_end(benchmark, tmp_path, text_2000):
@@ -75,3 +94,16 @@ def test_simulate_end_to_end(benchmark, tmp_path, text_2000):
         "--out", str(tmp_path / "records.csv"),
     ]
     assert benchmark(main, argv) == 0
+
+
+def test_simulate_100000x20(benchmark, tmp_path):
+    """The consumer axis at scale: one round, since a run takes seconds and
+    writes about 130 MB, which is removed afterwards."""
+    scenario = tmp_path / "wide.ini"
+    scenario.write_text(mixed_scenario_text(consumers=100000, trials=20))
+    argv = [
+        "simulate", "--scenario", str(scenario), "--out", str(tmp_path / "records.csv"),
+    ]
+    assert benchmark.pedantic(main, args=(argv,), rounds=1, iterations=1) == 0
+    for path in tmp_path.iterdir():
+        path.unlink()

@@ -14,6 +14,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 
@@ -85,6 +86,12 @@ _SIBLINGS = ("summaries", "stats")
 
 def _fmt(value: float) -> str:
     return f"{value:.9g}"
+
+
+# simulate's rows as % templates; "%.9g" gives the digits of _fmt.
+_RECORD_ROW = "%s,%d,%.9g,%.9g,%.9g,%.9g,%.9g\n"  # after the trial column
+_SUMMARY_ROW = "%d,%d,%.9g,%.9g,%s"
+_STATS_ROW = "%s,%s,%d,%.9g,%.9g,%.9g,%.9g,%.9g"
 
 
 def _check_out(args) -> None:
@@ -426,34 +433,49 @@ def _sibling_path(out: str, suffix: str) -> str:
 def _record_chunks(result: MonteCarloResult) -> Iterator[str]:
     """The records CSV: the header, then one chunk of rows per trial.
 
-    Each consumer's row after the trial column is formatted once per signal,
-    into an ``(n, 2)`` array; trial t's chunk picks one per consumer by
-    ``result.called[:, t]``. Every row ends in a newline, so joining them
-    with the trial prefix puts the prefix in front of each row.
+    Each consumer's row after the trial column is formatted once per signal
+    by :data:`_RECORD_ROW`, into one array per signal; trial t's chunk picks
+    one per consumer by ``result.called[:, t]``. Every row ends in a
+    newline, so joining them with the trial prefix puts the prefix in front
+    of each row.
     """
     table = result.outcomes
-    rows = [
-        [
-            ",".join(
-                [cid, str(s), _fmt(baseline), _fmt(committed),
-                 _fmt(q[s]), _fmt(paid[s]), _fmt(gained[s])]
-            ) + "\n"
-            for s in (0, 1)
-        ]
-        for cid, baseline, committed, q, paid, gained in zip(
-            table.consumer_ids,
-            table.report.baseline.tolist(),
-            table.report.committed.tolist(),
-            table.consumption.tolist(),
-            table.payment.tolist(),
-            table.profit.tolist(),
-        )
-    ]
-    rows = np.array(rows, dtype=object)
+    report = table.report
+    not_called, called = (
+        np.array([
+            _RECORD_ROW % cells
+            for cells in zip(
+                table.consumer_ids,
+                repeat(s),
+                report.baseline.tolist(),
+                report.committed.tolist(),
+                table.consumption[:, s].tolist(),
+                table.payment[:, s].tolist(),
+                table.profit[:, s].tolist(),
+            )
+        ], dtype=object)
+        for s in (0, 1)
+    )
     yield RECORDS_HEADER + "\n"
-    for t, called in enumerate(result.called.T):
+    # One contiguous row of flags per trial.
+    for t, flags in enumerate(np.ascontiguousarray(result.called.T)):
         prefix = f"{t},"
-        yield prefix + prefix.join(np.where(called, rows[:, 1], rows[:, 0]).tolist())
+        yield prefix + prefix.join(np.where(flags, called, not_called).tolist())
+
+
+def _summary_lines(result: MonteCarloResult) -> list[str]:
+    """The summaries CSV, one line per trial."""
+    return [SUMMARIES_HEADER] + [
+        _SUMMARY_ROW % (t, *s[:3], "true" if s.under_provisioned else "false")
+        for t, s in enumerate(result.summaries)
+    ]
+
+
+def _stats_lines(result: MonteCarloResult) -> list[str]:
+    """The stats CSV, one line per consumer."""
+    return [STATS_HEADER] + [
+        _STATS_ROW % (s.consumer_id, s.behavior.value, *s[2:]) for s in result.stats
+    ]
 
 
 def cmd_simulate(args, scenario: Scenario) -> int:
@@ -472,21 +494,8 @@ def cmd_simulate(args, scenario: Scenario) -> int:
         reduction_target=scenario.reduction_target,
         master_seed=scenario.seed,
     )
-    summaries = [SUMMARIES_HEADER] + [
-        f"{t},{s.called_count},{_fmt(s.total_reduction)},{_fmt(s.total_payout)},"
-        + ("true" if s.under_provisioned else "false")
-        for t, s in enumerate(result.summaries)
-    ]
-    stats = [STATS_HEADER] + [
-        ",".join(
-            [s.consumer_id, s.behavior.value, str(s.trials)]
-            + [_fmt(v) for v in (s.call_frequency, s.mean_profit, s.profit_variance,
-                                 s.mean_payment, s.mean_reduction)]
-        )
-        for s in result.stats
-    ]
     _write_chunks(args.out, _record_chunks(result))
-    for suffix, lines in zip(_SIBLINGS, (summaries, stats)):
+    for suffix, lines in zip(_SIBLINGS, (_summary_lines(result), _stats_lines(result))):
         _write_lines(args.out and _sibling_path(args.out, suffix), lines)
     print(
         f"reproduce with seed={scenario.seed} trials={scenario.trials}",

@@ -18,10 +18,14 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import NamedTuple
 
-from .core import ConsumerParams, Prices, check_consumption_cap
+import numpy as np
+
+from .core import (
+    ConsumerParams, Prices, check_call_probability, check_consumption_cap,
+)
 from .simulation import (
-    Behavior, Portfolio, PortfolioMember, check_record_count,
-    check_reduction_target, check_seed,
+    Behavior, Members, Portfolio, check_record_count, check_reduction_target,
+    check_seed,
 )
 
 __all__ = [
@@ -104,7 +108,7 @@ class Scenario(NamedTuple):
     flags override fields through ``_replace``."""
 
     prices: Prices
-    members: tuple[PortfolioMember, ...]
+    members: Members
     behaviors: dict[str, Behavior]
     trials: int = DEFAULT_TRIALS
     seed: int = 42
@@ -114,7 +118,7 @@ class Scenario(NamedTuple):
     source_hash: str = "unknown"
 
     def portfolio(self) -> Portfolio:
-        return Portfolio(members=self.members, prices=self.prices)
+        return Portfolio(self.members, self.prices)
 
 
 # The [simulation] keys in the order they are read, with the Scenario field
@@ -157,6 +161,77 @@ def _get(section, key: str, where: str, kind=float):
             f"key {key!r} in [{where}] must be a finite number, got {text!r}"
         )
     return value
+
+
+# The number keys of a [consumer.<id>] section, in the order they are read:
+# the fields of ConsumerParams, then the call probability.
+_CONSUMER_NUMBERS = (
+    "baseline_kwh", "marginal_utility_usd_per_kwh2", "max_consumption_kwh",
+    "call_probability",
+)
+_BEHAVIORS = {kind.value: kind for kind in Behavior}
+
+
+def _bad_id(cid: str) -> bool:
+    """Whether a consumer id would break its unquoted CSV cell."""
+    return not cid or "," in cid or '"' in cid
+
+
+def _check_consumer(name: str, section, prices: Prices) -> None:
+    """Raise the message of the first rule that the section ``name`` breaks,
+    reading its keys in their order; return when it breaks none."""
+    cid = name[len("consumer."):]
+    if _bad_id(cid):
+        raise ScenarioError(
+            f"[{name}]: consumer id must be non-empty and contain no "
+            f"',' or '\"', got {cid!r}"
+        )
+    try:
+        params = ConsumerParams(
+            *(_get(section, key, name) for key in _CONSUMER_NUMBERS[:3])
+        )
+        check_consumption_cap(params, prices)
+        check_call_probability(_get(section, "call_probability", name))
+        Behavior(section.get("behavior", "rational"))
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"[{name}]: {exc}") from exc
+
+
+def _consumers(
+    sections: dict[str, dict[str, str]], prices: Prices
+) -> tuple[Members, dict[str, Behavior]]:
+    """The ``[consumer.<id>]`` sections as columns, checked as columns.
+
+    When a value is missing or unreadable, or a check fails, the sections
+    go through :func:`_check_consumer` in file order, and the first bad one
+    raises its message.
+    """
+    names = [name for name in sections if name.startswith("consumer.")]
+    if not names:
+        raise ScenarioError("scenario must define at least one [consumer.<id>]")
+    ids = [name[len("consumer."):] for name in names]
+    rows = [sections[name] for name in names]
+    try:
+        if any(map(_bad_id, ids)):
+            raise ValueError("bad consumer id")
+        *floats, probabilities = (
+            np.array([float(row[key]) for row in rows], dtype=float)
+            for key in _CONSUMER_NUMBERS
+        )
+        kinds = [_BEHAVIORS[row.get("behavior", "rational")] for row in rows]
+        params = ConsumerParams(*floats)
+        # A saturation point that overflows breaks the cap rule, whose
+        # message then reads inf, as a Python float gives it.
+        with np.errstate(over="ignore"):
+            check_consumption_cap(params, prices)
+        check_call_probability(probabilities)
+    except (KeyError, ValueError):
+        for name, row in zip(names, rows):
+            _check_consumer(name, row, prices)
+        raise
+    return Members(tuple(ids), params, probabilities), dict(zip(ids, kinds))
 
 
 def _read_flat(text: str) -> dict[str, dict[str, str]] | None:
@@ -257,38 +332,7 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"[prices]: {exc}") from exc
 
-    members: list[PortfolioMember] = []
-    behaviors: dict[str, Behavior] = {}
-    for name, section in sections.items():
-        if not name.startswith("consumer."):
-            continue
-        cid = name[len("consumer."):]
-        # The id is written as an unquoted CSV cell.
-        if not cid or "," in cid or '"' in cid:
-            raise ScenarioError(
-                f"[{name}]: consumer id must be non-empty and contain no "
-                f"',' or '\"', got {cid!r}"
-            )
-        try:
-            params = ConsumerParams(
-                baseline=_get(section, "baseline_kwh", name),
-                marginal_utility=_get(section, "marginal_utility_usd_per_kwh2", name),
-                max_consumption=_get(section, "max_consumption_kwh", name),
-            )
-            check_consumption_cap(params, prices)
-            member = PortfolioMember(
-                consumer_id=cid,
-                params=params,
-                call_probability=_get(section, "call_probability", name),
-            )
-            behaviors[cid] = Behavior(section.get("behavior", "rational"))
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"[{name}]: {exc}") from exc
-        members.append(member)
-    if not members:
-        raise ScenarioError("scenario must define at least one [consumer.<id>]")
+    members, behaviors = _consumers(sections, prices)
 
     sim = sections.get("simulation", {})
     settings = {}
@@ -328,7 +372,7 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
     # Checked after every other rule, whose messages come first.
     _check_known(sections, shared)
     return Scenario(
-        prices, tuple(members), behaviors, **settings, sweep=sweep,
+        prices, members, behaviors, **settings, sweep=sweep,
         source_hash=source_hash,
     )
 

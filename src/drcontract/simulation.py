@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +46,7 @@ __all__ = [
     "ConsumerStats",
     "EventRecord",
     "EventSummary",
+    "Members",
     "MonteCarloResult",
     "OutcomeTable",
     "Portfolio",
@@ -92,38 +92,97 @@ class PortfolioMember:
         check_call_probability(self.call_probability)
 
 
+class Members(Sequence):
+    """Portfolio members held as read-only columns, entry k for member k:
+    ``consumer_ids``, ``params`` (:class:`ConsumerParams` of float arrays)
+    and ``call_probabilities``.
+
+    ``members[k]`` builds that :class:`PortfolioMember` on access, and a
+    slice gives a tuple of them. A view compares equal to, and hashes as,
+    any sequence of the same members. The call probabilities are checked
+    as each member's is; ``params`` was checked when it was built.
+    """
+
+    __slots__ = ("consumer_ids", "params", "call_probabilities")
+
+    def __init__(self, consumer_ids: tuple[str, ...], params: ConsumerParams,
+                 call_probabilities: np.ndarray) -> None:
+        check_call_probability(call_probabilities)
+        for column in (*vars(params).values(), call_probabilities):
+            column.flags.writeable = False
+        for name, value in zip(
+            self.__slots__, (consumer_ids, params, call_probabilities)
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __len__(self) -> int:
+        return len(self.consumer_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[k] for k in range(len(self))[index])
+        cid = self.consumer_ids[index]
+        params = self.params
+        return PortfolioMember(
+            cid,
+            ConsumerParams(
+                float(params.baseline[index]),
+                float(params.marginal_utility[index]),
+                float(params.max_consumption[index]),
+            ),
+            float(self.call_probabilities[index]),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __reduce__(self):
+        return type(self), (self.consumer_ids, self.params, self.call_probabilities)
+
+
 @dataclass(frozen=True)
 class Portfolio:
-    """Ordered collection of consumers under one price pair, whose ids,
-    parameters and call probabilities are also held as read-only columns
-    (entry k for member k), each built once on first use."""
+    """Ordered collection of consumers under one price pair, held as a
+    :class:`Members` view. A sequence of :class:`PortfolioMember` becomes
+    one through :func:`columns`."""
 
-    members: tuple[PortfolioMember, ...]
+    members: Members
     prices: Prices
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
-        if len(set(self.consumer_ids)) != len(self.members):
+        members = self.members
+        if not isinstance(members, Members):
+            members = tuple(members)
+            members = Members(
+                tuple(m.consumer_id for m in members),
+                columns(ConsumerParams, [m.params for m in members]),
+                np.array([m.call_probability for m in members], dtype=float),
+            )
+            object.__setattr__(self, "members", members)
+        if len(set(members.consumer_ids)) != len(members):
             raise ValueError("consumer ids must be unique")
-        check_consumption_cap(self.params, self.prices)
+        check_consumption_cap(members.params, self.prices)
 
-    @cached_property
+    @property
     def consumer_ids(self) -> tuple[str, ...]:
-        return tuple(m.consumer_id for m in self.members)
+        return self.members.consumer_ids
 
-    @cached_property
-    def params(self):
+    @property
+    def params(self) -> ConsumerParams:
         """The members' :class:`ConsumerParams` as :func:`columns`."""
-        params = columns(ConsumerParams, [m.params for m in self.members])
-        for column in vars(params).values():
-            column.flags.writeable = False
-        return params
+        return self.members.params
 
-    @cached_property
+    @property
     def call_probabilities(self) -> np.ndarray:
-        probs = np.array([m.call_probability for m in self.members], dtype=float)
-        probs.flags.writeable = False
-        return probs
+        return self.members.call_probabilities
 
 
 class CallAllocation(NamedTuple):

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drcontract
-from drcontract import Behavior, ScenarioError, load_scenario
+from drcontract import (
+    Behavior, ConsumerParams, PortfolioMember, ScenarioError, load_scenario,
+)
 from drcontract.scenario import (
     _read_flat,
     default_scenario_text,
@@ -603,6 +605,207 @@ class TestConsumerIds:
     def test_other_ids_are_kept(self):
         text = GOOD.replace("[consumer.a]", "[consumer.A b.c-1]")
         assert parse_scenario(text).members[0].consumer_id == "A b.c-1"
+
+
+def consumer(cid="a", **changes):
+    """GOOD's consumer section as ``[consumer.<cid>]``, with each key in
+    ``changes`` set to its value, or removed when None."""
+    lines = GOOD[GOOD.index("[consumer.a]"):].strip().splitlines()
+    lines[0] = f"[consumer.{cid}]"
+    for key, value in changes.items():
+        lines = [line for line in lines if not line.startswith(f"{key} =")]
+        if value is not None:
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n\n"
+
+
+PRICES = GOOD[:GOOD.index("[consumer.a]")]
+
+# One break of each per-consumer rule: the section's id and its changes.
+CONSUMER_BREAKS = {
+    "missing-key": ("b", {"baseline_kwh": None}),
+    "missing-probability": ("b", {"call_probability": None}),
+    "not-a-number": ("b", {"max_consumption_kwh": "abc"}),
+    "probability-not-a-number": ("b", {"call_probability": "abc"}),
+    "non-finite": ("b", {"marginal_utility_usd_per_kwh2": "inf"}),
+    "nan": ("b", {"baseline_kwh": "nan"}),
+    "non-finite-probability": ("b", {"call_probability": "-inf"}),
+    "bad-params": ("b", {"marginal_utility_usd_per_kwh2": "0"}),
+    "negative-baseline": ("b", {"baseline_kwh": "-1"}),
+    "cap-under-saturation": ("b", {"max_consumption_kwh": "13"}),
+    "saturation-overflows": ("b", {"marginal_utility_usd_per_kwh2": "1e-320"}),
+    "call-probability": ("b", {"call_probability": "1.5"}),
+    "unknown-behavior": ("b", {"behavior": "abc"}),
+    "bad-id": ("b,x", {}),
+    "empty-id": ("", {}),
+}
+
+
+class TestConsumerColumns:
+    """The consumers are read and checked as columns; the first section
+    that breaks a rule is named, with the message of its first rule."""
+
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            ("missing-key", "missing key 'baseline_kwh' in [consumer.b]"),
+            ("missing-probability", "missing key 'call_probability' in [consumer.b]"),
+            ("not-a-number",
+             "key 'max_consumption_kwh' in [consumer.b] is not a number: 'abc'"),
+            ("probability-not-a-number",
+             "key 'call_probability' in [consumer.b] is not a number: 'abc'"),
+            ("non-finite",
+             "key 'marginal_utility_usd_per_kwh2' in [consumer.b] must be a finite "
+             "number, got 'inf'"),
+            ("nan", "key 'baseline_kwh' in [consumer.b] must be a finite number, "
+             "got 'nan'"),
+            ("non-finite-probability",
+             "key 'call_probability' in [consumer.b] must be a finite number, "
+             "got '-inf'"),
+            ("bad-params", "[consumer.b]: marginal_utility must be > 0, got 0.0"),
+            ("negative-baseline", "[consumer.b]: baseline must be > 0, got -1.0"),
+            ("cap-under-saturation",
+             "[consumer.b]: max_consumption=13.0 must exceed the saturation point "
+             "baseline + p/gamma = 13.2"),
+            ("saturation-overflows",
+             "[consumer.b]: max_consumption=16.0 must exceed the saturation point "
+             "baseline + p/gamma = inf"),
+            ("call-probability",
+             "[consumer.b]: call probability must lie in [0, 1], got 1.5"),
+            ("unknown-behavior",
+             "[consumer.b]: unknown behavior 'abc'; expected one of "
+             "['rational', 'truthful', 'naive_gamer']"),
+            ("bad-id",
+             "[consumer.b,x]: consumer id must be non-empty and contain no "
+             "',' or '\"', got 'b,x'"),
+            ("empty-id",
+             "[consumer.]: consumer id must be non-empty and contain no "
+             "',' or '\"', got ''"),
+        ],
+    )
+    def test_second_of_three_is_named(self, rule, message):
+        cid, changes = CONSUMER_BREAKS[rule]
+        text = PRICES + consumer("a") + consumer(cid, **changes) + consumer("c")
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text)
+        assert str(info.value) == message
+
+    # A later rule in an earlier section beats an earlier rule in a later one.
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ({"behavior": "abc"}, {"baseline_kwh": None},
+             "[consumer.a]: unknown behavior 'abc'; expected one of "
+             "['rational', 'truthful', 'naive_gamer']"),
+            ({"call_probability": "1.5"}, {"baseline_kwh": "-1"},
+             "[consumer.a]: call probability must lie in [0, 1], got 1.5"),
+            ({"max_consumption_kwh": "13"}, {"marginal_utility_usd_per_kwh2": "0"},
+             "[consumer.a]: max_consumption=13.0 must exceed the saturation point "
+             "baseline + p/gamma = 13.2"),
+            ({"call_probability": "nan"}, {"max_consumption_kwh": "abc"},
+             "key 'call_probability' in [consumer.a] must be a finite number, "
+             "got 'nan'"),
+        ],
+        ids=["behavior-over-missing", "probability-over-params",
+             "cap-over-params", "probability-over-not-a-number"],
+    )
+    def test_earlier_section_wins(self, first, second, message):
+        text = (
+            PRICES + consumer("ok") + consumer("a", **first)
+            + consumer("b", **second) + consumer("ok2")
+        )
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text)
+        assert str(info.value) == message
+
+    def test_earlier_section_wins_over_a_bad_id(self):
+        text = (
+            PRICES + consumer("a", max_consumption_kwh="13") + consumer("b,x")
+        )
+        with pytest.raises(ScenarioError, match=r"^\[consumer\.a\]: max_cons"):
+            parse_scenario(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.sets(st.sampled_from(sorted(CONSUMER_BREAKS)), max_size=2)
+        | st.just(set()),
+        min_size=1, max_size=12,
+    ))
+    def test_message_is_that_of_the_first_bad_section_alone(self, breaks):
+        sections = []
+        for k, rules in enumerate(breaks):
+            cid, changes = f"c{k}", {}
+            for rule in sorted(rules):
+                rule_cid, rule_changes = CONSUMER_BREAKS[rule]
+                if rule_cid != "b":
+                    cid = f"{rule_cid}{k}" if rule_cid else ""
+                changes.update(rule_changes)
+            sections.append(consumer(cid, **changes))
+        if len({section.splitlines()[0] for section in sections}) < len(sections):
+            return  # two empty ids make a duplicate section
+        try:
+            parse_scenario(PRICES + "".join(sections))
+        except ScenarioError as exc:
+            message = str(exc)
+        else:
+            assert not any(breaks)
+            return
+        first = next(k for k, rules in enumerate(breaks) if rules)
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(PRICES + sections[first])
+        assert message == str(info.value)
+
+
+class TestMemberView:
+    def test_sequence(self):
+        text = mixed_scenario_text(consumers=5)
+        members = parse_scenario(text).members
+        assert len(members) == 5
+        assert members[-1] == members[4]
+        assert members[1:4:2] == (members[1], members[3])
+        assert isinstance(members[1:4:2], tuple)
+        assert [m.consumer_id for m in members] == [f"m{k:03d}" for k in range(5)]
+        assert list(members) == [members[k] for k in range(5)]
+        for index in (5, -6):
+            with pytest.raises(IndexError):
+                members[index]
+
+    def test_members_are_those_of_the_sections(self):
+        text = mixed_scenario_text()
+        sections = configparser_sections(text)
+        by_hand = tuple(
+            PortfolioMember(
+                name[len("consumer."):],
+                ConsumerParams(
+                    float(section["baseline_kwh"]),
+                    float(section["marginal_utility_usd_per_kwh2"]),
+                    float(section["max_consumption_kwh"]),
+                ),
+                float(section["call_probability"]),
+            )
+            for name, section in sections.items()
+            if name.startswith("consumer.")
+        )
+        members = parse_scenario(text).members
+        assert members == by_hand
+        assert by_hand == members
+        assert all(type(m) is PortfolioMember for m in members)
+        assert all(type(m.call_probability) is float for m in members)
+        assert members != by_hand[:-1]
+
+    def test_columns_are_read_only(self):
+        members = parse_scenario(mixed_scenario_text(consumers=4)).members
+        for column in (
+            members.params.baseline, members.params.marginal_utility,
+            members.params.max_consumption, members.call_probabilities,
+        ):
+            assert column.shape == (4,)
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        assert isinstance(members.consumer_ids, tuple)
+        for name in ("consumer_ids", "params", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(members, name, None)
 
 
 def test_importing_the_cli_leaves_configparser_unloaded():

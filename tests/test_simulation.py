@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -74,6 +75,46 @@ class TestPortfolio:
         for column in (portfolio.params.baseline, portfolio.call_probabilities):
             with pytest.raises(ValueError):
                 column[0] = 1.0
+
+    def test_tuple_gives_the_columns_of_the_scenario(self):
+        scenario = parse_scenario(mixed_scenario_text())
+        loaded = scenario.portfolio()
+        built = Portfolio(tuple(scenario.members), scenario.prices)
+        assert isinstance(built.members, simulation.Members)
+        assert built.consumer_ids == loaded.consumer_ids
+        for name in ("baseline", "marginal_utility", "max_consumption"):
+            want = getattr(loaded.params, name)
+            got = getattr(built.params, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert built.call_probabilities.tobytes() == loaded.call_probabilities.tobytes()
+        assert built == loaded
+        assert built.members == scenario.members
+        assert hash(built) == hash(loaded)
+        copied = pickle.loads(pickle.dumps(loaded))
+        assert copied == loaded
+        assert not copied.members.params.baseline.flags.writeable
+
+    def test_members_view_of_a_tuple(self):
+        members = tuple(
+            PortfolioMember(cid, ConsumerParams(8.0, 0.05, cap), 0.1)
+            for cid, cap in (("a", 16.0), ("b", 17.0))
+        )
+        view = Portfolio(members, Prices(0.26, 0.30)).members
+        assert len(view) == 2
+        assert view[1] == members[1] and view[-2] == members[0]
+        assert view[::-1] == members[::-1]
+        assert list(view) == list(members)
+        with pytest.raises(IndexError):
+            view[2]
+        with pytest.raises(ValueError):
+            view.params.max_consumption[0] = 20.0
+
+    def test_members_view_checks_its_call_probabilities(self):
+        params = ConsumerParams(np.array([8.0, 8.0]), np.array([0.05] * 2),
+                                np.array([16.0] * 2))
+        with pytest.raises(ValueError) as exc:
+            simulation.Members(("a", "b"), params, np.array([0.5, 1.5]))
+        assert str(exc.value) == "call probability must lie in [0, 1], got 1.5"
 
     def test_first_member_under_the_cap_names_itself(self):
         members = tuple(
@@ -497,10 +538,14 @@ class TestColumnarMonteCarlo:
             return build(cls, values)
 
         monkeypatch.setattr(simulation, "columns", counted)
-        portfolio = scenario.portfolio()
-        run_monte_carlo(portfolio, scenario.behaviors, trials=3)
+        # A scenario's portfolio runs on the columns the loader read.
+        run_monte_carlo(scenario.portfolio(), scenario.behaviors, trials=3)
+        assert calls == []
+        # A portfolio of member objects builds its columns once, and keeps
+        # them for every run.
+        portfolio = Portfolio(tuple(scenario.members), scenario.prices)
         assert calls == [ConsumerParams]
-        # The portfolio keeps its columns for the next run.
+        run_monte_carlo(portfolio, scenario.behaviors, trials=3)
         run_monte_carlo(portfolio, scenario.behaviors, trials=3)
         assert calls == [ConsumerParams]
 

@@ -1,0 +1,144 @@
+"""Record one checkout's benchmark figures as one JSON file.
+
+Run from the root of a checkout (pytest-benchmark is required):
+
+    python tools/bench_record.py --out BENCH_<n>.json
+
+It runs the per-function cases under ``benches/`` once,
+
+    PYTHONPATH=src python -m pytest benches --benchmark-json=...
+
+then ``perfbench/run.py --trace 0`` once per workload, and writes:
+
+- ``cases``: each case's median and interquartile range in seconds, and its
+  rounds;
+- ``import_s``: the median time to import ``drcontract.cli`` (numpy
+  included) in fresh interpreters that write no bytecode, as perfbench's
+  ``setup_s`` is taken;
+- ``environment``: the host, Python and package versions;
+- ``perfbench``: each workload's last stdout line, as JSON.
+
+Every record is taken with the same settings (the constants below, also
+written to its ``settings``), so any two records compare. Nothing here is a
+test: the file is a record that the next change can read its trajectory
+from. ``--root`` measures another checkout with its own ``src``, ``benches``
+and ``perfbench``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+
+WORKLOADS = ("simulate-portfolio", "simulate-wide", "verify-oracle", "sweep-dense")
+MAX_TIME = 0.2  # pytest-benchmark's --benchmark-max-time per case
+SECONDS = 10.0  # perfbench's --seconds per workload
+SEED = 1  # perfbench's --seed
+IMPORT_RUNS = 7  # fresh interpreters timed for import_s
+
+IMPORT_CODE = (
+    "import time; t = time.perf_counter(); import drcontract.cli; "
+    "print(time.perf_counter() - t)"
+)
+
+
+def _env(root: str) -> dict:
+    return {
+        **os.environ,
+        "PYTHONPATH": os.path.join(root, "src"),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+
+
+def bench_cases(root: str) -> tuple[dict, dict]:
+    """Median, IQR and rounds of every case under ``benches/``, and
+    pytest-benchmark's description of the machine."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "bench.json")
+        subprocess.run(
+            [sys.executable, "-m", "pytest", "benches", "-q", "-p", "no:cacheprovider",
+             f"--benchmark-max-time={MAX_TIME}", f"--benchmark-json={path}"],
+            cwd=root, env=_env(root), check=True, stdout=subprocess.DEVNULL,
+        )
+        with open(path, encoding="utf-8") as fh:
+            report = json.load(fh)
+    cases = {
+        bench["fullname"]: {
+            "median_s": bench["stats"]["median"],
+            "iqr_s": bench["stats"]["iqr"],
+            "rounds": bench["stats"]["rounds"],
+        }
+        for bench in report["benchmarks"]
+    }
+    return cases, report["machine_info"]
+
+
+def import_seconds(root: str) -> float:
+    """Median import time of ``drcontract.cli`` over fresh interpreters."""
+    times = [
+        float(subprocess.run(
+            [sys.executable, "-c", IMPORT_CODE], cwd=root, env=_env(root),
+            check=True, capture_output=True, text=True,
+        ).stdout)
+        for _ in range(IMPORT_RUNS)
+    ]
+    return statistics.median(times)
+
+
+def perfbench_line(root: str, workload: str) -> dict:
+    """The last stdout line of one ``perfbench/run.py --trace 0`` run."""
+    out = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=root, check=True, capture_output=True, text=True,
+    ).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def _version(module: str) -> str:
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        return version(module.replace("_", "-"))
+    except PackageNotFoundError:
+        return "unknown"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", required=True, help="the JSON file to write")
+    parser.add_argument("--root", default=".", help="the checkout to measure")
+    args = parser.parse_args(argv)
+    root = os.path.abspath(args.root)
+    cases, machine = bench_cases(root)
+    record = {
+        "cases": cases,
+        "import_s": import_seconds(root),
+        "environment": {
+            "nproc": os.cpu_count(),
+            "cpu": machine.get("cpu", {}).get("brand_raw") or platform.processor(),
+            "machine": platform.machine(),
+            "system": platform.system(),
+            "python": platform.python_version(),
+            "numpy": _version("numpy"),
+            "pytest_benchmark": _version("pytest_benchmark"),
+        },
+        "settings": {"max_time": MAX_TIME, "seconds": SECONDS, "seed": SEED},
+        "perfbench": {
+            workload: perfbench_line(root, workload) for workload in WORKLOADS
+        },
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -80,6 +80,21 @@ BAD_SCENARIOS = {
     "unknown-section": GOOD + "[simulaton]\ntrials = 5\n",
 }
 
+# Each per-consumer rule broken by the second of three consumers, which the
+# loader reads and checks as columns; the message names that section.
+PER_CONSUMER_RULES = (
+    "missing-key", "not-a-number", "not-finite", "bad-consumer-id", "bad-params",
+    "cap-below-saturation", "bad-call-probability", "unknown-behavior",
+)
+SECOND_OF_THREE = {
+    rule: GOOD
+    + BAD_SCENARIOS[rule][BAD_SCENARIOS[rule].index("[consumer."):].replace(
+        "[consumer.a", "[consumer.b"
+    )
+    + CONSUMER.replace("consumer.a", "consumer.c")
+    for rule in PER_CONSUMER_RULES
+}
+
 # name -> (argv, text of scenario.ini or None)
 CONFIGURATIONS: dict[str, tuple[list[str], str | None]] = {
     "simulate-default": (["simulate", "--out", "out.csv"], None),
@@ -91,6 +106,10 @@ CONFIGURATIONS: dict[str, tuple[list[str], str | None]] = {
         )
         for seed in ("5", "77")
     },
+    "simulate-mixed-2000x250": (
+        ["simulate", "--scenario", "scenario.ini", "--out", "out.csv"],
+        mixed_scenario_text(2000, 250),
+    ),
     "sweep-default": (["sweep", "--out", "out.csv"], None),
     "sweep-gamma": (
         ["sweep", "--param", "gamma", "--from", "0.033", "--to", "0.2",
@@ -159,6 +178,12 @@ CONFIGURATIONS: dict[str, tuple[list[str], str | None]] = {
         for bound, step in (("stage2", "1e-5"), ("drawn-points", "6.5e-6"))
     },
     "unreadable-scenario": (["simulate", "--scenario", "missing.ini"], None),
+    **{
+        f"bad-second-of-three-{rule}-simulate": (
+            ["simulate", "--scenario", "scenario.ini", "--out", "out.csv"], text
+        )
+        for rule, text in SECOND_OF_THREE.items()
+    },
     **{
         f"bad-{rule}-{command}": (
             [command, "--scenario", "scenario.ini", "--out", "out.csv"], text
