@@ -55,12 +55,13 @@ _MAX_REPORT_PAIRS = 10**9
 # at most this many float64 entries (128 KiB) or one row, and memory stays
 # flat in the grid size.
 _BLOCK_ELEMENTS = 2**14
-# grid_best_responses searches many rows at once, padded to the longest axis
-# of each block of rows; a block holds at most this many points or one row.
+# grid_best_responses searches many rows' grid points at once, each padded to
+# the longest of its block, and the rows' caps and kinks in chunks; a block
+# or chunk holds at most this many points or one row.
 _STAGE2_BLOCK_ELEMENTS = 2**14
 # grid_best_responses evaluates every point of every row's axis; 10**9
-# points take about 20 s on a 2-vCPU Xeon host, in rows of 2*10**6 points
-# (rows that fit in cache run nearly twice as fast).
+# points take about 19 s on a 2-vCPU Xeon host, in rows of 2*10**6 points
+# (rows that fit in cache run about a third faster).
 _MAX_STAGE2_POINTS = 10**9
 
 
@@ -109,7 +110,7 @@ def _ufunc_buffer(size: int):
 
 def _search_block(q, report, signals, params, prices, gain, paid, work):
     """Each signal's first best point and its payoff in every row of the
-    sorted block ``q``, as two ``(rows, len(signals))`` arrays.
+    block ``q``, whose rows ascend, as two ``(rows, len(signals))`` arrays.
 
     The payoff is :func:`~drcontract.core.stage2_profit` by the operations
     of ``utility``, ``payment_not_called`` and ``payment_called``, in their
@@ -170,12 +171,18 @@ def grid_best_responses(
     default, every kink and piece vertex of its profit in [0, q_max], which
     makes the search exact, as the profit is piecewise quadratic. Without
     them the payoff carries an O(step^2) error, which the refinement tests
-    rely on. Rows are searched longest axis first, in blocks of at most
-    ``_STAGE2_BLOCK_ELEMENTS`` points or one row; each axis is padded with
-    its cap, which is on it, and sorted. Every row's range is checked once,
-    before the first block. A block computes its utility once for all
-    signals; each signal then costs its payment and one first argmax, so
-    ties go to the smallest consumption.
+    rely on. Every row's range is checked once, before any search.
+
+    A row's grid points and its cap and kinks are searched apart. The grid
+    points form an ascending run, searched longest run first, in blocks of
+    at most ``_STAGE2_BLOCK_ELEMENTS`` points or one row, each run padded
+    with its cap. The cap and kinks of every row are sorted once and
+    searched in chunks of at most ``_STAGE2_BLOCK_ELEMENTS`` points. A
+    block computes its utility once for all signals; each signal then costs
+    its payment and one first argmax. Of the two winners, ordered by
+    consumption (the grid point first on a tie), the first argmax of their
+    payoffs is the row's: ties go to the smallest consumption, as on one
+    merged ascending axis.
 
     Returns the best consumption and its payoff, each of shape
     ``(*rows, len(signals))``; column i is for ``signals[i]``.
@@ -190,16 +197,16 @@ def grid_best_responses(
     )
     q_max = params.max_consumption
     _check_step(step, q_max)
-    kinks = (
-        np.stack(
-            [report.baseline, report.committed, *_kinks(params, prices)], axis=1
-        )
+    # A row's cap and kinks: the points of its axis that are not grid points.
+    off_grid = np.stack(
+        [q_max, report.baseline, report.committed, *_kinks(params, prices)]
         if inject_breakpoints
-        else np.empty((q_max.size, 0))
+        else [q_max],
+        axis=1,
     )
     last = np.floor(q_max / step)  # index of each row's last grid point
     # A row's axis is its grid points up to the last, its cap and its kinks.
-    points = int(last.sum()) + q_max.size * (2 + kinks.shape[1])
+    points = int(last.sum()) + q_max.size * (1 + off_grid.shape[1])
     if points > _MAX_STAGE2_POINTS:
         raise ValueError(
             f"the stage-2 grid search would evaluate {points} points over "
@@ -210,44 +217,64 @@ def grid_best_responses(
     # kink, so all of a row's points lie in [0, cap] exactly when its cap and
     # kinks are >= 0 (and not NaN). Rows are named in search order.
     order = np.argsort(-last, kind="stable")
-    ok = (0 <= q_max) & (0 <= kinks).all(axis=1)
+    ok = (0 <= off_grid).all(axis=1)
     require(ok[order], "consumption must lie in [0, {}]", q_max[order])
-    consumption = np.empty((q_max.size, len(signals)))
-    payoff = np.empty_like(consumption)
-    # The first block holds the longest row, so no block needs more than
-    # max(_STAGE2_BLOCK_ELEMENTS, its row length) points of each buffer.
+    # Kinks above a row's cap become the cap; the stable sort keeps the cap
+    # before its ties, as it stands before the kinks.
+    cap = q_max[:, None]
+    np.minimum(off_grid, cap, out=off_grid)
+    off_grid.sort(axis=1, kind="stable")
+    # The first block holds the longest row, so no block or chunk needs more
+    # than max(_STAGE2_BLOCK_ELEMENTS, that row's length, one row's cap and
+    # kinks) points of each buffer.
     longest = int(last[order[0]]) + 1 if order.size else 0
     grid = step * np.arange(longest)
     buffers = np.empty(
-        (4, max(_STAGE2_BLOCK_ELEMENTS, longest + 1 + kinks.shape[1]))
+        (4, max(_STAGE2_BLOCK_ELEMENTS, longest, off_grid.shape[1]))
     )
-    start = 0
+    # Each row's two winners per signal, the grid point's first.
+    consumption = np.empty((q_max.size, len(signals), 2))
+    payoff = np.empty_like(consumption)
+
+    def search(rows, q, side):
+        """Search the block ``q`` of the rows ``rows`` and store each row's
+        winners as ``side``."""
+        scratch = (b[: q.size].reshape(q.shape) for b in buffers[1:])
+        rep, par, pri = (
+            SimpleNamespace(**{k: v[rows, None] for k, v in vars(ns).items()})
+            for ns in (report, params, prices)
+        )
+        consumption[rows, :, side], payoff[rows, :, side] = _search_block(
+            q, rep, signals, par, pri, *scratch
+        )
+
     with _ufunc_buffer(_UFUNC_BUFFER):
+        start = 0
         while start < order.size:
             width = int(last[order[start]]) + 1
-            n = width + 1 + kinks.shape[1]
-            rows = order[start : start + max(1, _STAGE2_BLOCK_ELEMENTS // n)]
+            rows = order[start : start + max(1, _STAGE2_BLOCK_ELEMENTS // width)]
             start += rows.size
-            q, *scratch = (b[: rows.size * n].reshape(rows.size, n) for b in buffers)
-            # Points or kinks above a row's cap become the cap. That includes
-            # every grid point past the row's last one: step * j rounds to at
-            # least q_max once j exceeds the rounded q_max / step.
-            cap = q_max[rows, None]
-            np.minimum(grid[:width], cap, out=q[:, :width])
-            q[:, width] = q_max[rows]
-            np.minimum(kinks[rows], cap, out=q[:, width + 1 :])
-            # A row is one ascending run of grid points, then its cap and
-            # kinks, so a stable sort merges it in about linear time.
-            q.sort(axis=1, kind="stable")
-            rep, par, pri = (
-                SimpleNamespace(**{k: v[rows, None] for k, v in vars(ns).items()})
-                for ns in (report, params, prices)
-            )
-            consumption[rows], payoff[rows] = _search_block(
-                q, rep, signals, par, pri, *scratch
-            )
+            q = buffers[0, : rows.size * width].reshape(rows.size, width)
+            # Grid points past a row's last one become its cap: step * j
+            # rounds to at least q_max once j exceeds the rounded q_max / step.
+            np.minimum(grid[:width], cap[rows], out=q)
+            search(rows, q, 0)
+        chunk = max(1, _STAGE2_BLOCK_ELEMENTS // off_grid.shape[1])
+        for lo in range(0, q_max.size, chunk):
+            rows = slice(lo, lo + chunk)
+            search(rows, off_grid[rows], 1)
+    # Each row's two winners per signal, the smaller consumption first (the
+    # grid point's when both are one point, as on one merged axis); numpy's
+    # first argmax of their payoffs takes the first best, or the first NaN.
+    swap = consumption[..., 1] < consumption[..., 0]
+    consumption[swap] = consumption[swap][:, ::-1]
+    payoff[swap] = payoff[swap][:, ::-1]
+    k = payoff.argmax(axis=2)[..., None]
     out = (*shape, len(signals))
-    return consumption.reshape(out), payoff.reshape(out)
+    return (
+        np.take_along_axis(consumption, k, axis=2).reshape(out),
+        np.take_along_axis(payoff, k, axis=2).reshape(out),
+    )
 
 
 def grid_best_response(
@@ -306,7 +333,9 @@ def _best_commitments(
             right[:, hi] = shared[hi]
             right = np.maximum.accumulate(right[:, ::-1], axis=1)[:, :0:-1] + pxs
             envelope = np.maximum(left, right)
-            envelope[cols[:hi] > rows[:, None]] = -np.inf
+            # Commitments above the baseline are not reports; below lo there
+            # are none.
+            envelope[:, lo:hi][cols[lo:hi] > rows[:, None]] = -np.inf
             commit[rows] = envelope.argmax(axis=1)
             called[rows] = envelope[rows - lo, commit[rows]]
     return called, commit

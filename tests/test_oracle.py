@@ -710,18 +710,33 @@ class TestManyRowStage2Oracle:
         with mock.patch.object(oracle, "_STAGE2_BLOCK_ELEMENTS", block):
             assert_rows_equal_references(rows, 0.002, inject)
 
-    def test_block_loop_runs_under_a_small_ufunc_buffer(self, household, prices):
+    def test_block_loop_runs_under_a_small_ufunc_buffer(
+        self, household, prices, monkeypatch
+    ):
+        # Blocks of 8 points hold one row's grid points, or its cap and six
+        # kinks, or eight caps: three grid blocks, then three cap-and-kinks
+        # chunks with breakpoints and one chunk of caps without.
+        monkeypatch.setattr(oracle, "_STAGE2_BLOCK_ELEMENTS", 8)
         default = np.getbufsize()
         seen = []
         real = oracle._search_block
 
-        def search(*args):
-            seen.append(np.getbufsize())
-            return real(*args)
+        def search(q, *args):
+            seen.append((q.shape, np.getbufsize()))
+            return real(q, *args)
 
-        with mock.patch.object(oracle, "_search_block", search):
-            grid_best_responses(Report(8.0, 2.0), SIGNALS, household, prices)
-        assert seen == [oracle._UFUNC_BUFFER] and np.getbufsize() == default
+        monkeypatch.setattr(oracle, "_search_block", search)
+        reports = columns(
+            Report, [Report(8.0, 2.0), Report(9.0, 0.0), Report(4.0, 4.0)]
+        )
+        width = int(np.floor(household.max_consumption / 0.01)) + 1
+        for inject, chunks in ((True, [(1, 7)] * 3), (False, [(3, 1)])):
+            seen.clear()
+            grid_best_responses(reports, SIGNALS, household, prices, 0.01, inject)
+            assert seen == [
+                (shape, oracle._UFUNC_BUFFER) for shape in [(1, width)] * 3 + chunks
+            ]
+            assert np.getbufsize() == default
 
     def test_ufunc_buffer_restored_on_every_exit(self, household, prices):
         default = np.getbufsize()
@@ -848,10 +863,33 @@ def responses_and_references(rows, step, inject_breakpoints):
     return got, want
 
 
+def split_winners(row, signal, step, inject_breakpoints):
+    """The two winners that the many-row search weighs for one row and
+    signal: the first best of its grid points, each at most its cap, and
+    the first best of its sorted cap and kinks; each as (consumption,
+    payoff)."""
+    params, prices, report = row
+    q_max = params.max_consumption
+    grid = np.minimum(step * np.arange(np.floor(q_max / step) + 1), q_max)
+    kinks = (
+        [report.baseline, report.committed, *two_stage_kinks(params, prices)]
+        if inject_breakpoints
+        else []
+    )
+    winners = []
+    for axis in (grid, np.sort(np.minimum([q_max, *kinks], q_max))):
+        payoff = stage2_profit(axis, report, signal, params, prices)
+        k = int(np.argmax(payoff))
+        winners.append((float(axis[k]), float(payoff[k])))
+    return winners
+
+
 class TestStage2TieBreaks:
-    """The many-row search sorts each row's grid points, cap and kinks into
-    one ascending axis, so a tie among any of them goes to the smallest
-    consumption."""
+    """The many-row search takes each row's first best grid point and its
+    first best cap or kink, then the smaller consumption of the two when
+    their payoffs tie (the grid point when both are one point), so a tie
+    goes to the smallest consumption, as on one ascending axis. A NaN
+    payoff wins as numpy's argmax takes it: the first NaN."""
 
     STEP = 0.25
     # Not called with the report at the cap, the consumer pays for the cap
@@ -899,6 +937,98 @@ class TestStage2TieBreaks:
             )
             assert got == want
             assert got[0][CallSignal.NOT_CALLED][0] == 16.0
+
+
+    # Rows whose two winners tie at one signal, at step 0.25: (consumer,
+    # prices, report), the signal, and where the cap-and-kinks winner lies
+    # against the grid winner, with breakpoints and without. Without them
+    # it is the cap, which no grid point exceeds.
+    TIES = {
+        # The plateau from the saturation point 13.4 to the cap.
+        "plateau": (PLATEAU, CallSignal.NOT_CALLED, "smaller", "larger"),
+        # The plateau from the saturation point 12, on the grid, to 14.1.
+        "plateau-on-grid": (ON_GRID, CallSignal.NOT_CALLED, "same", None),
+        # The best consumption is the cap 16, on the grid.
+        "cap": (
+            (ConsumerParams(15.5, 0.05, 16.0), Prices(0.26, 0.30), Report(16.0, 2.0)),
+            CallSignal.NOT_CALLED, "same", "same",
+        ),
+        # With p2 = 1e303 the incentive p2 * (1e6 - q) overflows at every
+        # consumption, so every payoff is inf; the smallest kink is the
+        # commitment, at 0 or past the first grid point.
+        "inf": (
+            (ConsumerParams(8.0, 1e304, 16.0), Prices(0.26, 1e303), Report(1e6, 0.0)),
+            CallSignal.CALLED, "same", "larger",
+        ),
+        "inf-past-zero": (
+            (ConsumerParams(8.0, 1e304, 16.0), Prices(0.26, 1e303), Report(1e6, 3.3)),
+            CallSignal.CALLED, "larger", "larger",
+        ),
+        # With p2 = 1e308 the incentive and the penalty both overflow past
+        # q = 1 + 1.7977 and up to 14 - 1.7977, so the payment there is
+        # -inf + inf, a NaN. Its first grid point is 3.0, and the baseline
+        # b is a kink before it, on it or after it. Without breakpoints the
+        # cap's payoff is -inf, and nothing ties.
+        "nan-kink-before": (
+            (ConsumerParams(2.9, 0.05, 16.0), Prices(0.26, 1e308), Report(14.0, 1.0)),
+            CallSignal.CALLED, "smaller", None,
+        ),
+        "nan-kink-on": (
+            (ConsumerParams(3.0, 0.05, 16.0), Prices(0.26, 1e308), Report(14.0, 1.0)),
+            CallSignal.CALLED, "same", None,
+        ),
+        "nan-kink-after": (
+            (ConsumerParams(3.1, 0.05, 16.0), Prices(0.26, 1e308), Report(14.0, 1.0)),
+            CallSignal.CALLED, "larger", None,
+        ),
+        # No kink in the NaN: b = 2.5 and the saturation point 2.76 are
+        # below it, so the best cap or kink is an inf at 0, and the grid's
+        # first NaN, at 3.0, beats it.
+        "nan-after-inf": (
+            (ConsumerParams(2.5, 1.0, 16.0), Prices(0.26, 1e308), Report(14.0, 1.0)),
+            CallSignal.CALLED, None, None,
+        ),
+    }
+
+    def test_a_tie_at_one_point_keeps_the_grid_points_zero(self):
+        # Called, the best consumption is 0, where the commitment -0.0 is a
+        # kink on the grid point 0.0. The grid point comes first on a merged
+        # axis, so the result is 0.0, not -0.0.
+        row = (ConsumerParams(1.0, 0.05, 16.0), Prices(0.26, 0.30), Report(2.0, -0.0))
+        got, want = responses_and_references([row], self.STEP, True)
+        assert got == want
+        q, _ = got[0][CallSignal.CALLED]
+        assert q == 0.0 and not np.signbit(q)
+
+    @pytest.mark.parametrize("name", TIES)
+    @pytest.mark.parametrize("inject", [True, False])
+    def test_tied_winners_are_the_rows_case(self, name, inject):
+        row, signal, *where = self.TIES[name]
+        with np.errstate(over="ignore", invalid="ignore"):
+            (q_grid, grid_payoff), (q_off, off_payoff) = split_winners(
+                row, signal, self.STEP, inject
+            )
+        if where[not inject] is None:
+            assert grid_payoff != off_payoff
+            return
+        assert grid_payoff == off_payoff or np.isnan([grid_payoff, off_payoff]).all()
+        assert np.sign(q_off - q_grid) == {"smaller": -1, "same": 0, "larger": 1}[
+            where[not inject]
+        ]
+
+    @pytest.mark.parametrize("block", [1, 64, oracle._STAGE2_BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("inject", [True, False])
+    def test_tied_winners_equal_the_one_row_reference(self, block, inject):
+        # Every tie row alone and all in one search, a NaN equal to a NaN.
+        rows = [row for row, *_ in self.TIES.values()]
+        with mock.patch.object(oracle, "_STAGE2_BLOCK_ELEMENTS", block):
+            with np.errstate(over="ignore", invalid="ignore"):
+                batches = [responses_and_references(rows, self.STEP, inject)] + [
+                    responses_and_references([row], self.STEP, inject)
+                    for row in rows
+                ]
+        for got, want in batches:
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 def two_stage_axis(params, prices, step):

@@ -162,6 +162,14 @@ CONFIGURATIONS: dict[str, tuple[list[str], str | None]] = {
          "--out", "verify.txt"],
         None,
     ),
+    # A coarse grid puts many drawn kinks on a grid point or ties them with
+    # one, so the stage-2 search's tie rule decides many rows. The two-stage
+    # suite is too coarse to pass at this step, so verify exits 2.
+    "verify-coarse-grid": (
+        ["verify", "--draws", "500", "--grid-step", "0.25", "--seed", "5",
+         "--out", "verify.txt"],
+        None,
+    ),
     # The four bounds on verify's grid work, each refused.
     **{
         f"verify-{bound}-bound": (
