@@ -20,6 +20,7 @@ comparable with ``==``, as with numpy arrays.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from enum import IntEnum
 
@@ -170,13 +171,30 @@ def saturation_point(params: ConsumerParams, prices: Prices) -> float:
     return params.baseline + prices.energy_price / params.marginal_utility
 
 
+# The most a payoff term may be: a sixteenth of the largest float, so that
+# every sum of payoff terms that a payoff, an expected profit or verify's
+# comparison of them takes, at most about nine terms' worth, stays finite.
+_PAYOFF_TERM_LIMIT = sys.float_info.max / 16
+
+
 def check_consumption_cap(params: ConsumerParams, prices: Prices) -> None:
-    """Validate that the consumption cap exceeds the saturation point, for
-    one consumer or for columns, naming the first offending row.
+    """Validate that the consumption cap exceeds the saturation point, and
+    that no payoff can overflow, for one consumer or for columns, naming the
+    first offending row.
 
     The contract analysis requires max_consumption > baseline + p/gamma.
     This couples ConsumerParams with Prices, so it is checked here (at
     scenario-assembly time) rather than in either constructor.
+
+    Then every consumption, report and kink lies in [0, q_max], the utility
+    is flat past the saturation point s, and p <= p2. So every product that
+    a payoff, an expected profit or an oracle table takes is at most twice
+    one of these terms, each of which must be at most
+    ``_PAYOFF_TERM_LIMIT``: s^2 (the utility's squares), g*s^2/2 (its peak,
+    and the opt-out payoff g*b^2/2), p2*q_max (the payments, with p*q_max),
+    p2^2 and p2^2/g (the expected profit's, with p^2 and p^2/g) and p2/g
+    (the reduced optima b - p2/g and b - 2*p2/g). Each term can overflow
+    while the others stay small, so none can be left out.
     """
     q_max = params.max_consumption
     sat = saturation_point(params, prices)
@@ -185,6 +203,30 @@ def check_consumption_cap(params: ConsumerParams, prices: Prices) -> None:
         "max_consumption={} must exceed the saturation point baseline + p/gamma = {}",
         q_max, sat,
     )
+    with np.errstate(over="ignore"):
+        for name, value in _payoff_terms(
+            sat, q_max, params.marginal_utility, prices.incentive_price
+        ):
+            require(
+                value <= _PAYOFF_TERM_LIMIT,
+                f"payoff term {name} = {{}} must be at most {_PAYOFF_TERM_LIMIT} "
+                f"for the payoffs to stay finite",
+                value,
+            )
+
+
+def _payoff_terms(s, q_max, g, p2):
+    """Each term that :func:`check_consumption_cap` bounds, with its name,
+    one at a time, so that columns of consumers never hold all six term
+    columns at once. In this order a term's own products overflow only
+    when the term, or one before it, is over the limit, so the first term
+    named is the cause."""
+    yield "saturation_point^2", s * s
+    yield "marginal_utility*saturation_point^2/2", 0.5 * g * s * s
+    yield "incentive_price*max_consumption", p2 * q_max
+    yield "incentive_price^2", p2 * p2
+    yield "incentive_price^2/marginal_utility", p2 * p2 / g
+    yield "incentive_price/marginal_utility", p2 / g
 
 
 def _scalar_or_array(value: np.ndarray, like) -> float | np.ndarray:
@@ -215,11 +257,12 @@ def utility(consumption, params: ConsumerParams, prices: Prices):
         raise ValueError("consumption must be >= 0")
     g = params.marginal_utility
     s = saturation_point(params, prices)
-    # Vertex form of the quadratic: bitwise-identical to the saturated
-    # constant at the breakpoint, so plateau ties resolve consistently.
+    # Vertex form of the quadratic, with d = 0.0 from the saturation point
+    # on: peak - 0.0 is the saturated constant itself, so plateau ties
+    # resolve consistently.
     peak = 0.5 * g * s * s
-    d = q - s
-    out = np.where(q <= s, peak - 0.5 * g * (d * d), peak)
+    d = np.minimum(q, s) - s
+    out = peak - 0.5 * g * (d * d)
     return _scalar_or_array(out, consumption)
 
 

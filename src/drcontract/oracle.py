@@ -11,7 +11,6 @@ between the three is a meaningful check.
 from __future__ import annotations
 
 import contextlib
-from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -49,33 +48,26 @@ _MAX_POINTS = 10**7
 # grid_best_reports does O(N^2) work on an N-point axis; 10**9 report pairs
 # take about half a minute on a 2-vCPU host.
 _MAX_REPORT_PAIRS = 10**9
+# Both grid searches work in blocks of at most this many float64 entries
+# (128 KiB) or one row, so memory stays flat in the grid size.
 # grid_best_reports builds the lower triangle of its (baseline, commitment)
 # table in blocks of _BLOCK_ELEMENTS // N rows (at least one) of its N-point
-# axis. A block of rows below hi needs only the columns below hi, so it holds
-# at most this many float64 entries (128 KiB) or one row, and memory stays
-# flat in the grid size.
-_BLOCK_ELEMENTS = 2**14
+# axis; a block of rows below hi needs only the columns below hi.
 # grid_best_responses searches many rows' grid points at once, each padded to
-# the longest of its block, and the rows' caps and kinks in chunks; a block
-# or chunk holds at most this many points or one row.
-_STAGE2_BLOCK_ELEMENTS = 2**14
+# the longest of its block, and the rows' caps and kinks in chunks.
+_BLOCK_ELEMENTS = 2**14
 # grid_best_responses evaluates every point of every row's axis; 10**9
 # points take about 19 s on a 2-vCPU Xeon host, in rows of 2*10**6 points
 # (rows that fit in cache run about a third faster).
 _MAX_STAGE2_POINTS = 10**9
 
 
-def _kinks(params, prices) -> list:
+def _kinks(b, g, p, p2) -> list:
     """Kinks and piece vertices of the profit in the consumption that do not
-    depend on the report, per row."""
-    b = params.baseline
-    p2 = prices.incentive_price
-    g = params.marginal_utility
+    depend on the report, per row of the baseline, marginal utility and
+    prices ``b``, ``g``, ``p`` and ``p2``."""
     return [
-        b,
-        saturation_point(params, prices),
-        np.maximum(b - p2 / g, 0.0),
-        np.maximum(b - 2 * p2 / g, 0.0),
+        b, b + p / g, np.maximum(b - p2 / g, 0.0), np.maximum(b - 2 * p2 / g, 0.0)
     ]
 
 
@@ -108,43 +100,40 @@ def _ufunc_buffer(size: int):
         np.setbufsize(old)
 
 
-def _search_block(q, report, signals, params, prices, gain, paid, work):
+def _search_block(q, signals, b, g, p, p2, bh, qh, gain, paid, work):
     """Each signal's first best point and its payoff in every row of the
     block ``q``, whose rows ascend, as two ``(rows, len(signals))`` arrays.
 
-    The payoff is :func:`~drcontract.core.stage2_profit` by the operations
-    of ``utility``, ``payment_not_called`` and ``payment_called``, in their
-    order, written into the buffers ``gain``, ``paid`` and ``work`` of
-    ``q``'s shape. Only the utility's plateau is taken differently:
-    peak - 0.5*g*(d*d) with d = min(q, s) - s, which is 0.0 past the
-    saturation point s, gives the same bits as the peak itself there.
+    ``b``, ``g``, ``p``, ``p2``, ``bh`` and ``qh`` are the rows' baseline,
+    marginal utility, prices, reported baseline and commitment, as
+    ``(rows, 1)`` columns. The payoff is
+    :func:`~drcontract.core.stage2_profit` by the operations of ``utility``,
+    ``payment_not_called`` and ``payment_called``, in their order, written
+    into the buffers ``gain``, ``paid`` and ``work`` of ``q``'s shape.
     """
-    g = params.marginal_utility
-    s = saturation_point(params, prices)
+    s = b + p / g
     peak = 0.5 * g * s * s
     np.minimum(q, s, out=work)
     np.subtract(work, s, out=work)
     np.multiply(work, work, out=work)
     np.multiply(0.5 * g, work, out=work)
     np.subtract(peak, work, out=gain)
-    p = prices.energy_price
-    p2 = prices.incentive_price
     r = np.arange(q.shape[0])
     consumption = np.empty((q.shape[0], len(signals)))
     payoff = np.empty_like(consumption)
     for i, signal in enumerate(signals):
         if signal == CallSignal.NOT_CALLED:
             # p * max(baseline, q)
-            np.maximum(report.baseline, q, out=paid)
+            np.maximum(bh, q, out=paid)
             np.multiply(p, paid, out=paid)
         else:
             # p*q - p2*max(baseline - q, 0.0) + p2*|q - committed|
             np.multiply(p, q, out=paid)
-            np.subtract(report.baseline, q, out=work)
+            np.subtract(bh, q, out=work)
             np.maximum(work, 0.0, out=work)
             np.multiply(p2, work, out=work)
             np.subtract(paid, work, out=paid)
-            np.subtract(q, report.committed, out=work)
+            np.subtract(q, qh, out=work)
             np.abs(work, out=work)
             np.multiply(p2, work, out=work)
             np.add(paid, work, out=paid)
@@ -175,11 +164,11 @@ def grid_best_responses(
 
     A row's grid points and its cap and kinks are searched apart. The grid
     points form an ascending run, searched longest run first, in blocks of
-    at most ``_STAGE2_BLOCK_ELEMENTS`` points or one row, each run padded
-    with its cap. The cap and kinks of every row are sorted once and
-    searched in chunks of at most ``_STAGE2_BLOCK_ELEMENTS`` points. A
-    block computes its utility once for all signals; each signal then costs
-    its payment and one first argmax. Of the two winners, ordered by
+    at most ``_BLOCK_ELEMENTS`` points or one row, each run padded with its
+    cap. The cap and kinks of every row are sorted once and searched in
+    chunks of at most ``_BLOCK_ELEMENTS`` points. A block gathers its rows'
+    columns once and computes its utility once for all signals; each signal
+    then costs its payment and one first argmax. Of the two winners, ordered by
     consumption (the grid point first on a tie), the first argmax of their
     payoffs is the row's: ties go to the smallest consumption, as on one
     merged ascending axis.
@@ -187,21 +176,19 @@ def grid_best_responses(
     Returns the best consumption and its payoff, each of shape
     ``(*rows, len(signals))``; column i is for ``signals[i]``.
     """
-    given = (report, params, prices)
-    shape = np.broadcast(*(v for ns in given for v in vars(ns).values())).shape
-    report, params, prices = (
-        SimpleNamespace(
-            **{k: np.broadcast_to(v, shape).ravel() for k, v in vars(ns).items()}
-        )
-        for ns in given
+    given = (
+        params.max_consumption, params.baseline, params.marginal_utility,
+        prices.energy_price, prices.incentive_price, report.baseline,
+        report.committed,
     )
-    q_max = params.max_consumption
+    shape = np.broadcast(*given).shape
+    # The cap, then the columns that _search_block takes a block's rows of.
+    q_max, *cols = (np.broadcast_to(v, shape).ravel() for v in given)
+    b, g, p, p2, bh, qh = cols
     _check_step(step, q_max)
     # A row's cap and kinks: the points of its axis that are not grid points.
     off_grid = np.stack(
-        [q_max, report.baseline, report.committed, *_kinks(params, prices)]
-        if inject_breakpoints
-        else [q_max],
+        [q_max, bh, qh, *_kinks(b, g, p, p2)] if inject_breakpoints else [q_max],
         axis=1,
     )
     last = np.floor(q_max / step)  # index of each row's last grid point
@@ -225,12 +212,12 @@ def grid_best_responses(
     np.minimum(off_grid, cap, out=off_grid)
     off_grid.sort(axis=1, kind="stable")
     # The first block holds the longest row, so no block or chunk needs more
-    # than max(_STAGE2_BLOCK_ELEMENTS, that row's length, one row's cap and
-    # kinks) points of each buffer.
+    # than max(_BLOCK_ELEMENTS, that row's length, one row's cap and kinks)
+    # points of each buffer.
     longest = int(last[order[0]]) + 1 if order.size else 0
     grid = step * np.arange(longest)
     buffers = np.empty(
-        (4, max(_STAGE2_BLOCK_ELEMENTS, longest, off_grid.shape[1]))
+        (4, max(_BLOCK_ELEMENTS, longest, off_grid.shape[1]))
     )
     # Each row's two winners per signal, the grid point's first.
     consumption = np.empty((q_max.size, len(signals), 2))
@@ -239,27 +226,23 @@ def grid_best_responses(
     def search(rows, q, side):
         """Search the block ``q`` of the rows ``rows`` and store each row's
         winners as ``side``."""
-        scratch = (b[: q.size].reshape(q.shape) for b in buffers[1:])
-        rep, par, pri = (
-            SimpleNamespace(**{k: v[rows, None] for k, v in vars(ns).items()})
-            for ns in (report, params, prices)
-        )
+        scratch = (buf[: q.size].reshape(q.shape) for buf in buffers[1:])
         consumption[rows, :, side], payoff[rows, :, side] = _search_block(
-            q, rep, signals, par, pri, *scratch
+            q, signals, *(c[rows, None] for c in cols), *scratch
         )
 
     with _ufunc_buffer(_UFUNC_BUFFER):
         start = 0
         while start < order.size:
             width = int(last[order[start]]) + 1
-            rows = order[start : start + max(1, _STAGE2_BLOCK_ELEMENTS // width)]
+            rows = order[start : start + max(1, _BLOCK_ELEMENTS // width)]
             start += rows.size
             q = buffers[0, : rows.size * width].reshape(rows.size, width)
             # Grid points past a row's last one become its cap: step * j
             # rounds to at least q_max once j exceeds the rounded q_max / step.
             np.minimum(grid[:width], cap[rows], out=q)
             search(rows, q, 0)
-        chunk = max(1, _STAGE2_BLOCK_ELEMENTS // off_grid.shape[1])
+        chunk = max(1, _BLOCK_ELEMENTS // off_grid.shape[1])
         for lo in range(0, q_max.size, chunk):
             rows = slice(lo, lo + chunk)
             search(rows, off_grid[rows], 1)
@@ -352,7 +335,11 @@ def report_axis(
     q_max = params.max_consumption
     _check_step(step, q_max)
     grid = step * np.arange(np.floor(q_max / step) + 1)
-    x = np.unique(np.concatenate([grid, [q_max], _kinks(params, prices)]))
+    kinks = _kinks(
+        params.baseline, params.marginal_utility, prices.energy_price,
+        prices.incentive_price,
+    )
+    x = np.unique(np.concatenate([grid, [q_max], kinks]))
     x = x[(0.0 <= x) & (x <= q_max)]
     n = x.size
     if n**2 > _MAX_REPORT_PAIRS:

@@ -229,8 +229,9 @@ def _optimal_report(call_probability, params, prices):
     b = params.baseline
     q_max = params.max_consumption
     above = pr > call_threshold(prices)
-    # pr = 1 lies above every threshold; its inflated baseline is unused.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Above the threshold the inflated baseline is unused: at pr = 1 it
+    # divides by zero, and near 1 it can overflow.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inflated = b + pr * prices.incentive_price / (
             params.marginal_utility * (1 - pr)
         )

@@ -54,6 +54,21 @@ call_probability = 0.1
 def read(path):
     return path.read_bytes().decode()
 
+# A consumer whose payoffs overflow, and prices that overflow any consumer's;
+# each scenario passes every other loader rule.
+BIG_CONSUMER = (
+    GOOD_SCENARIO.replace("[consumer.a]", "[consumer.big]")
+    .replace("= 8.0", "= 1e200")
+    .replace("= 0.05", "= 1")
+    .replace("= 16.0", "= 2e200")
+)
+BIG_PRICES = (
+    GOOD_SCENARIO.replace("= 0.26", "= 1e300")
+    .replace("= 0.30", "= 1e300")
+    .replace("= 0.05", "= 1e300")
+)
+PAYOFF_LIMIT = "1.1235582092889473e+307"
+
 
 class TestSweepCommand:
     def test_default_call_probability_sweep(self, tmp_path):
@@ -552,6 +567,56 @@ behavior = naive_gamer
         assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"drcontract: [consumer.{cid}]: consumer id must be non-empty" in err
+        assert not out.exists()
+
+
+class TestPayoffOverflowRefused:
+    """A scenario whose payoffs could overflow is refused on load, with one
+    line that names the consumer's section and the term, and no file."""
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["sweep", "--steps", "3"], BIG_CONSUMER,
+             "[consumer.big]: payoff term saturation_point^2 = inf"),
+            (["simulate", "--trials", "3"], BIG_CONSUMER,
+             "[consumer.big]: payoff term saturation_point^2 = inf"),
+            (["verify"], BIG_PRICES,
+             "[consumer.a]: payoff term incentive_price^2 = inf"),
+        ],
+        ids=["sweep", "simulate", "verify"],
+    )
+    def test_refused_on_load(self, tmp_path, capsys, argv, text, message):
+        path = tmp_path / "scenario.ini"
+        path.write_text(text)
+        out = tmp_path / "out.csv"
+        command, *flags = argv
+        assert main([command, "--scenario", str(path), *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"drcontract: {message} must be at most {PAYOFF_LIMIT} for the "
+            f"payoffs to stay finite\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.ini"]
+
+    def test_swept_gamma_refused_before_the_run(self, tmp_path, capsys):
+        # g*s^2/2 is 5e299 at gamma = 1, which the loader accepts, and
+        # overflows at gamma = 1e9.
+        path = tmp_path / "scenario.ini"
+        path.write_text(
+            GOOD_SCENARIO.replace("= 8.0", "= 1e150")
+            .replace("= 0.05", "= 1")
+            .replace("= 16.0", "= 2e150")
+        )
+        out = tmp_path / "out.csv"
+        assert main(
+            ["sweep", "--scenario", str(path), "--param", "gamma", "--from", "1",
+             "--to", "1e9", "--steps", "2", "--out", str(out)]
+        ) == 1
+        assert capsys.readouterr().err == (
+            "drcontract: swept marginal utility 1000000000.0: payoff term "
+            "marginal_utility*saturation_point^2/2 = inf must be at most "
+            f"{PAYOFF_LIMIT} for the payoffs to stay finite\n"
+        )
         assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from drcontract import (
     stage2_profit,
     utility,
 )
-from drcontract.core import columns
+from drcontract.core import _PAYOFF_TERM_LIMIT, columns
+from drcontract.strategy import expected_profit, solve
 
 
 class TestTypes:
@@ -243,3 +245,105 @@ class TestNaNConsumption:
                 self.two_caps(household),
                 prices,
             )
+
+
+def payoff_term_message(name, value):
+    return (
+        f"payoff term {name} = {value} must be at most {_PAYOFF_TERM_LIMIT} "
+        f"for the payoffs to stay finite"
+    )
+
+
+class TestPayoffTerms:
+    """The cap check refuses a consumer whose payoff terms could overflow."""
+
+    LIMIT = _PAYOFF_TERM_LIMIT
+
+    def test_edge_of_one_term(self):
+        # With p = 0 the saturation point is the baseline 2, and g*s^2/2 is
+        # 2*g, exactly: at most the limit is accepted, one ulp over refused.
+        prices = Prices(0.0, 0.30)
+        check_consumption_cap(ConsumerParams(2.0, self.LIMIT / 2, 3.0), prices)
+        over = float(np.nextafter(self.LIMIT / 2, np.inf))
+        with pytest.raises(ValueError) as exc:
+            check_consumption_cap(ConsumerParams(2.0, over, 3.0), prices)
+        assert str(exc.value) == payoff_term_message(
+            "marginal_utility*saturation_point^2/2",
+            float(np.nextafter(self.LIMIT, np.inf)),
+        )
+
+    # Each term over the limit while every other stays under it, and a
+    # computation that overflows without the rule.
+    ALONE = {
+        # utility(0) squares the saturation point, about 1e160.
+        "saturation_point^2": (
+            ConsumerParams(1e160, 1e-20, 2e160), Prices(0.26, 0.30),
+            lambda params, prices: utility(0.0, params, prices),
+        ),
+        # The opt-out payoff g*b^2/2 takes g*b^2 = 3.61e308.
+        "marginal_utility*saturation_point^2/2": (
+            ConsumerParams(1.9, 1e308, 2.0), Prices(0.26, 0.30),
+            lambda params, prices: opt_out_payoff(params),
+        ),
+        # Above the threshold the expected profit takes p2*q_max.
+        "incentive_price*max_consumption": (
+            ConsumerParams(1.0, 1.0, 1e250), Prices(0.26, 1e100),
+            lambda params, prices: expected_profit(0.9, params, prices),
+        ),
+        # The expected profit takes p2**2 of a Python float, which raises.
+        "incentive_price^2": (
+            ConsumerParams(1e-200, 1e300, 2e-200), Prices(0.0, 1e160),
+            lambda params, prices: expected_profit(0.0, params, prices),
+        ),
+        # ... and p2^2/(2g).
+        "incentive_price^2/marginal_utility": (
+            ConsumerParams(1.0, 1e-120, 2.0), Prices(0.0, 1e100),
+            lambda params, prices: expected_profit(0.5, params, prices),
+        ),
+        # The doubly reduced optimum b - 2*p2/g takes 2*p2/g = 2e308.
+        "incentive_price/marginal_utility": (
+            ConsumerParams(1.0, 1e-310, 2.0), Prices(0.0, 1e-2),
+            lambda params, prices: solve(
+                columns(ConsumerParams, [params]), prices, call_probability=0.1
+            ).consumption,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", ALONE)
+    def test_each_term_is_needed(self, name):
+        params, prices, compute = self.ALONE[name]
+        with np.errstate(over="raise"):
+            with pytest.raises(ValueError) as exc:
+                check_consumption_cap(params, prices)
+            assert str(exc.value).startswith(f"payoff term {name} = ")
+            # numpy raises FloatingPointError here; Python floats give inf,
+            # or raise OverflowError for **.
+            try:
+                value = compute(params, prices)
+            except (FloatingPointError, OverflowError):
+                return
+        assert not np.isfinite(value).all()
+
+    def test_finite_terms_are_not_enough(self):
+        # Every term is below the largest float, but the expected profit's
+        # sum of them overflows.
+        params = ConsumerParams(1.1e154, 1.6, 1.3e154)
+        prices = Prices(1e150, 1.3e154)
+        g, p2, q_max = 1.6, 1.3e154, 1.3e154
+        s = saturation_point(params, prices)
+        terms = [s * s, 0.5 * g * s * s, p2 * q_max, p2 * p2, p2 * p2 / g, p2 / g]
+        assert max(terms) < sys.float_info.max
+        assert expected_profit(0.9, params, prices) == math.inf
+        with pytest.raises(ValueError) as exc:
+            check_consumption_cap(params, prices)
+        assert str(exc.value) == payoff_term_message("saturation_point^2", s * s)
+
+    def test_names_the_first_row_of_columns(self):
+        params = columns(ConsumerParams, [
+            ConsumerParams(8.0, 0.05, 16.0),
+            ConsumerParams(1e200, 1.0, 2e200),
+            ConsumerParams(1e200, 1.0, 3e200),
+        ])
+        with pytest.raises(ValueError) as exc:
+            check_consumption_cap(params, Prices(0.26, 0.30))
+        assert str(exc.value) == payoff_term_message("saturation_point^2", math.inf)

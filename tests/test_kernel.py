@@ -23,6 +23,7 @@ from drcontract import (
     best_response_called,
     best_response_not_called,
     call_threshold,
+    check_consumption_cap,
     saturation_point,
     stage2_profit,
 )
@@ -286,6 +287,17 @@ class TestKernelErrorsAndWarnings:
             "(consumption cap below the saturation point?)",
         ]
         assert solution.report_baseline.tolist() == [8.0, 10.0, 10.0]
+
+    def test_unused_inflated_baseline_near_one_warns_nothing(self):
+        # p2/g = 1e307 passes the cap check; at pr = 0.999 the inflated
+        # baseline p2*pr/(g*(1 - pr)) overflows, but above the threshold
+        # it is never used.
+        params = ConsumerParams(1.0, 1e-310, 2.0)
+        prices = Prices(0.0, 1e-3)
+        check_consumption_cap(params, prices)
+        with np.errstate(all="raise", under="ignore"):
+            solution = solve(params, prices, call_probability=0.999)
+        assert solution.report_baseline == 2.0
 
     @pytest.mark.parametrize(
         "call, message",

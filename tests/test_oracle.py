@@ -633,10 +633,10 @@ class TestManyRowStage2Oracle:
         st.lists(verify_box_instances(), min_size=1, max_size=8),
         st.sampled_from([0.01, 0.05, 0.3]),
         st.booleans(),
-        st.sampled_from([1, 64, oracle._STAGE2_BLOCK_ELEMENTS]),
+        st.sampled_from([1, 64, oracle._BLOCK_ELEMENTS]),
     )
     def test_equals_one_row_references(self, rows, step, inject, block):
-        with mock.patch.object(oracle, "_STAGE2_BLOCK_ELEMENTS", block):
+        with mock.patch.object(oracle, "_BLOCK_ELEMENTS", block):
             assert_rows_equal_references(rows, step, inject)
 
     @pytest.mark.parametrize("inject", [True, False])
@@ -652,7 +652,7 @@ class TestManyRowStage2Oracle:
             )
         )
         blocked = grid_best_responses(reports, SIGNALS, params, prices, 0.02, inject)
-        monkeypatch.setattr(oracle, "_STAGE2_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 1)
         one_row = grid_best_responses(reports, SIGNALS, params, prices, 0.02, inject)
         assert all(np.array_equal(a, b) for a, b in zip(blocked, one_row))
         assert_rows_equal_references(rows, 0.02, inject)
@@ -692,7 +692,7 @@ class TestManyRowStage2Oracle:
     # about 8 050 to 40 000 points: in blocks of the default size, every row
     # over 8192 points is a block of its own, and a block of 2^16 points
     # holds rows on both sides of 8192.
-    @pytest.mark.parametrize("block", [oracle._STAGE2_BLOCK_ELEMENTS, 2**16])
+    @pytest.mark.parametrize("block", [oracle._BLOCK_ELEMENTS, 2**16])
     @pytest.mark.parametrize("inject", [True, False])
     def test_rows_on_both_sides_of_the_ufunc_buffer(self, block, inject):
         rng = np.random.default_rng(17)
@@ -707,7 +707,7 @@ class TestManyRowStage2Oracle:
             rows += [(params, prices, r) for r in edge_reports(params, prices)]
         lengths = [np.floor(c / 0.002) + 8 for c in (16.1, 16.5, 79.9)]
         assert lengths[0] < np.getbufsize() < lengths[1] < lengths[2]
-        with mock.patch.object(oracle, "_STAGE2_BLOCK_ELEMENTS", block):
+        with mock.patch.object(oracle, "_BLOCK_ELEMENTS", block):
             assert_rows_equal_references(rows, 0.002, inject)
 
     def test_block_loop_runs_under_a_small_ufunc_buffer(
@@ -716,7 +716,7 @@ class TestManyRowStage2Oracle:
         # Blocks of 8 points hold one row's grid points, or its cap and six
         # kinks, or eight caps: three grid blocks, then three cap-and-kinks
         # chunks with breakpoints and one chunk of caps without.
-        monkeypatch.setattr(oracle, "_STAGE2_BLOCK_ELEMENTS", 8)
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 8)
         default = np.getbufsize()
         seen = []
         real = oracle._search_block
@@ -737,6 +737,37 @@ class TestManyRowStage2Oracle:
                 (shape, oracle._UFUNC_BUFFER) for shape in [(1, width)] * 3 + chunks
             ]
             assert np.getbufsize() == default
+
+    def test_every_point_of_a_block_pays_cores_stage2_profit(self):
+        # One block of rows with their own consumer, prices and report, each
+        # holding grid points, its cap, each kink, 0, and the points one ulp
+        # either side of its saturation point. The payoff the search leaves
+        # in its buffer for each signal is core's, bit for bit.
+        rng = np.random.default_rng(23)
+        rows = [draw_instance(rng) for _ in range(6)]
+        q = np.sort([
+            np.concatenate([
+                np.minimum(0.5 * np.arange(40), one.max_consumption),
+                [0.0, one.max_consumption, report.baseline, report.committed],
+                two_stage_kinks(one, price),
+                np.nextafter(saturation_point(one, price), [-np.inf, np.inf]),
+            ])
+            for one, price, report in rows
+        ])
+        params, prices, reports = (
+            cls(*(column[:, None] for column in vars(columns(cls, values)).values()))
+            for cls, values in zip((ConsumerParams, Prices, Report), zip(*rows))
+        )
+        operands = (
+            params.baseline, params.marginal_utility, prices.energy_price,
+            prices.incentive_price, reports.baseline, reports.committed,
+        )
+        gain, paid, work = np.empty((3, *q.shape))
+        for signal in SIGNALS:
+            with oracle._ufunc_buffer(oracle._UFUNC_BUFFER):
+                oracle._search_block(q, [signal], *operands, gain, paid, work)
+            want = stage2_profit(q, reports, signal, params, prices)
+            assert np.array_equal(paid.view(np.int64), want.view(np.int64))
 
     def test_ufunc_buffer_restored_on_every_exit(self, household, prices):
         default = np.getbufsize()
@@ -1016,12 +1047,12 @@ class TestStage2TieBreaks:
             where[not inject]
         ]
 
-    @pytest.mark.parametrize("block", [1, 64, oracle._STAGE2_BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("block", [1, 64, oracle._BLOCK_ELEMENTS])
     @pytest.mark.parametrize("inject", [True, False])
     def test_tied_winners_equal_the_one_row_reference(self, block, inject):
         # Every tie row alone and all in one search, a NaN equal to a NaN.
         rows = [row for row, *_ in self.TIES.values()]
-        with mock.patch.object(oracle, "_STAGE2_BLOCK_ELEMENTS", block):
+        with mock.patch.object(oracle, "_BLOCK_ELEMENTS", block):
             with np.errstate(over="ignore", invalid="ignore"):
                 batches = [responses_and_references(rows, self.STEP, inject)] + [
                     responses_and_references([row], self.STEP, inject)

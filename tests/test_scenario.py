@@ -756,6 +756,21 @@ class TestConsumerColumns:
         assert message == str(info.value)
 
 
+def test_payoff_overflow_names_the_second_of_three():
+    # Every rule but the payoff terms' holds; the loader's columns find the
+    # break and its per-section check names it.
+    big = consumer(
+        "b", baseline_kwh="1e200", marginal_utility_usd_per_kwh2="1",
+        max_consumption_kwh="2e200",
+    )
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(PRICES + consumer("a") + big + consumer("c"))
+    assert str(info.value) == (
+        "[consumer.b]: payoff term saturation_point^2 = inf must be at most "
+        "1.1235582092889473e+307 for the payoffs to stay finite"
+    )
+
+
 class TestMemberView:
     def test_sequence(self):
         text = mixed_scenario_text(consumers=5)

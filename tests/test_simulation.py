@@ -63,6 +63,11 @@ class TestPortfolio:
         with pytest.raises(ValueError):
             Portfolio((member,), Prices(0.26, 0.30))
 
+    def test_payoff_terms_checked(self):
+        big = PortfolioMember("big", ConsumerParams(1e200, 1.0, 2e200), 0.1)
+        with pytest.raises(ValueError, match=r"^payoff term saturation_point\^2 = "):
+            Portfolio((big,), Prices(0.26, 0.30))
+
     def test_call_probability_bounds(self):
         with pytest.raises(ValueError):
             PortfolioMember("a", ConsumerParams(8.0, 0.05, 16.0), 1.2)

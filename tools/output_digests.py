@@ -48,6 +48,17 @@ SMALL_CAP = (
     GOOD.replace("= 8.0", "= 0.1").replace("= 0.05", "= 10").replace("= 16.0", "= 0.2")
 )
 
+# A consumer whose payoffs overflow, and prices that overflow any consumer's:
+# each breaks only the payoff-term rule.
+BIG_CONSUMER = (
+    GOOD.replace("= 8.0", "= 1e200").replace("= 0.05", "= 1")
+    .replace("= 16.0", "= 2e200")
+)
+BIG_PRICES = (
+    GOOD.replace("= 0.26", "= 1e300").replace("= 0.30", "= 1e300")
+    .replace("= 0.05", "= 1e300")
+)
+
 # One scenario per rule of the loader, each breaking only that rule.
 BAD_SCENARIOS = {
     "malformed": GOOD + "just words\n",
@@ -185,6 +196,20 @@ CONFIGURATIONS: dict[str, tuple[list[str], str | None]] = {
         )
         for bound, step in (("stage2", "1e-5"), ("drawn-points", "6.5e-6"))
     },
+    # The payoff-term rule, each refused on load.
+    "payoff-overflow-sweep": (
+        ["sweep", "--scenario", "scenario.ini", "--steps", "3", "--out", "out.csv"],
+        BIG_CONSUMER,
+    ),
+    "payoff-overflow-simulate": (
+        ["simulate", "--scenario", "scenario.ini", "--trials", "3",
+         "--out", "out.csv"],
+        BIG_CONSUMER,
+    ),
+    "payoff-overflow-verify": (
+        ["verify", "--scenario", "scenario.ini", "--out", "verify.txt"],
+        BIG_PRICES,
+    ),
     "unreadable-scenario": (["simulate", "--scenario", "missing.ini"], None),
     **{
         f"bad-second-of-three-{rule}-simulate": (
