@@ -24,8 +24,7 @@ from .core import (
     ConsumerParams, Prices, check_call_probability, check_consumption_cap,
 )
 from .simulation import (
-    Behavior, Members, Portfolio, check_record_count, check_reduction_target,
-    check_seed,
+    Behavior, Portfolio, check_record_count, check_reduction_target, check_seed,
 )
 
 __all__ = [
@@ -108,7 +107,7 @@ class Scenario(NamedTuple):
     flags override fields through ``_replace``."""
 
     prices: Prices
-    members: Members
+    members: Portfolio
     behaviors: dict[str, Behavior]
     trials: int = DEFAULT_TRIALS
     seed: int = 42
@@ -118,7 +117,8 @@ class Scenario(NamedTuple):
     source_hash: str = "unknown"
 
     def portfolio(self) -> Portfolio:
-        return Portfolio(self.members, self.prices)
+        """The consumers under the scenario's prices: ``members`` itself."""
+        return self.members
 
 
 # The [simulation] keys in the order they are read, with the Scenario field
@@ -201,8 +201,9 @@ def _check_consumer(name: str, section, prices: Prices) -> None:
 
 def _consumers(
     sections: dict[str, dict[str, str]], prices: Prices
-) -> tuple[Members, dict[str, Behavior]]:
-    """The ``[consumer.<id>]`` sections as columns, checked as columns.
+) -> tuple[Portfolio, dict[str, Behavior]]:
+    """The ``[consumer.<id>]`` sections as a :class:`Portfolio` of columns,
+    checked as columns.
 
     When a value is missing or unreadable, or a check fails, the sections
     go through :func:`_check_consumer` in file order, and the first bad one
@@ -221,17 +222,14 @@ def _consumers(
             for key in _CONSUMER_NUMBERS
         )
         kinds = [_BEHAVIORS[row.get("behavior", "rational")] for row in rows]
-        params = ConsumerParams(*floats)
-        # A saturation point that overflows breaks the cap rule, whose
-        # message then reads inf, as a Python float gives it.
-        with np.errstate(over="ignore"):
-            check_consumption_cap(params, prices)
-        check_call_probability(probabilities)
+        members = Portfolio.of_columns(
+            ids, ConsumerParams(*floats), probabilities, prices
+        )
     except (KeyError, ValueError):
         for name, row in zip(names, rows):
             _check_consumer(name, row, prices)
         raise
-    return Members(tuple(ids), params, probabilities), dict(zip(ids, kinds))
+    return members, dict(zip(ids, kinds))
 
 
 def _read_flat(text: str) -> dict[str, dict[str, str]] | None:

@@ -46,7 +46,6 @@ __all__ = [
     "ConsumerStats",
     "EventRecord",
     "EventSummary",
-    "Members",
     "MonteCarloResult",
     "OutcomeTable",
     "Portfolio",
@@ -92,26 +91,53 @@ class PortfolioMember:
         check_call_probability(self.call_probability)
 
 
-class Members(Sequence):
-    """Portfolio members held as read-only columns, entry k for member k:
-    ``consumer_ids``, ``params`` (:class:`ConsumerParams` of float arrays)
-    and ``call_probabilities``.
+class Portfolio(Sequence):
+    """Ordered collection of consumers under one price pair, held as
+    read-only columns, entry k for member k: ``consumer_ids``, ``params``
+    (:class:`ConsumerParams` of float arrays) and ``call_probabilities``.
 
-    ``members[k]`` builds that :class:`PortfolioMember` on access, and a
-    slice gives a tuple of them. A view compares equal to, and hashes as,
-    any sequence of the same members. The call probabilities are checked
-    as each member's is; ``params`` was checked when it was built.
+    ``Portfolio(members, prices)`` takes any sequence of
+    :class:`PortfolioMember` and makes its columns with :func:`columns`;
+    :meth:`of_columns` takes the columns themselves. Either way the ids must
+    be unique, the call probabilities are checked as each member's is, and
+    the members as :func:`check_consumption_cap` checks them.
+
+    ``portfolio[k]`` builds that :class:`PortfolioMember` on access, and a
+    slice gives a tuple of them. Two portfolios are equal, and hash alike,
+    when their members and prices are.
     """
 
-    __slots__ = ("consumer_ids", "params", "call_probabilities")
+    __slots__ = ("consumer_ids", "params", "call_probabilities", "prices")
 
-    def __init__(self, consumer_ids: tuple[str, ...], params: ConsumerParams,
-                 call_probabilities: np.ndarray) -> None:
+    def __init__(self, members: Sequence[PortfolioMember], prices: Prices) -> None:
+        members = tuple(members)
+        self._hold(
+            tuple(m.consumer_id for m in members),
+            columns(ConsumerParams, [m.params for m in members]),
+            np.array([m.call_probability for m in members], dtype=float),
+            prices,
+        )
+
+    @classmethod
+    def of_columns(cls, consumer_ids: Sequence[str], params: ConsumerParams,
+                   call_probabilities: np.ndarray, prices: Prices) -> Portfolio:
+        """The portfolio whose member k is entry k of each column."""
+        portfolio = object.__new__(cls)
+        portfolio._hold(tuple(consumer_ids), params, call_probabilities, prices)
+        return portfolio
+
+    def _hold(self, consumer_ids, params, call_probabilities, prices) -> None:
+        if len(set(consumer_ids)) != len(consumer_ids):
+            raise ValueError("consumer ids must be unique")
         check_call_probability(call_probabilities)
+        # A saturation point that overflows breaks the cap rule, whose
+        # message then reads inf, as a Python float gives it.
+        with np.errstate(over="ignore"):
+            check_consumption_cap(params, prices)
         for column in (*vars(params).values(), call_probabilities):
             column.flags.writeable = False
         for name, value in zip(
-            self.__slots__, (consumer_ids, params, call_probabilities)
+            self.__slots__, (consumer_ids, params, call_probabilities, prices)
         ):
             object.__setattr__(self, name, value)
 
@@ -137,52 +163,17 @@ class Members(Sequence):
         )
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
+        if not isinstance(other, Portfolio):
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return self.prices == other.prices and tuple(self) == tuple(other)
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        return hash((tuple(self), self.prices))
 
     def __reduce__(self):
-        return type(self), (self.consumer_ids, self.params, self.call_probabilities)
-
-
-@dataclass(frozen=True)
-class Portfolio:
-    """Ordered collection of consumers under one price pair, held as a
-    :class:`Members` view. A sequence of :class:`PortfolioMember` becomes
-    one through :func:`columns`."""
-
-    members: Members
-    prices: Prices
-
-    def __post_init__(self) -> None:
-        members = self.members
-        if not isinstance(members, Members):
-            members = tuple(members)
-            members = Members(
-                tuple(m.consumer_id for m in members),
-                columns(ConsumerParams, [m.params for m in members]),
-                np.array([m.call_probability for m in members], dtype=float),
-            )
-            object.__setattr__(self, "members", members)
-        if len(set(members.consumer_ids)) != len(members):
-            raise ValueError("consumer ids must be unique")
-        check_consumption_cap(members.params, self.prices)
-
-    @property
-    def consumer_ids(self) -> tuple[str, ...]:
-        return self.members.consumer_ids
-
-    @property
-    def params(self) -> ConsumerParams:
-        """The members' :class:`ConsumerParams` as :func:`columns`."""
-        return self.members.params
-
-    @property
-    def call_probabilities(self) -> np.ndarray:
-        return self.members.call_probabilities
+        return type(self).of_columns, (
+            self.consumer_ids, self.params, self.call_probabilities, self.prices
+        )
 
 
 class CallAllocation(NamedTuple):
@@ -251,8 +242,7 @@ class TrialRecords(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeTable:
+class OutcomeTable(NamedTuple):
     """Consumption, payment and profit of every consumer under each signal.
 
     Row k is portfolio member k; column s of each ``(n, 2)`` array is the
@@ -344,7 +334,7 @@ def allocate_calls(
     check_seed(seed)
     check_reduction_target(reduction_target)
     report = columns(Report, _by_id(reports, portfolio, "report"))
-    called, committed = _draw_calls(portfolio, report, reduction_target, [seed])
+    called, committed = _draw_calls(portfolio, report, [seed])
     return CallAllocation(
         signals={
             cid: CallSignal(int(c))
@@ -355,9 +345,7 @@ def allocate_calls(
     )
 
 
-def _draw_calls(
-    portfolio: Portfolio, report, reduction_target: float, seeds
-) -> tuple[np.ndarray, np.ndarray]:
+def _draw_calls(portfolio: Portfolio, report, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Call flags of every member in every trial, shape ``(n, len(seeds))``,
     and the reduction the called reports (``report``, as :func:`columns`)
     commit to in each trial.
@@ -542,7 +530,7 @@ def run_monte_carlo(
     records and summary are bitwise identical to drawing and settling that
     trial alone with :func:`allocate_calls` and :func:`settle_event`.
     """
-    check_record_count(len(portfolio.members), trials)
+    check_record_count(len(portfolio), trials)
     check_seed(master_seed, "master_seed")
     check_reduction_target(reduction_target)
     kinds, rational, truthful = _behaviors(portfolio, behaviors)
@@ -551,7 +539,7 @@ def run_monte_carlo(
     seeds = np.random.SeedSequence(master_seed).generate_state(
         trials, dtype=np.uint64
     )
-    called, committed = _draw_calls(portfolio, report, reduction_target, seeds)
+    called, committed = _draw_calls(portfolio, report, seeds)
     summaries = _summarize(table, called, committed < reduction_target)
     # Member k's statistics reduce row k of (n, trials) arrays, built one at a
     # time; a C-contiguous row is summed pairwise, like the row alone.

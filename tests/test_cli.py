@@ -4,7 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from drcontract import ConsumerParams, Prices, Report, cli, load_scenario, oracle
+from drcontract import (
+    ConsumerParams, Prices, Report, cli, load_scenario, oracle, scenario, simulation,
+)
 from drcontract.cli import main, run_verification
 from drcontract.scenario import _read_flat
 from mixed_scenario import mixed_scenario_text
@@ -420,6 +422,20 @@ def test_drawing_all_instances_at_once_keeps_the_stream(seed):
 
 
 class TestSimulateCommand:
+    def test_consumer_columns_are_checked_once(self, tmp_path, mixed_ini, monkeypatch):
+        consumers = len(load_scenario(str(mixed_ini)).members)
+        checked = []
+        for module in (scenario, simulation):
+            check = module.check_consumption_cap
+
+            def counted(params, prices, check=check):
+                checked.append(len(params.baseline))
+                return check(params, prices)
+
+            monkeypatch.setattr(module, "check_consumption_cap", counted)
+        simulate_outputs(tmp_path, "--scenario", str(mixed_ini), "--trials", "2")
+        assert checked == [consumers]
+
     def test_single_trial_is_deterministic(self, tmp_path):
         out = tmp_path / "run.csv"
         assert main(

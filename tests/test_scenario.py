@@ -802,11 +802,16 @@ class TestMemberView:
             if name.startswith("consumer.")
         )
         members = parse_scenario(text).members
-        assert members == by_hand
-        assert by_hand == members
+        assert tuple(members) == by_hand
+        assert by_hand == tuple(members)
         assert all(type(m) is PortfolioMember for m in members)
         assert all(type(m.call_probability) is float for m in members)
-        assert members != by_hand[:-1]
+        assert tuple(members) != by_hand[:-1]
+
+    def test_portfolio_is_the_members(self):
+        scenario = parse_scenario(mixed_scenario_text(consumers=4))
+        assert scenario.portfolio() is scenario.members
+        assert scenario.members.prices == scenario.prices
 
     def test_columns_are_read_only(self):
         members = parse_scenario(mixed_scenario_text(consumers=4)).members

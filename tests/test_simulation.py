@@ -1,5 +1,6 @@
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -85,7 +86,6 @@ class TestPortfolio:
         scenario = parse_scenario(mixed_scenario_text())
         loaded = scenario.portfolio()
         built = Portfolio(tuple(scenario.members), scenario.prices)
-        assert isinstance(built.members, simulation.Members)
         assert built.consumer_ids == loaded.consumer_ids
         for name in ("baseline", "marginal_utility", "max_consumption"):
             want = getattr(loaded.params, name)
@@ -93,18 +93,18 @@ class TestPortfolio:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert built.call_probabilities.tobytes() == loaded.call_probabilities.tobytes()
         assert built == loaded
-        assert built.members == scenario.members
+        assert built == scenario.members
         assert hash(built) == hash(loaded)
         copied = pickle.loads(pickle.dumps(loaded))
         assert copied == loaded
-        assert not copied.members.params.baseline.flags.writeable
+        assert not copied.params.baseline.flags.writeable
 
     def test_members_view_of_a_tuple(self):
         members = tuple(
             PortfolioMember(cid, ConsumerParams(8.0, 0.05, cap), 0.1)
             for cid, cap in (("a", 16.0), ("b", 17.0))
         )
-        view = Portfolio(members, Prices(0.26, 0.30)).members
+        view = Portfolio(members, Prices(0.26, 0.30))
         assert len(view) == 2
         assert view[1] == members[1] and view[-2] == members[0]
         assert view[::-1] == members[::-1]
@@ -118,8 +118,43 @@ class TestPortfolio:
         params = ConsumerParams(np.array([8.0, 8.0]), np.array([0.05] * 2),
                                 np.array([16.0] * 2))
         with pytest.raises(ValueError) as exc:
-            simulation.Members(("a", "b"), params, np.array([0.5, 1.5]))
+            Portfolio.of_columns(
+                ("a", "b"), params, np.array([0.5, 1.5]), Prices(0.26, 0.30)
+            )
         assert str(exc.value) == "call probability must lie in [0, 1], got 1.5"
+
+    def test_overflowing_saturation_point_reads_inf_without_a_warning(self):
+        # 0.26 / 1e-320 overflows; the warnings filter turns numpy's warning
+        # into an error, so only the cap rule's own message may come out.
+        member = PortfolioMember("a", ConsumerParams(8.0, 1e-320, 16.0), 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"= inf$"):
+                Portfolio((member,), Prices(0.26, 0.30))
+
+    def test_of_columns_checks_ids_and_caps_and_locks_its_columns(self):
+        # Its call probabilities: test_members_view_checks_its_call_probabilities.
+        def of_columns(ids=("a", "b"), cap=16.0):
+            params = ConsumerParams(
+                np.array([8.0, 8.0]), np.array([0.05] * 2), np.array([16.0, cap])
+            )
+            return Portfolio.of_columns(
+                ids, params, np.array([0.5, 0.5]), Prices(0.26, 0.30)
+            )
+
+        with pytest.raises(ValueError, match="^consumer ids must be unique$"):
+            of_columns(ids=("a", "a"))
+        with pytest.raises(ValueError, match="^max_consumption=13.0 must exceed"):
+            of_columns(cap=13.0)
+        portfolio = of_columns()
+        for column in (*vars(portfolio.params).values(), portfolio.call_probabilities):
+            assert not column.flags.writeable
+
+    def test_not_equal_to_its_members(self):
+        portfolio, _ = single_portfolio()
+        members = tuple(portfolio)
+        assert portfolio != members and members != portfolio
+        assert portfolio != Portfolio(members, Prices(0.25, 0.30))
 
     def test_first_member_under_the_cap_names_itself(self):
         members = tuple(
@@ -263,7 +298,7 @@ class TestSettleEvent:
                 portfolio, reports, {"household": signal}, behaviors
             )
             rec = records[0]
-            gained = utility(rec.consumption, portfolio.members[0].params, portfolio.prices)
+            gained = utility(rec.consumption, portfolio[0].params, portfolio.prices)
             assert rec.profit == gained - rec.payment
 
     def test_allocation_flag_propagates(self):
@@ -525,11 +560,11 @@ class TestColumnarMonteCarlo:
 
         monkeypatch.setattr(simulation, "solve", counted)
         portfolio = scenario.portfolio()
-        assert len(portfolio.members) == 120
+        assert len(portfolio) == 120
         run_monte_carlo(portfolio, scenario.behaviors, trials=3)
         assert len(calls) == 2  # collect_reports, then _settle
         calls.clear()
-        signals = {m.consumer_id: CallSignal.CALLED for m in portfolio.members}
+        signals = {m.consumer_id: CallSignal.CALLED for m in portfolio}
         settle_event(portfolio, reports, signals, scenario.behaviors)
         assert len(calls) == 1
 
@@ -690,7 +725,7 @@ class TestTotalsAndStatsMatchLoops:
     )
     def test_run_matches_loops(self, case, trials, seed, target):
         portfolio, behaviors = case
-        members = portfolio.members
+        members = portfolio
         result = run_monte_carlo(
             portfolio, behaviors, trials, reduction_target=target, master_seed=seed
         )

@@ -99,11 +99,12 @@ PER_CONSUMER_RULES = (
 )
 SECOND_OF_THREE = {
     rule: GOOD
-    + BAD_SCENARIOS[rule][BAD_SCENARIOS[rule].index("[consumer."):].replace(
-        "[consumer.a", "[consumer.b"
-    )
+    + bad[bad.index("[consumer."):].replace("[consumer.a", "[consumer.b")
     + CONSUMER.replace("consumer.a", "consumer.c")
-    for rule in PER_CONSUMER_RULES
+    for rule, bad in (
+        *((rule, BAD_SCENARIOS[rule]) for rule in PER_CONSUMER_RULES),
+        ("payoff-overflow", BIG_CONSUMER),
+    )
 }
 
 # name -> (argv, text of scenario.ini or None)
@@ -117,6 +118,15 @@ CONFIGURATIONS: dict[str, tuple[list[str], str | None]] = {
         )
         for seed in ("5", "77")
     },
+    # Two consumers, one of which takes its call probability from [DEFAULT],
+    # so configparser reads the scenario.
+    "simulate-default-section": (
+        ["simulate", "--scenario", "scenario.ini", "--trials", "50",
+         "--out", "out.csv"],
+        "[DEFAULT]\ncall_probability = 0.3\n\n"
+        + GOOD.replace("call_probability = 0.1\n", "")
+        + CONSUMER.replace("consumer.a", "consumer.b"),
+    ),
     "simulate-mixed-2000x250": (
         ["simulate", "--scenario", "scenario.ini", "--out", "out.csv"],
         mixed_scenario_text(2000, 250),
