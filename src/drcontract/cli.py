@@ -372,8 +372,8 @@ def run_verification(
         lines.append(f"offending draw (seed={seed}): {worst}")
     ok = stage2_ok and cases_ok
 
+    threshold = call_threshold(scenario.prices)
     for consumer in scenario.members:
-        threshold = call_threshold(scenario.prices)
         at = expected_profit(
             threshold, consumer.params, scenario.prices,
             literal_above_threshold=literal_above_threshold,

@@ -106,7 +106,6 @@ class Scenario(NamedTuple):
     """Everything a scenario file sets, read and checked once. Command-line
     flags override fields through ``_replace``."""
 
-    prices: Prices
     members: Portfolio
     behaviors: dict[str, Behavior]
     trials: int = DEFAULT_TRIALS
@@ -115,6 +114,11 @@ class Scenario(NamedTuple):
     reduction_target: float = 0.0
     sweep: SweepSpec | None = None
     source_hash: str = "unknown"
+
+    @property
+    def prices(self) -> Prices:
+        """The members' own prices, which ``_replace`` cannot set apart."""
+        return self.members.prices
 
     def portfolio(self) -> Portfolio:
         """The consumers under the scenario's prices: ``members`` itself."""
@@ -131,13 +135,16 @@ _SIMULATION_KEYS = (
 )
 # The [sweep] keys that set a range, with the SweepSpec field of each.
 _SWEEP_KEYS = (("from", "start", float), ("to", "stop", float), ("steps", "steps", int))
+# The number keys of a [consumer.<id>] section, in the order they are read:
+# the fields of ConsumerParams, then the call probability.
+_CONSUMER_NUMBERS = (
+    "baseline_kwh", "marginal_utility_usd_per_kwh2", "max_consumption_kwh",
+    "call_probability",
+)
 # The keys each kind of section reads, in the order they are read.
 _SECTION_KEYS = {
     "prices": ["price_usd_per_kwh", "incentive_usd_per_kwh"],
-    "consumer.<id>": [
-        "baseline_kwh", "marginal_utility_usd_per_kwh2", "max_consumption_kwh",
-        "call_probability", "behavior",
-    ],
+    "consumer.<id>": [*_CONSUMER_NUMBERS, "behavior"],
     "simulation": [key for key, _, _ in _SIMULATION_KEYS],
     "sweep": ["param"] + [key for key, _, _ in _SWEEP_KEYS],
 }
@@ -163,12 +170,6 @@ def _get(section, key: str, where: str, kind=float):
     return value
 
 
-# The number keys of a [consumer.<id>] section, in the order they are read:
-# the fields of ConsumerParams, then the call probability.
-_CONSUMER_NUMBERS = (
-    "baseline_kwh", "marginal_utility_usd_per_kwh2", "max_consumption_kwh",
-    "call_probability",
-)
 _BEHAVIORS = {kind.value: kind for kind in Behavior}
 
 
@@ -370,7 +371,7 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
     # Checked after every other rule, whose messages come first.
     _check_known(sections, shared)
     return Scenario(
-        prices, members, behaviors, **settings, sweep=sweep,
+        members, behaviors, **settings, sweep=sweep,
         source_hash=source_hash,
     )
 

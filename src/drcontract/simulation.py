@@ -281,8 +281,6 @@ class MonteCarloResult:
     stats: list[ConsumerStats]
     summaries: list[EventSummary]
     records: list[TrialRecords]
-    trials: int
-    master_seed: int
     outcomes: OutcomeTable = field(compare=False)
     called: np.ndarray = field(compare=False)
 
@@ -359,7 +357,10 @@ def _draw_calls(portfolio: Portfolio, report, seeds) -> tuple[np.ndarray, np.nda
     called = np.empty((probs.size, len(seeds)), dtype=bool)
     for t, seed in enumerate(seeds):
         called[:, t] = np.random.default_rng(int(seed)).random(probs.size) < probs
-    return called, _called_totals(called, report.baseline - report.committed)
+    # Only compared with the target, so a total that overflows is kept.
+    with np.errstate(over="ignore"):
+        committed = _called_totals(called, report.baseline - report.committed)
+    return called, committed
 
 
 def _called_totals(called: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -442,16 +443,44 @@ def _summarize(
 
     Each member's reduction and payout when called are added in portfolio
     order from +0.0 (:func:`_called_totals`), the same on any Python version.
+    The first event whose totals are not finite is refused.
     """
+    with np.errstate(over="ignore"):
+        totals = np.stack([
+            _called_totals(called, _reduction(table)),
+            _called_totals(called, -table.payment[:, 1]),
+        ], axis=1)
+    _check_finite(totals, "trial", range(len(totals)), _SUMMARY_COLUMNS)
     return [
         EventSummary(count, reduced, paid, under)
-        for count, reduced, paid, under in zip(
+        for count, (reduced, paid), under in zip(
             np.count_nonzero(called, axis=0).tolist(),
-            _called_totals(called, _reduction(table)).tolist(),
-            _called_totals(called, -table.payment[:, 1]).tolist(),
+            totals.tolist(),
             under_provisioned.tolist(),
         )
     ]
+
+
+# The columns of the summaries and stats that _check_finite names, as
+# simulate's CSV headers name them.
+_SUMMARY_COLUMNS = ("total_reduction_kwh", "total_payout_usd")
+_STATS_COLUMNS = (
+    "call_frequency", "mean_profit", "profit_variance", "mean_payment",
+    "mean_reduction_kwh",
+)
+
+
+def _check_finite(values: np.ndarray, what: str, names, columns) -> None:
+    """Refuse the first row k of ``values`` with an entry that is not
+    finite, naming it ``what names[k]`` and the first such entry's column."""
+    bad = np.logical_not(np.isfinite(values))
+    if bad.any():
+        k, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(
+            f"{what} {names[k]!r}: {columns[j]} is not finite "
+            f"({float(values[k, j])}); the scenario's magnitudes overflow "
+            f"64-bit floats"
+        )
 
 
 def _reduction(table: OutcomeTable) -> np.ndarray:
@@ -542,21 +571,26 @@ def run_monte_carlo(
     called, committed = _draw_calls(portfolio, report, seeds)
     summaries = _summarize(table, called, committed < reduction_target)
     # Member k's statistics reduce row k of (n, trials) arrays, built one at a
-    # time; a C-contiguous row is summed pairwise, like the row alone.
-    profits = np.where(called, table.profit[:, 1:], table.profit[:, :1])
-    mean_profit = profits.mean(axis=1)
-    # The steps of profits.var(axis=1, ddof=1), in place of its temporary.
-    profits -= mean_profit[:, None]
-    profits *= profits
-    variance = profits.sum(axis=1) / max(trials - 1, 1)
-    del profits
-    mean_payment = np.where(
-        called, table.payment[:, 1:], table.payment[:, :1]
-    ).mean(axis=1)
-    mean_reduction = np.where(called, _reduction(table)[:, None], 0.0).mean(axis=1)
-    per_member = np.column_stack(
-        [called.mean(axis=1), mean_profit, variance, mean_payment, mean_reduction]
-    )
+    # time; a C-contiguous row is summed pairwise, like the row alone. Halves
+    # of a row that overflow to opposite infinities sum to nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        profits = np.where(called, table.profit[:, 1:], table.profit[:, :1])
+        mean_profit = profits.mean(axis=1)
+        # The steps of profits.var(axis=1, ddof=1), in place of its temporary.
+        profits -= mean_profit[:, None]
+        profits *= profits
+        variance = profits.sum(axis=1) / max(trials - 1, 1)
+        del profits
+        mean_payment = np.where(
+            called, table.payment[:, 1:], table.payment[:, :1]
+        ).mean(axis=1)
+        mean_reduction = np.where(
+            called, _reduction(table)[:, None], 0.0
+        ).mean(axis=1)
+        per_member = np.column_stack(
+            [called.mean(axis=1), mean_profit, variance, mean_payment, mean_reduction]
+        )
+    _check_finite(per_member, "consumer", table.consumer_ids, _STATS_COLUMNS)
     stats = [
         ConsumerStats(cid, kind, trials, *row)
         for cid, kind, row in zip(table.consumer_ids, kinds, per_member.tolist())
@@ -565,8 +599,6 @@ def run_monte_carlo(
         stats=stats,
         summaries=summaries,
         records=[TrialRecords(table, called[:, t]) for t in range(trials)],
-        trials=trials,
-        master_seed=master_seed,
         outcomes=table,
         called=called,
     )

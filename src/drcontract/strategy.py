@@ -180,12 +180,12 @@ def _respond(signal: CallSignal, report, params, prices):
     b = params.baseline
     q_max = params.max_consumption
     reported = report.baseline
+    inside = (0 <= reported) & (reported <= q_max)
+    require(inside, "reported baseline must lie in [0, {}]", q_max)
     if signal == CallSignal.NOT_CALLED:
-        inside = (0 <= reported) & (reported <= q_max)
         levels = [b, reported, np.minimum(saturation_point(params, prices), q_max)]
         labels = [0, 1, 2]
     else:
-        inside = np.logical_not(reported > q_max)
         p2 = prices.incentive_price
         g = params.marginal_utility
         reduced_raw = b - p2 / g
@@ -197,7 +197,6 @@ def _respond(signal: CallSignal, report, params, prices):
             np.where(report.committed >= doubly_reduced, 3, 4),
             5,
         ]
-    require(inside, "reported baseline must lie in [0, {}]", q_max)
     rows = (
         b, params.marginal_utility, q_max, prices.energy_price,
         prices.incentive_price, reported, report.committed,

@@ -1,8 +1,15 @@
+import contextlib
 import hashlib
+import io
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drcontract import (
     ConsumerParams, Prices, Report, cli, load_scenario, oracle, scenario, simulation,
@@ -70,6 +77,34 @@ BIG_PRICES = (
     .replace("= 0.05", "= 1e300")
 )
 PAYOFF_LIMIT = "1.1235582092889473e+307"
+
+
+def scenario_text(prices, consumers):
+    """A scenario of ``prices`` (p, p2) and ``consumers``, each a tuple of
+    baseline, marginal utility, cap, call probability and behavior."""
+    text = "[prices]\nprice_usd_per_kwh = %r\nincentive_usd_per_kwh = %r\n" % prices
+    for k, (b, g, cap, pr, kind) in enumerate(consumers):
+        text += (
+            f"[consumer.c{k}]\nbaseline_kwh = {b!r}\n"
+            f"marginal_utility_usd_per_kwh2 = {g!r}\nmax_consumption_kwh = {cap!r}\n"
+            f"call_probability = {pr!r}\nbehavior = {kind}\n"
+        )
+    return text
+
+
+def number(cell: str) -> float:
+    """A CSV cell as a float; 0 for an id, a behavior or a flag."""
+    try:
+        return float(cell)
+    except ValueError:
+        return 0.0
+
+
+# A consumer whose profit variance overflows over four trials, and twenty
+# whose payouts overflow when summed over one trial; both pass the loader.
+OVERFLOW_PRICES = (0.0, 1e10)
+STATS_OVERFLOW = [(1.0, 1.0, 1e150, 0.5, "rational")]
+PAYOUT_OVERFLOW = [(1.0, 1.0, 1.1e297, 1.0, "rational")] * 20
 
 
 class TestSweepCommand:
@@ -634,6 +669,84 @@ class TestPayoffOverflowRefused:
             f"{PAYOFF_LIMIT} for the payoffs to stay finite\n"
         )
         assert not out.exists()
+
+
+class TestStatisticsOverflowRefused:
+    """A run whose statistics or event totals are not finite is refused
+    after the run header, with one line, and writes no file."""
+
+    @pytest.mark.parametrize(
+        "consumers, message",
+        [
+            (STATS_OVERFLOW, "consumer 'c0': profit_variance is not finite (inf)"),
+            (PAYOUT_OVERFLOW, "trial 0: total_payout_usd is not finite (inf)"),
+        ],
+        ids=["stats", "payout"],
+    )
+    def test_refused_after_the_run(self, tmp_path, capsys, consumers, message):
+        path = tmp_path / "scenario.ini"
+        path.write_text(scenario_text(OVERFLOW_PRICES, consumers))
+        out = tmp_path / "out.csv"
+        assert main(
+            ["simulate", "--scenario", str(path), "--trials", "4", "--out", str(out)]
+        ) == 1
+        header, refusal = capsys.readouterr().err.splitlines()
+        assert header.startswith("scenario_hash=")
+        assert refusal == (
+            f"drcontract: {message}; the scenario's magnitudes overflow "
+            f"64-bit floats"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.ini"]
+
+    def test_refusals_name_the_csv_columns(self):
+        assert simulation._STATS_COLUMNS == tuple(cli.STATS_HEADER.split(",")[3:])
+        assert simulation._SUMMARY_COLUMNS == tuple(
+            cli.SUMMARIES_HEADER.split(",")[2:4]
+        )
+
+    # Any magnitude a scenario file can hold, so most scenarios are refused
+    # on load; every run that loads either writes finite cells or is refused.
+    log_uniform = st.floats(-300, 300).map(lambda e: 10.0**e)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.tuples(log_uniform, log_uniform),
+        st.lists(
+            st.tuples(
+                log_uniform, log_uniform, log_uniform, st.floats(0, 1),
+                st.sampled_from(["rational", "truthful", "naive_gamer"]),
+            ),
+            min_size=1, max_size=4,
+        ),
+    )
+    @example(OVERFLOW_PRICES, STATS_OVERFLOW)
+    @example(OVERFLOW_PRICES, PAYOUT_OVERFLOW)
+    def test_every_run_is_finite_or_refused(self, prices, consumers):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "scenario.ini"
+            path.write_text(scenario_text(prices, consumers))
+            with contextlib.redirect_stderr(err):
+                code = main([
+                    "simulate", "--scenario", str(path), "--trials", "4",
+                    "--out", str(Path(work) / "out.csv"),
+                ])
+            written = sorted(Path(work).glob("*.csv"))
+            cells = [
+                cell
+                for csv in written
+                for line in csv.read_text().splitlines()[1:]
+                for cell in line.split(",")
+            ]
+        refusals = [
+            line for line in err.getvalue().splitlines()
+            if line.startswith("drcontract:")
+        ]
+        if code == 0:
+            assert len(written) == 3 and not refusals
+            assert all(map(math.isfinite, map(number, cells)))
+        else:
+            assert (code, len(refusals), written) == (1, 1, [])
 
 
 class TestFlagValidation:

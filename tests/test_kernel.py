@@ -3,6 +3,7 @@ replaced, kept here as the reference: one ``stage2_profit`` call per
 candidate level, ranked by consumption, first maximum wins."""
 
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -311,6 +312,10 @@ class TestKernelErrorsAndWarnings:
             (lambda h, p: best_response_not_called(-0.5, h, p),
              "reported baseline must lie in [0, 16.0]"),
             (lambda h, p: best_response_called(Report(16.5, 2.0), h, p),
+             "reported baseline must lie in [0, 16.0]"),
+            # Not a Report, so not checked on construction.
+            (lambda h, p: best_response_called(
+                SimpleNamespace(baseline=float("nan"), committed=0.0), h, p),
              "reported baseline must lie in [0, 16.0]"),
         ],
     )

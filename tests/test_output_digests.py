@@ -25,3 +25,13 @@ def test_digests_repeat_and_cover_files_streams_and_exit_codes():
         "stderr": "drcontract: key 'seed' in [simulation] must be >= 0, got -5\n",
         "files": {},
     }
+
+
+def test_overflowing_runs_are_refused_with_one_line_and_no_file():
+    tool = load_tool()
+    names = ["stats-overflow-simulate", "payout-overflow-simulate"]
+    for name, digest in tool.digests(names).items():
+        header, refusal = digest["stderr"].splitlines()
+        assert header.startswith("scenario_hash="), name
+        assert refusal.startswith("drcontract: "), name
+        assert (digest["exit"], digest["stdout"], digest["files"]) == (1, "", {})

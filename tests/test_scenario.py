@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import drcontract
 from drcontract import (
-    Behavior, ConsumerParams, PortfolioMember, ScenarioError, load_scenario,
+    Behavior, ConsumerParams, PortfolioMember, Prices, Scenario, ScenarioError,
+    load_scenario,
 )
 from drcontract.scenario import (
     _read_flat,
@@ -811,7 +812,13 @@ class TestMemberView:
     def test_portfolio_is_the_members(self):
         scenario = parse_scenario(mixed_scenario_text(consumers=4))
         assert scenario.portfolio() is scenario.members
-        assert scenario.members.prices == scenario.prices
+        assert scenario.members.prices is scenario.prices
+
+    def test_prices_are_the_members_own(self):
+        scenario = load_scenario(None)
+        assert "prices" not in Scenario._fields
+        with pytest.raises(ValueError):
+            scenario._replace(prices=Prices(0.1, 0.2))
 
     def test_columns_are_read_only(self):
         members = parse_scenario(mixed_scenario_text(consumers=4)).members

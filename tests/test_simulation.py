@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import tracemalloc
 import warnings
@@ -11,6 +12,7 @@ from drcontract import (
     Behavior,
     CallSignal,
     ConsumerParams,
+    MonteCarloResult,
     Portfolio,
     PortfolioMember,
     Prices,
@@ -780,6 +782,72 @@ class TestTotalsAndStatsMatchLoops:
                     (summary.total_reduction, summary.total_payout),
                 )
             )
+
+
+def huge_portfolio(n, cap, call_probability, incentive):
+    """``n`` members whose caps, and so their reports and payouts, are huge."""
+    members = [
+        PortfolioMember(f"c{k}", ConsumerParams(1.0, 1.0, cap), call_probability)
+        for k in range(n)
+    ]
+    behaviors = {m.consumer_id: Behavior.RATIONAL for m in members}
+    return Portfolio(members, Prices(0.0, incentive)), behaviors
+
+
+class TestNonFiniteRefused:
+    """Statistics and event totals that overflow are refused, naming the
+    consumer or trial and the CSV column; the committed reduction, only
+    compared with the target, is kept."""
+
+    def test_result_holds_no_copy_of_its_arguments(self):
+        assert [f.name for f in dataclasses.fields(MonteCarloResult)] == [
+            "stats", "summaries", "records", "outcomes", "called",
+        ]
+
+    def test_overflowing_variance_refused(self):
+        portfolio, behaviors = huge_portfolio(1, 1e150, 0.5, 1e10)
+        with pytest.raises(ValueError) as exc:
+            run_monte_carlo(portfolio, behaviors, trials=4, master_seed=42)
+        assert str(exc.value) == (
+            "consumer 'c0': profit_variance is not finite (inf); the "
+            "scenario's magnitudes overflow 64-bit floats"
+        )
+
+    def test_opposite_overflows_refused(self):
+        # A naive gamer loses about 1.1e307 when not called and earns as much
+        # when called, so a mean's pairwise halves overflow to -inf and inf.
+        member = PortfolioMember("c0", ConsumerParams(1.0, 1.0, 1.1e297), 0.5)
+        portfolio = Portfolio((member,), Prices(1e10, 1e10))
+        with pytest.raises(ValueError) as exc:
+            run_monte_carlo(
+                portfolio, {"c0": Behavior.NAIVE_GAMER}, trials=1000, master_seed=5
+            )
+        assert str(exc.value) == (
+            "consumer 'c0': mean_profit is not finite (nan); the scenario's "
+            "magnitudes overflow 64-bit floats"
+        )
+
+    def test_overflowing_totals_refused_by_run_and_settlement(self):
+        portfolio, behaviors = huge_portfolio(20, 1.1e297, 1.0, 1e10)
+        message = (
+            "trial 0: total_payout_usd is not finite (inf); the scenario's "
+            "magnitudes overflow 64-bit floats"
+        )
+        with pytest.raises(ValueError) as exc:
+            run_monte_carlo(portfolio, behaviors, trials=2)
+        assert str(exc.value) == message
+        reports = collect_reports(portfolio, behaviors)
+        calls = {cid: CallSignal.CALLED for cid in portfolio.consumer_ids}
+        with pytest.raises(ValueError) as exc:
+            settle_event(portfolio, reports, calls, behaviors)
+        assert str(exc.value) == message
+
+    def test_overflowing_committed_reduction_kept(self):
+        portfolio, behaviors = huge_portfolio(2, 1.7e308, 1.0, 1e-10)
+        reports = collect_reports(portfolio, behaviors)
+        allocation = allocate_calls(portfolio, reports, 5.0, seed=1)
+        assert allocation.committed_reduction == np.inf
+        assert not allocation.under_provisioned
 
 
 class TestRunInputs:

@@ -58,6 +58,19 @@ BIG_PRICES = (
     GOOD.replace("= 0.26", "= 1e300").replace("= 0.30", "= 1e300")
     .replace("= 0.05", "= 1e300")
 )
+# A consumer whose profit variance overflows over the trials, and twenty
+# whose payouts overflow when summed over one trial: each passes the loader.
+STATS_OVERFLOW = (
+    GOOD.replace("= 0.26", "= 0").replace("= 0.30", "= 1e10")
+    .replace("= 8.0", "= 1").replace("= 0.05", "= 1").replace("= 16.0", "= 1e150")
+    .replace("= 0.1", "= 0.5")
+)
+PAYOUT_OVERFLOW = STATS_OVERFLOW[:STATS_OVERFLOW.index("[consumer.a]")] + "".join(
+    STATS_OVERFLOW[STATS_OVERFLOW.index("[consumer.a]"):]
+    .replace("consumer.a", f"consumer.c{k}")
+    .replace("= 1e150", "= 1.1e297").replace("= 0.5", "= 1")
+    for k in range(20)
+)
 
 # One scenario per rule of the loader, each breaking only that rule.
 BAD_SCENARIOS = {
@@ -219,6 +232,17 @@ CONFIGURATIONS: dict[str, tuple[list[str], str | None]] = {
     "payoff-overflow-verify": (
         ["verify", "--scenario", "scenario.ini", "--out", "verify.txt"],
         BIG_PRICES,
+    ),
+    # Statistics and event totals that overflow, each refused after the run.
+    "stats-overflow-simulate": (
+        ["simulate", "--scenario", "scenario.ini", "--trials", "4",
+         "--out", "out.csv"],
+        STATS_OVERFLOW,
+    ),
+    "payout-overflow-simulate": (
+        ["simulate", "--scenario", "scenario.ini", "--trials", "2",
+         "--out", "out.csv"],
+        PAYOUT_OVERFLOW,
     ),
     "unreadable-scenario": (["simulate", "--scenario", "missing.ini"], None),
     **{
