@@ -47,6 +47,19 @@ def test_run_monte_carlo(benchmark, consumers, trials):
     assert result.called.shape == (consumers, trials)
 
 
+def test_run_monte_carlo_1x100000(benchmark):
+    """The trials axis: the bundled one-consumer scenario over 10^5 trials,
+    where drawing each trial's calls is most of the run."""
+    scenario = load_scenario(None)
+    result = benchmark.pedantic(
+        run_monte_carlo,
+        args=(scenario.portfolio(), scenario.behaviors, 100_000),
+        rounds=3,
+        iterations=1,
+    )
+    assert result.called.shape == (1, 100_000)
+
+
 def test_collect_reports(benchmark, text_2000):
     scenario = parse_scenario(text_2000)
     portfolio = scenario.portfolio()

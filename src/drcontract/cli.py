@@ -44,6 +44,8 @@ from .scenario import (
     sweep_over,
 )
 from .simulation import (
+    STATS_COLUMNS,
+    SUMMARY_COLUMNS,
     MonteCarloResult,
     PortfolioMember,
     check_record_count,
@@ -71,24 +73,16 @@ SWEEP_HEADER = (
     "expected_profit,normalized_baseline,regime"
 )
 RECORDS_HEADER = "trial,consumer_id,r,b_hat,q_hat,q_actual,payment,profit"
-SUMMARIES_HEADER = (
-    "trial,called_count,total_reduction_kwh,total_payout_usd,under_provisioned"
-)
-STATS_HEADER = (
-    "consumer_id,behavior,trials,call_frequency,mean_profit,profit_variance,"
-    "mean_payment,mean_reduction_kwh"
-)
+SUMMARIES_HEADER = ",".join(SUMMARY_COLUMNS)
+STATS_HEADER = ",".join(STATS_COLUMNS)
 
 
 # The files simulate writes beside its records, at <stem>.<suffix>.csv.
 _SIBLINGS = ("summaries", "stats")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
-
-
-# simulate's rows as % templates; "%.9g" gives the digits of _fmt.
+# The CSV rows as % templates; "%.9g" gives the digits of f"{v:.9g}".
+_SWEEP_ROW = "%s,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%s"
 _RECORD_ROW = "%s,%d,%.9g,%.9g,%.9g,%.9g,%.9g\n"  # after the trial column
 _SUMMARY_ROW = "%d,%d,%.9g,%.9g,%s"
 _STATS_ROW = "%s,%s,%d,%.9g,%.9g,%.9g,%.9g,%.9g"
@@ -243,18 +237,11 @@ def _sweep_row(param: str, value: float, call_probability: float,
     q_r0 = planned_consumption(call_probability, CallSignal.NOT_CALLED, params, prices)
     q_r1 = planned_consumption(call_probability, CallSignal.CALLED, params, prices)
     profit = expected_profit(call_probability, params, prices)
-    cells = [
-        param,
-        _fmt(value),
-        _fmt(solution.report.baseline),
-        _fmt(solution.report.committed),
-        _fmt(q_r0),
-        _fmt(q_r1),
-        _fmt(profit),
-        _fmt(solution.report.baseline / params.baseline),
-        solution.regime.value,
-    ]
-    return ",".join(cells)
+    report = solution.report
+    return _SWEEP_ROW % (
+        param, value, report.baseline, report.committed, q_r0, q_r1, profit,
+        report.baseline / params.baseline, solution.regime.value,
+    )
 
 
 def _sweep_points(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +51,8 @@ __all__ = [
     "OutcomeTable",
     "Portfolio",
     "PortfolioMember",
-    "TrialRecords",
+    "STATS_COLUMNS",
+    "SUMMARY_COLUMNS",
     "allocate_calls",
     "check_record_count",
     "check_reduction_target",
@@ -61,9 +63,9 @@ __all__ = [
 ]
 
 
-# A Monte Carlo run holds a few arrays with one entry per consumer and trial
-# (about 25 bytes per record) and a few objects per trial; a larger run is
-# almost certainly a typo.
+# A Monte Carlo run holds one call flag per consumer and trial and about 25
+# bytes per trial, and builds its statistics from float arrays of one entry
+# per consumer and trial; a larger run is almost certainly a typo.
 MAX_RECORDS = 10**7
 
 
@@ -202,6 +204,17 @@ class EventSummary(NamedTuple):
     under_provisioned: bool
 
 
+# The CSV headers of the summaries and stats that simulate writes.
+SUMMARY_COLUMNS = (
+    "trial", "called_count", "total_reduction_kwh", "total_payout_usd",
+    "under_provisioned",
+)
+STATS_COLUMNS = (
+    "consumer_id", "behavior", "trials", "call_frequency", "mean_profit",
+    "profit_variance", "mean_payment", "mean_reduction_kwh",
+)
+
+
 class ConsumerStats(NamedTuple):
     consumer_id: str
     behavior: Behavior
@@ -213,28 +226,23 @@ class ConsumerStats(NamedTuple):
     mean_reduction: float
 
 
-class TrialRecords(Sequence):
-    """The records of one Monte Carlo trial, built one at a time on access.
+class _Rows(Sequence):
+    """A read-only sequence of ``n`` rows whose item k is ``row(k)``, built on
+    access; a slice gives a list. It equals any sequence of the same items."""
 
-    Holds only a view of the trial's call flags, so its length is known
-    without building any record. It compares equal to any sequence of the
-    same :class:`EventRecord` values, such as the list :func:`settle_event`
-    returns for the same trial.
-    """
+    __slots__ = ("_n", "_row")
 
-    __slots__ = ("_table", "_called")
-
-    def __init__(self, table: OutcomeTable, called: np.ndarray) -> None:
-        self._table = table
-        self._called = called
+    def __init__(self, n: int, row) -> None:
+        self._n = n
+        self._row = row
 
     def __len__(self) -> int:
-        return self._called.size
+        return self._n
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[k] for k in range(len(self))[index]]
-        return self._table.record(index, bool(self._called[index]))
+            return [self._row(k) for k in range(self._n)[index]]
+        return self._row(range(self._n)[index])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -256,8 +264,13 @@ class OutcomeTable(NamedTuple):
     payment: np.ndarray
     profit: np.ndarray
 
-    def record(self, k: int, called: bool) -> EventRecord:
-        s = int(called)
+    def records(self, called: np.ndarray, t: int) -> _Rows:
+        """The records of event t, whose call flags are ``called[:, t]``."""
+        return _Rows(len(called), partial(self.record, called[:, t]))
+
+    def record(self, called: np.ndarray, k: int) -> EventRecord:
+        """Member k's record in the event whose call flags are ``called``."""
+        s = int(called[k])
         return EventRecord(
             self.consumer_ids[k],
             CallSignal(s),
@@ -273,14 +286,15 @@ class MonteCarloResult:
     """Outcome of :func:`run_monte_carlo`, kept as columns.
 
     ``called[k, t]`` is True when member k was called in trial t, and
-    ``outcomes`` gives each member's outcome under either signal, so trial
-    t's records are ``outcomes`` picked by ``called[:, t]``. ``records[t]``
-    presents them as :class:`EventRecord` values, built on access.
+    ``outcomes`` gives each member's outcome under either signal. ``records``
+    and ``summaries`` are read-only views, one item per trial built on access
+    from those columns and the run's per-trial totals: trial t's
+    :class:`EventRecord` values and its :class:`EventSummary`. A result pickles.
     """
 
     stats: list[ConsumerStats]
-    summaries: list[EventSummary]
-    records: list[TrialRecords]
+    summaries: Sequence[EventSummary]
+    records: Sequence[Sequence[EventRecord]]
     outcomes: OutcomeTable = field(compare=False)
     called: np.ndarray = field(compare=False)
 
@@ -436,48 +450,40 @@ def _settle(portfolio: Portfolio, report, rational, truthful) -> OutcomeTable:
 
 
 def _summarize(
-    table: OutcomeTable, called: np.ndarray, under_provisioned: np.ndarray
-) -> list[EventSummary]:
+    table: OutcomeTable, called: np.ndarray, under_provisioned: np.ndarray, label
+) -> _Rows:
     """Totals over the called members of each event: column t of ``called``
     and entry t of ``under_provisioned`` describe event t.
 
     Each member's reduction and payout when called are added in portfolio
     order from +0.0 (:func:`_called_totals`), the same on any Python version.
-    The first event whose totals are not finite is refused.
+    The first event whose totals are not finite is refused, named by
+    ``label(t)``.
     """
     with np.errstate(over="ignore"):
         totals = np.stack([
             _called_totals(called, _reduction(table)),
             _called_totals(called, -table.payment[:, 1]),
         ], axis=1)
-    _check_finite(totals, "trial", range(len(totals)), _SUMMARY_COLUMNS)
-    return [
-        EventSummary(count, reduced, paid, under)
-        for count, (reduced, paid), under in zip(
-            np.count_nonzero(called, axis=0).tolist(),
-            totals.tolist(),
-            under_provisioned.tolist(),
-        )
-    ]
+    _check_finite(totals, label, SUMMARY_COLUMNS[2:4])
+    return _Rows(len(totals), partial(
+        _summary, np.count_nonzero(called, axis=0), totals, under_provisioned
+    ))
 
 
-# The columns of the summaries and stats that _check_finite names, as
-# simulate's CSV headers name them.
-_SUMMARY_COLUMNS = ("total_reduction_kwh", "total_payout_usd")
-_STATS_COLUMNS = (
-    "call_frequency", "mean_profit", "profit_variance", "mean_payment",
-    "mean_reduction_kwh",
-)
+def _summary(counts, totals, under, t: int) -> EventSummary:
+    """Event t's summary, read from the columns of :func:`_summarize`."""
+    return EventSummary(counts.item(t), *totals[t].tolist(), under.item(t))
 
 
-def _check_finite(values: np.ndarray, what: str, names, columns) -> None:
+def _check_finite(values: np.ndarray, label, columns) -> None:
     """Refuse the first row k of ``values`` with an entry that is not
-    finite, naming it ``what names[k]`` and the first such entry's column."""
+    finite, naming it ``label(k)`` and the first such entry's column."""
     bad = np.logical_not(np.isfinite(values))
     if bad.any():
         k, j = np.unravel_index(np.argmax(bad), bad.shape)
         raise ValueError(
-            f"{what} {names[k]!r}: {columns[j]} is not finite "
+            f"{label(k)}: {columns[j]} is not finite "
             f"({float(values[k, j])}); the scenario's magnitudes overflow "
             f"64-bit floats"
         )
@@ -509,12 +515,12 @@ def settle_event(
     called = np.array(
         [CallSignal(s) for s in _by_id(signals, portfolio, "call signal")],
         dtype=bool,
-    )
+    )[:, None]
     report = columns(Report, _by_id(reports, portfolio, "report"))
     _, *masks = _behaviors(portfolio, behaviors)
     table = _settle(portfolio, report, *masks)
-    summary = _summarize(table, called[:, None], np.array([under]))[0]
-    return list(TrialRecords(table, called)), summary
+    summary = _summarize(table, called, np.array([under]), lambda t: "event")[0]
+    return list(table.records(called, 0)), summary
 
 
 def check_record_count(consumers: int, trials: int, name: str = "trials") -> None:
@@ -569,7 +575,8 @@ def run_monte_carlo(
         trials, dtype=np.uint64
     )
     called, committed = _draw_calls(portfolio, report, seeds)
-    summaries = _summarize(table, called, committed < reduction_target)
+    under = committed < reduction_target
+    summaries = _summarize(table, called, under, "trial {}".format)
     # Member k's statistics reduce row k of (n, trials) arrays, built one at a
     # time; a C-contiguous row is summed pairwise, like the row alone. Halves
     # of a row that overflow to opposite infinities sum to nan.
@@ -590,15 +597,16 @@ def run_monte_carlo(
         per_member = np.column_stack(
             [called.mean(axis=1), mean_profit, variance, mean_payment, mean_reduction]
         )
-    _check_finite(per_member, "consumer", table.consumer_ids, _STATS_COLUMNS)
+    ids = table.consumer_ids
+    _check_finite(per_member, lambda k: f"consumer {ids[k]!r}", STATS_COLUMNS[3:])
     stats = [
         ConsumerStats(cid, kind, trials, *row)
-        for cid, kind, row in zip(table.consumer_ids, kinds, per_member.tolist())
+        for cid, kind, row in zip(ids, kinds, per_member.tolist())
     ]
     return MonteCarloResult(
         stats=stats,
         summaries=summaries,
-        records=[TrialRecords(table, called[:, t]) for t in range(trials)],
+        records=_Rows(trials, partial(table.records, called)),
         outcomes=table,
         called=called,
     )

@@ -1,7 +1,9 @@
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+DIGESTS = Path(__file__).resolve().parent / "output_digests.json"
 
 
 def load_tool():
@@ -35,3 +37,14 @@ def test_overflowing_runs_are_refused_with_one_line_and_no_file():
         assert header.startswith("scenario_hash="), name
         assert refusal.startswith("drcontract: "), name
         assert (digest["exit"], digest["stdout"], digest["files"]) == (1, "", {})
+
+
+def test_outputs_match_the_checked_in_digests():
+    # tests/output_digests.json is this tool's output for the tree whose
+    # outputs are current; a change that alters an output regenerates it.
+    tool = load_tool()
+    want = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    got = tool.digests()
+    assert sorted(got) == sorted(want)
+    changed = [name for name in want if got[name] != want[name]]
+    assert not changed, "outputs that differ: " + ", ".join(changed)

@@ -24,7 +24,7 @@ from drcontract import (
     utility,
 )
 from drcontract import oracle, simulation, strategy
-from drcontract.scenario import parse_scenario
+from drcontract.scenario import load_scenario, parse_scenario
 from mixed_scenario import MIXED_PRICES, mixed_scenario_text
 
 
@@ -639,6 +639,44 @@ class TestColumnarMonteCarlo:
         assert result.outcomes.consumption.shape == (n, 2)
         assert result.called.shape == (n, scenario.trials)
 
+    def test_records_and_summaries_are_views(self, mixed):
+        scenario, result, _, settled = mixed
+        records = [r for _, r, _ in settled]
+        summaries = [s for _, _, s in settled]
+        assert len(result.records) == len(result.summaries) == scenario.trials
+        assert result.records[-1] == records[-1]
+        assert result.summaries[-1] == summaries[-1]
+        assert result.records[2:5] == records[2:5]
+        assert result.summaries[2:5] == summaries[2:5]
+        assert isinstance(result.summaries[2:5], list)
+        assert result.records == records and records == result.records
+        assert result.summaries == summaries and summaries == result.summaries
+        assert result.summaries != summaries[:-1]
+        with pytest.raises(IndexError):
+            result.summaries[scenario.trials]
+        copied = pickle.loads(pickle.dumps(result))
+        assert copied == result
+        assert copied.records == records and copied.summaries == summaries
+
+    def test_result_holds_under_100_bytes_per_trial(self):
+        # One call flag per consumer and trial, and each trial's count, two
+        # totals and flag: no object per trial.
+        scenario = load_scenario(None)
+        portfolio = scenario.portfolio()
+        trials = 5000
+        run_monte_carlo(portfolio, scenario.behaviors, 2)  # numpy.random's import
+        tracemalloc.start()
+        try:
+            result = run_monte_carlo(
+                portfolio, scenario.behaviors, trials, master_seed=3
+            )
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(portfolio) == 1
+        assert len(result.records) == trials
+        assert held < 100 * trials
+
     def test_statistics_hold_one_trial_array_at_a_time(self):
         # Each (n, trials) float array is freed before the next is built, so
         # the traced peak stays near one of them (three alive at once, or
@@ -829,18 +867,19 @@ class TestNonFiniteRefused:
 
     def test_overflowing_totals_refused_by_run_and_settlement(self):
         portfolio, behaviors = huge_portfolio(20, 1.1e297, 1.0, 1e10)
-        message = (
-            "trial 0: total_payout_usd is not finite (inf); the scenario's "
+        refusal = (
+            ": total_payout_usd is not finite (inf); the scenario's "
             "magnitudes overflow 64-bit floats"
         )
         with pytest.raises(ValueError) as exc:
             run_monte_carlo(portfolio, behaviors, trials=2)
-        assert str(exc.value) == message
+        assert str(exc.value) == "trial 0" + refusal
+        # A settled event is no trial of a run, so it is named as an event.
         reports = collect_reports(portfolio, behaviors)
         calls = {cid: CallSignal.CALLED for cid in portfolio.consumer_ids}
         with pytest.raises(ValueError) as exc:
             settle_event(portfolio, reports, calls, behaviors)
-        assert str(exc.value) == message
+        assert str(exc.value) == "event" + refusal
 
     def test_overflowing_committed_reduction_kept(self):
         portfolio, behaviors = huge_portfolio(2, 1.7e308, 1.0, 1e-10)

@@ -10,6 +10,14 @@ temporary working directory, and records the sha256 of every file the
 command writes there, its stdout, its stderr and its exit code. Two
 checkouts whose outputs are byte-identical print the same JSON, so a
 refactor is checked by running this at both and comparing with ``diff``.
+
+``tests/output_digests.json`` holds this output for the current tree, and a
+tier-1 test recomputes it and names every configuration that differs. A
+change that alters an output regenerates that file,
+
+    PYTHONPATH=src python tools/output_digests.py > tests/output_digests.json
+
+and lists the changed configurations in CHANGES.md.
 """
 
 from __future__ import annotations
