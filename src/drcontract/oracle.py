@@ -46,7 +46,7 @@ __all__ = [
 # Points-per-grid guard; a finer request is almost certainly a unit mistake.
 _MAX_POINTS = 10**7
 # grid_best_reports does O(N^2) work on an N-point axis; 10**9 report pairs
-# take about half a minute on a 2-vCPU host.
+# take about 11 s on a 2-vCPU Xeon host (about 95 M pairs/s at N = 16 003).
 _MAX_REPORT_PAIRS = 10**9
 # Both grid searches work in blocks of at most this many float64 entries
 # (128 KiB) or one row, so memory stays flat in the grid size.
@@ -57,8 +57,9 @@ _MAX_REPORT_PAIRS = 10**9
 # the longest of its block, and the rows' caps and kinks in chunks.
 _BLOCK_ELEMENTS = 2**14
 # grid_best_responses evaluates every point of every row's axis; 10**9
-# points take about 19 s on a 2-vCPU Xeon host, in rows of 2*10**6 points
-# (rows that fit in cache run about a third faster).
+# points take about 8 s on a 2-vCPU Xeon host (about 125 M points/s) in rows
+# of up to 7*10**4 points, and 15-30 s in rows of 10**6 to 4*10**6 points,
+# each a block whose buffers do not fit in the 2 MiB L2 cache.
 _MAX_STAGE2_POINTS = 10**9
 
 
@@ -100,23 +101,31 @@ def _ufunc_buffer(size: int):
         np.setbufsize(old)
 
 
-def _search_block(q, signals, b, g, p, p2, bh, qh, gain, paid, work):
+def _block_operands(b, g, p, p2, bh, qh) -> tuple:
+    """The per-row operands of :func:`_search_block` for rows of the
+    baseline, marginal utility, prices, reported baseline and commitment:
+    ``s = b + p / g`` (the saturation point), ``peak = 0.5 * g * s * s``,
+    ``half_g = 0.5 * g``, ``p``, ``p2``, ``bh`` and ``qh``. Computed once for
+    all rows, by the operations of ``utility`` in their order."""
+    s = b + p / g
+    half_g = 0.5 * g
+    return s, half_g * s * s, half_g, p, p2, bh, qh
+
+
+def _search_block(q, signals, s, peak, half_g, p, p2, bh, qh, gain, paid, work):
     """Each signal's first best point and its payoff in every row of the
     block ``q``, whose rows ascend, as two ``(rows, len(signals))`` arrays.
 
-    ``b``, ``g``, ``p``, ``p2``, ``bh`` and ``qh`` are the rows' baseline,
-    marginal utility, prices, reported baseline and commitment, as
-    ``(rows, 1)`` columns. The payoff is
+    ``s`` to ``qh`` are the rows' :func:`_block_operands`, as ``(rows, 1)``
+    columns, so the block does only per-point work. The payoff is
     :func:`~drcontract.core.stage2_profit` by the operations of ``utility``,
     ``payment_not_called`` and ``payment_called``, in their order, written
     into the buffers ``gain``, ``paid`` and ``work`` of ``q``'s shape.
     """
-    s = b + p / g
-    peak = 0.5 * g * s * s
     np.minimum(q, s, out=work)
     np.subtract(work, s, out=work)
     np.multiply(work, work, out=work)
-    np.multiply(0.5 * g, work, out=work)
+    np.multiply(half_g, work, out=work)
     np.subtract(peak, work, out=gain)
     r = np.arange(q.shape[0])
     consumption = np.empty((q.shape[0], len(signals)))
@@ -166,12 +175,13 @@ def grid_best_responses(
     points form an ascending run, searched longest run first, in blocks of
     at most ``_BLOCK_ELEMENTS`` points or one row, each run padded with its
     cap. The cap and kinks of every row are sorted once and searched in
-    chunks of at most ``_BLOCK_ELEMENTS`` points. A block gathers its rows'
-    columns once and computes its utility once for all signals; each signal
-    then costs its payment and one first argmax. Of the two winners, ordered by
-    consumption (the grid point first on a tie), the first argmax of their
-    payoffs is the row's: ties go to the smallest consumption, as on one
-    merged ascending axis.
+    chunks of at most ``_BLOCK_ELEMENTS`` points. The rows' columns are put
+    in search order and their :func:`_block_operands` computed once, so a
+    block or chunk takes contiguous slices of them and computes its utility
+    once for all signals; each signal then costs its payment and one first
+    argmax. Of the two winners, ordered by consumption (the grid point first
+    on a tie), the first argmax of their payoffs is the row's: ties go to
+    the smallest consumption, as on one merged ascending axis.
 
     Returns the best consumption and its payoff, each of shape
     ``(*rows, len(signals))``; column i is for ``signals[i]``.
@@ -182,9 +192,7 @@ def grid_best_responses(
         report.committed,
     )
     shape = np.broadcast(*given).shape
-    # The cap, then the columns that _search_block takes a block's rows of.
-    q_max, *cols = (np.broadcast_to(v, shape).ravel() for v in given)
-    b, g, p, p2, bh, qh = cols
+    q_max, b, g, p, p2, bh, qh = (np.broadcast_to(v, shape).ravel() for v in given)
     _check_step(step, q_max)
     # A row's cap and kinks: the points of its axis that are not grid points.
     off_grid = np.stack(
@@ -200,12 +208,15 @@ def grid_best_responses(
             f"{q_max.size} rows, over the limit of {_MAX_STAGE2_POINTS}; "
             f"use a coarser grid step"
         )
+    # From here on every column holds its rows in search order, longest
+    # grid run first; the winners are scattered back to row order at the end.
+    order = np.argsort(-last, kind="stable")
+    q_max, last, off_grid = q_max[order], last[order], off_grid[order]
+    operands = _block_operands(*(c[order] for c in (b, g, p, p2, bh, qh)))
     # Every point is min(x, cap) of a grid point step * j >= 0, the cap or a
     # kink, so all of a row's points lie in [0, cap] exactly when its cap and
-    # kinks are >= 0 (and not NaN). Rows are named in search order.
-    order = np.argsort(-last, kind="stable")
-    ok = (0 <= off_grid).all(axis=1)
-    require(ok[order], "consumption must lie in [0, {}]", q_max[order])
+    # kinks are >= 0 (and not NaN).
+    require((0 <= off_grid).all(axis=1), "consumption must lie in [0, {}]", q_max)
     # Kinks above a row's cap become the cap; the stable sort keeps the cap
     # before its ties, as it stands before the kinks.
     cap = q_max[:, None]
@@ -214,7 +225,7 @@ def grid_best_responses(
     # The first block holds the longest row, so no block or chunk needs more
     # than max(_BLOCK_ELEMENTS, that row's length, one row's cap and kinks)
     # points of each buffer.
-    longest = int(last[order[0]]) + 1 if order.size else 0
+    longest = int(last[0]) + 1 if last.size else 0
     grid = step * np.arange(longest)
     buffers = np.empty(
         (4, max(_BLOCK_ELEMENTS, longest, off_grid.shape[1]))
@@ -224,24 +235,24 @@ def grid_best_responses(
     payoff = np.empty_like(consumption)
 
     def search(rows, q, side):
-        """Search the block ``q`` of the rows ``rows`` and store each row's
-        winners as ``side``."""
+        """Search the block ``q`` of the rows ``rows`` (a slice) and store
+        each row's winners as ``side``."""
         scratch = (buf[: q.size].reshape(q.shape) for buf in buffers[1:])
         consumption[rows, :, side], payoff[rows, :, side] = _search_block(
-            q, signals, *(c[rows, None] for c in cols), *scratch
+            q, signals, *(c[rows, None] for c in operands), *scratch
         )
 
     with _ufunc_buffer(_UFUNC_BUFFER):
         start = 0
-        while start < order.size:
-            width = int(last[order[start]]) + 1
-            rows = order[start : start + max(1, _BLOCK_ELEMENTS // width)]
-            start += rows.size
-            q = buffers[0, : rows.size * width].reshape(rows.size, width)
+        while start < q_max.size:
+            width = int(last[start]) + 1
+            stop = min(start + max(1, _BLOCK_ELEMENTS // width), q_max.size)
+            q = buffers[0, : (stop - start) * width].reshape(-1, width)
             # Grid points past a row's last one become its cap: step * j
             # rounds to at least q_max once j exceeds the rounded q_max / step.
-            np.minimum(grid[:width], cap[rows], out=q)
-            search(rows, q, 0)
+            np.minimum(grid[:width], cap[start:stop], out=q)
+            search(slice(start, stop), q, 0)
+            start = stop
         chunk = max(1, _BLOCK_ELEMENTS // off_grid.shape[1])
         for lo in range(0, q_max.size, chunk):
             rows = slice(lo, lo + chunk)
@@ -253,11 +264,11 @@ def grid_best_responses(
     consumption[swap] = consumption[swap][:, ::-1]
     payoff[swap] = payoff[swap][:, ::-1]
     k = payoff.argmax(axis=2)[..., None]
+    best = np.empty((2, q_max.size, len(signals)))
+    best[0, order] = np.take_along_axis(consumption, k, axis=2)[..., 0]
+    best[1, order] = np.take_along_axis(payoff, k, axis=2)[..., 0]
     out = (*shape, len(signals))
-    return (
-        np.take_along_axis(consumption, k, axis=2).reshape(out),
-        np.take_along_axis(payoff, k, axis=2).reshape(out),
-    )
+    return best[0].reshape(out), best[1].reshape(out)
 
 
 def grid_best_response(
@@ -307,20 +318,20 @@ def _best_commitments(
     with _ufunc_buffer(_UFUNC_BUFFER):
         for lo in range(0, n, block):
             hi = min(lo + block, n)
-            rows = cols[lo:hi]
+            rows = slice(lo, hi)
             pxs = px[:hi]
             h = base_gain[:hi] + p2 * np.maximum(x[rows, None] - x[:hi], 0.0)
             left = np.maximum.accumulate(h + pxs, axis=1) - pxs
-            right = np.empty((rows.size, hi + 1))
+            right = np.empty((hi - lo, hi + 1))
             np.subtract(h, pxs, out=right[:, :hi])
             right[:, hi] = shared[hi]
             right = np.maximum.accumulate(right[:, ::-1], axis=1)[:, :0:-1] + pxs
             envelope = np.maximum(left, right)
             # Commitments above the baseline are not reports; below lo there
             # are none.
-            envelope[:, lo:hi][cols[lo:hi] > rows[:, None]] = -np.inf
+            envelope[:, rows][cols[rows] > cols[rows, None]] = -np.inf
             commit[rows] = envelope.argmax(axis=1)
-            called[rows] = envelope[rows - lo, commit[rows]]
+            called[rows] = envelope[cols[: hi - lo], commit[rows]]
     return called, commit
 
 
@@ -339,8 +350,14 @@ def report_axis(
         params.baseline, params.marginal_utility, prices.energy_price,
         prices.incentive_price,
     )
-    x = np.unique(np.concatenate([grid, [q_max], kinks]))
-    x = x[(0.0 <= x) & (x <= q_max)]
+    # np.unique's steps for floats, without its lazy import of numpy.ma: one
+    # in-place sort, then each point that differs from its predecessor.
+    x = np.concatenate([grid, [q_max], kinks])
+    x.sort()
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    x = x[keep & (0.0 <= x) & (x <= q_max)]
     n = x.size
     if n**2 > _MAX_REPORT_PAIRS:
         raise ValueError(

@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -1007,3 +1010,29 @@ class TestUnwritableOutput:
             f"drcontract: cannot write output file {summaries!r}: Permission denied"
         )
         assert not any("Traceback" in line for line in err)
+
+
+# Each command at a small size, run through main in a fresh interpreter.
+SMALL_RUNS = {
+    "verify": ["verify", "--draws", "20", "--grid-step", "0.05"],
+    "simulate": ["simulate", "--trials", "5"],
+    "sweep": ["sweep", "--param", "p_r", "--steps", "3"],
+}
+
+
+@pytest.mark.parametrize("command", SMALL_RUNS)
+def test_commands_leave_numpy_ma_unloaded(tmp_path, command):
+    # numpy imports numpy.ma lazily, from np.unique among others; a command
+    # that reaches it pays that import inside its run.
+    argv = [*SMALL_RUNS[command], "--out", str(tmp_path / "out")]
+    code = (
+        "import sys; from drcontract.cli import main; "
+        f"assert main({argv!r}) == 0; "
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )

@@ -119,6 +119,52 @@ class TestGridStep:
         assert set(x.tolist()) == set(grid.tolist()) | {12.1, 8.0, 8.0 - 0.3 / 0.05}
         assert 13.2 not in x
 
+    def test_report_axis_equals_np_unique_bit_for_bit(self):
+        # The axis as np.unique built it: sorted, each value once, then the
+        # points outside [0, q_max] dropped. Drawn consumers put kinks and
+        # caps on grid points, clip kinks to 0, and hold a -0.0 baseline,
+        # where the sign of the zero that is kept must match.
+        def unique_axis(params, prices, step):
+            q_max = params.max_consumption
+            grid = step * np.arange(np.floor(q_max / step) + 1)
+            kinks = oracle._kinks(
+                params.baseline, params.marginal_utility, prices.energy_price,
+                prices.incentive_price,
+            )
+            x = np.unique(np.concatenate([grid, [q_max], kinks]))
+            return x[(0.0 <= x) & (x <= q_max)]
+
+        rng = np.random.default_rng(29)
+        seen = {"kink on grid": 0, "cap on grid": 0, "clipped": 0, "-0.0": 0}
+        for i in range(400):
+            step = float(rng.choice([0.01, 0.03, 0.1, 0.25]))
+            g = rng.uniform(0.01, 0.2)
+            p = rng.uniform(0.05, 0.5)
+            p2 = rng.uniform(p, 2 * p)
+            b = [
+                step * int(rng.integers(1, 200)),
+                rng.uniform(0.01, 2 * p2 / g),
+                -0.0,
+                rng.uniform(1.0, 20.0),
+            ][i % 4]
+            q_max = b + p / g + rng.uniform(1.0, 10.0)
+            if i % 3 == 0:
+                q_max = step * int(np.floor(q_max / step))
+            params = SimpleNamespace(
+                baseline=b, marginal_utility=g, max_consumption=q_max
+            )
+            prices = SimpleNamespace(energy_price=p, incentive_price=p2)
+            want = unique_axis(params, prices, step)
+            got = oracle.report_axis(params, prices, step)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            grid = step * np.arange(np.floor(q_max / step) + 1)
+            kinks = oracle._kinks(b, g, p, p2)
+            seen["kink on grid"] += bool(np.isin(kinks[0], grid))
+            seen["cap on grid"] += bool(np.isin(q_max, grid))
+            seen["clipped"] += b - 2 * p2 / g < 0
+            seen["-0.0"] += bool(np.signbit(b))
+        assert min(seen.values()) >= 50, seen
+
     def test_each_row_searches_its_own_cap(self, household, prices):
         # 16 is no multiple of 0.3: the cap is still searched, and at 0.9
         # the best report is the cap itself, as in the closed form.
@@ -758,7 +804,7 @@ class TestManyRowStage2Oracle:
             cls(*(column[:, None] for column in vars(columns(cls, values)).values()))
             for cls, values in zip((ConsumerParams, Prices, Report), zip(*rows))
         )
-        operands = (
+        operands = oracle._block_operands(
             params.baseline, params.marginal_utility, prices.energy_price,
             prices.incentive_price, reports.baseline, reports.committed,
         )
