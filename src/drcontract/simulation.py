@@ -64,9 +64,14 @@ __all__ = [
 
 
 # A Monte Carlo run holds one call flag per consumer and trial and about 25
-# bytes per trial, and builds its statistics from float arrays of one entry
-# per consumer and trial; a larger run is almost certainly a typo.
+# bytes per trial, and works through its floats one block of members at a
+# time (_BLOCK_ELEMENTS); a larger run is almost certainly a typo.
 MAX_RECORDS = 10**7
+
+# The floats of one (members, trials) block: about 256 KB, so beside its call
+# flags a run's working set does not grow with its consumers. A member's row
+# of trials is never split, which would change the bits of its pairwise sums.
+_BLOCK_ELEMENTS = 2**15
 
 
 class Behavior(str, Enum):
@@ -382,12 +387,29 @@ def _called_totals(called: np.ndarray, values: np.ndarray) -> np.ndarray:
     ``called[k, t]``, added one at a time in portfolio order from +0.0.
 
     ``np.add.accumulate`` always adds in order; ``np.sum`` would add pairwise
-    when there is one trial, so a trial alone would differ from a batch.
+    when there is one trial, so a trial alone would differ from a batch. The
+    members go a block at a time, and the first row of each block carries
+    the totals of the blocks before it.
     """
-    totals = np.zeros((len(values) + 1, called.shape[1]))
-    np.copyto(totals[1:], np.asarray(values, dtype=float)[:, None], where=called)
-    np.add.accumulate(totals, axis=0, out=totals)
-    return totals[-1].copy()
+    values = np.asarray(values, dtype=float)
+    n, trials = called.shape
+    rows = _block_rows(trials)
+    block = np.zeros((min(rows, n) + 1, trials))
+    for lo in range(0, n, rows):
+        part = block[: min(rows, n - lo) + 1]
+        part[1:] = 0.0
+        np.copyto(
+            part[1:], values[lo:lo + rows, None], where=called[lo:lo + rows]
+        )
+        np.add.accumulate(part, axis=0, out=part)
+        part[0] = part[-1]
+    return block[0].copy()
+
+
+def _block_rows(trials: int) -> int:
+    """How many members' rows of ``trials`` floats fill a block of about
+    :data:`_BLOCK_ELEMENTS`; at least one."""
+    return max(1, _BLOCK_ELEMENTS // trials)
 
 
 def _by_id(mapping: Mapping, portfolio: Portfolio, what: str) -> list:
@@ -398,20 +420,38 @@ def _by_id(mapping: Mapping, portfolio: Portfolio, what: str) -> list:
         raise ValueError(f"no {what} for consumer {exc.args[0]!r}") from None
 
 
+# Each behavior's index in Behavior, by its value; a Behavior hashes and
+# compares as its value, so one lookup resolves either.
+_BEHAVIOR_CODES = {kind.value: code for code, kind in enumerate(Behavior)}
+_BEHAVIORS_BY_CODE = tuple(Behavior)
+
+
 def _behaviors(portfolio: Portfolio, behaviors: Mapping) -> tuple:
     """The :class:`Behavior` of each member, in portfolio order, then which
     members are rational and which truthful, as bool columns."""
-    kinds = []
-    for cid, kind in zip(
-        portfolio.consumer_ids, _by_id(behaviors, portfolio, "behavior defined")
-    ):
-        try:
-            kinds.append(Behavior(kind))
-        except ValueError as exc:
-            raise ValueError(f"consumer {cid!r}: {exc}") from None
-    rational = np.array([k is Behavior.RATIONAL for k in kinds], dtype=bool)
-    truthful = np.array([k is Behavior.TRUTHFUL for k in kinds], dtype=bool)
-    return kinds, rational, truthful
+    given = _by_id(behaviors, portfolio, "behavior defined")
+    try:
+        codes = [_BEHAVIOR_CODES[kind] for kind in given]
+    except (KeyError, TypeError):
+        codes = [
+            _BEHAVIOR_CODES[_behavior(cid, kind)]
+            for cid, kind in zip(portfolio.consumer_ids, given)
+        ]
+    kinds = [_BEHAVIORS_BY_CODE[code] for code in codes]
+    codes = np.array(codes, dtype=np.int8)
+    return (
+        kinds,
+        codes == _BEHAVIOR_CODES[Behavior.RATIONAL],
+        codes == _BEHAVIOR_CODES[Behavior.TRUTHFUL],
+    )
+
+
+def _behavior(cid: str, kind) -> Behavior:
+    """``Behavior(kind)``, refused in the name of consumer ``cid``."""
+    try:
+        return Behavior(kind)
+    except ValueError as exc:
+        raise ValueError(f"consumer {cid!r}: {exc}") from None
 
 
 def _settle(portfolio: Portfolio, report, rational, truthful) -> OutcomeTable:
@@ -577,26 +617,35 @@ def run_monte_carlo(
     called, committed = _draw_calls(portfolio, report, seeds)
     under = committed < reduction_target
     summaries = _summarize(table, called, under, "trial {}".format)
-    # Member k's statistics reduce row k of (n, trials) arrays, built one at a
-    # time; a C-contiguous row is summed pairwise, like the row alone. Halves
-    # of a row that overflow to opposite infinities sum to nan.
+    # Member k's statistics reduce row k of (members, trials) arrays built
+    # for one block of members at a time (_block_rows); a C-contiguous row is
+    # summed pairwise, like the row alone, in a block of any size. Halves of
+    # a row that overflow to opposite infinities sum to nan.
+    rows = _block_rows(trials)
+    per_stat = np.empty((len(STATS_COLUMNS) - 3, len(portfolio)))
+    frequency, mean_profit, variance, mean_payment, mean_reduction = per_stat
     with np.errstate(over="ignore", invalid="ignore"):
-        profits = np.where(called, table.profit[:, 1:], table.profit[:, :1])
-        mean_profit = profits.mean(axis=1)
-        # The steps of profits.var(axis=1, ddof=1), in place of its temporary.
-        profits -= mean_profit[:, None]
-        profits *= profits
-        variance = profits.sum(axis=1) / max(trials - 1, 1)
-        del profits
-        mean_payment = np.where(
-            called, table.payment[:, 1:], table.payment[:, :1]
-        ).mean(axis=1)
-        mean_reduction = np.where(
-            called, _reduction(table)[:, None], 0.0
-        ).mean(axis=1)
-        per_member = np.column_stack(
-            [called.mean(axis=1), mean_profit, variance, mean_payment, mean_reduction]
-        )
+        reduction = _reduction(table)
+        for lo in range(0, len(portfolio), rows):
+            block = slice(lo, lo + rows)
+            flags = called[block]
+            frequency[block] = flags.mean(axis=1)
+            profits = np.where(
+                flags, table.profit[block, 1:], table.profit[block, :1]
+            )
+            mean_profit[block] = profits.mean(axis=1)
+            # The steps of profits.var(axis=1, ddof=1), in place of its temporary.
+            profits -= mean_profit[block, None]
+            profits *= profits
+            variance[block] = profits.sum(axis=1) / max(trials - 1, 1)
+            del profits
+            mean_payment[block] = np.where(
+                flags, table.payment[block, 1:], table.payment[block, :1]
+            ).mean(axis=1)
+            mean_reduction[block] = np.where(
+                flags, reduction[block, None], 0.0
+            ).mean(axis=1)
+    per_member = per_stat.T
     ids = table.consumer_ids
     _check_finite(per_member, lambda k: f"consumer {ids[k]!r}", STATS_COLUMNS[3:])
     stats = [

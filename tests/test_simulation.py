@@ -24,6 +24,7 @@ from drcontract import (
     utility,
 )
 from drcontract import oracle, simulation, strategy
+from drcontract.core import columns
 from drcontract.scenario import load_scenario, parse_scenario
 from mixed_scenario import MIXED_PRICES, mixed_scenario_text
 
@@ -692,6 +693,21 @@ class TestColumnarMonteCarlo:
             tracemalloc.stop()
         assert peak < 1.6 * consumers * trials * 8
 
+    @pytest.mark.parametrize("consumers, trials", [(2000, 250), (500, 2000)])
+    def test_working_set_is_the_call_flags_and_one_block(self, consumers, trials):
+        # The run holds one bool flag per consumer and trial; every float
+        # pass over consumers and trials goes one block of members at a time.
+        scenario = parse_scenario(mixed_scenario_text(consumers, trials))
+        portfolio = scenario.portfolio()
+        run_monte_carlo(portfolio, scenario.behaviors, 2)  # numpy.random's import
+        tracemalloc.start()
+        try:
+            run_monte_carlo(portfolio, scenario.behaviors, trials, master_seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < consumers * trials + 2 * 2**20
+
     def test_negative_or_nan_target_rejected(self, mixed):
         scenario, *_ = mixed
         for target in (-1.0, float("nan")):
@@ -820,6 +836,116 @@ class TestTotalsAndStatsMatchLoops:
                     (summary.total_reduction, summary.total_payout),
                 )
             )
+
+
+def blocked_portfolio(trials):
+    """A portfolio of every behavior under ``ZERO_PAY_PRICES`` that fills
+    three member blocks at ``trials`` and part of a fourth; every fifth
+    member is truthful and pays exactly 0.0 when called."""
+    rows = simulation._block_rows(trials)
+    rng = np.random.default_rng(23)
+    members, behaviors = [], {}
+    for k in range(3 * rows + rows // 3):
+        probability = float(rng.uniform(0.0, 1.0))
+        if k % 5 == 0:
+            members.append(zero_pay_member(f"z{k}", probability))
+            behaviors[f"z{k}"] = Behavior.TRUTHFUL
+            continue
+        baseline, gamma = rng.uniform(1.0, 20.0), rng.uniform(0.01, 0.2)
+        cap = baseline + ZERO_PAY_PRICES.energy_price / gamma + rng.uniform(0.5, 10.0)
+        members.append(PortfolioMember(
+            f"c{k}", ConsumerParams(float(baseline), float(gamma), float(cap)),
+            probability,
+        ))
+        behaviors[f"c{k}"] = list(Behavior)[k % 3]
+    return Portfolio(tuple(members), ZERO_PAY_PRICES), behaviors
+
+
+class TestMemberBlocks:
+    """A run whose members span several blocks: every total adds the called
+    members one at a time in portfolio order from 0.0, each member's
+    statistics are those of its row alone, and a trial settled alone gives
+    the run's records and summary."""
+
+    TRIALS, SEED = 400, 77
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        portfolio, behaviors = blocked_portfolio(self.TRIALS)
+        reports = collect_reports(portfolio, behaviors)
+        seeds = np.random.SeedSequence(self.SEED).generate_state(
+            self.TRIALS, dtype=np.uint64
+        )
+        report = columns(Report, list(reports.values()))
+        called, committed = simulation._draw_calls(portfolio, report, seeds)
+        target = float(np.median(committed))
+        result = run_monte_carlo(
+            portfolio, behaviors, self.TRIALS, reduction_target=target,
+            master_seed=self.SEED,
+        )
+        return portfolio, behaviors, reports, seeds, target, committed, result
+
+    def test_portfolio_spans_blocks_and_pays_zero(self, run):
+        portfolio, behaviors, reports, _, _, _, result = run
+        rows = simulation._block_rows(self.TRIALS)
+        assert len(portfolio) > 3 * rows and len(portfolio) % rows
+        assert set(behaviors.values()) == set(Behavior)
+        everyone = {cid: CallSignal.CALLED for cid in portfolio.consumer_ids}
+        records, _ = settle_event(portfolio, reports, everyone, behaviors)
+        assert sum(same_bits(-r.payment, -0.0) for r in records) >= 10
+        assert {s.under_provisioned for s in result.summaries} == {True, False}
+
+    def test_committed_and_summary_totals_add_in_portfolio_order(self, run):
+        portfolio, behaviors, reports, _, target, committed, result = run
+        everyone = {cid: CallSignal.CALLED for cid in portfolio.consumer_ids}
+        when_called, _ = settle_event(portfolio, reports, everyone, behaviors)
+        commitments = [r.baseline - r.committed for r in reports.values()]
+        reductions = [
+            max(r.report.baseline - r.consumption, 0.0) for r in when_called
+        ]
+        payouts = [-r.payment for r in when_called]
+        for t, summary in enumerate(result.summaries):
+            flags = result.called[:, t].tolist()
+
+            def fold(values):
+                return float.hex(left_fold(v for v, c in zip(values, flags) if c))
+
+            assert float.hex(float(committed[t])) == fold(commitments)
+            assert summary.under_provisioned == (committed[t] < target)
+            assert float.hex(summary.total_reduction) == fold(reductions)
+            assert float.hex(summary.total_payout) == fold(payouts)
+            assert summary.called_count == sum(flags)
+
+    def test_stats_are_those_of_each_row_alone(self, run):
+        *_, result = run
+        table = result.outcomes
+        reduction = np.maximum(table.report.baseline - table.consumption[:, 1], 0.0)
+        for k, stats in enumerate(result.stats):
+            flags = result.called[k].copy()
+            profits = np.where(flags, table.profit[k, 1], table.profit[k, 0])
+            payments = np.where(flags, table.payment[k, 1], table.payment[k, 0])
+            assert same_bits(stats.call_frequency, flags.mean())
+            assert same_bits(stats.mean_profit, profits.mean())
+            assert same_bits(stats.profit_variance, profits.var(ddof=1))
+            assert same_bits(stats.mean_payment, payments.mean())
+            assert same_bits(
+                stats.mean_reduction, np.where(flags, reduction[k], 0.0).mean()
+            )
+
+    @pytest.mark.parametrize("t", [0, 271])
+    def test_trial_settled_alone_equals_the_run(self, run, t):
+        portfolio, behaviors, reports, seeds, target, committed, result = run
+        allocation = allocate_calls(portfolio, reports, target, int(seeds[t]))
+        assert same_bits(allocation.committed_reduction, committed[t])
+        records, summary = settle_event(portfolio, reports, allocation, behaviors)
+        assert result.records[t] == records
+        assert result.summaries[t] == summary
+        assert float.hex(summary.total_reduction) == float.hex(
+            result.summaries[t].total_reduction
+        )
+        assert float.hex(summary.total_payout) == float.hex(
+            result.summaries[t].total_payout
+        )
 
 
 def huge_portfolio(n, cap, call_probability, incentive):

@@ -10,8 +10,9 @@ It runs the per-function cases under ``benches/`` once,
 
 then ``perfbench/run.py --trace 0`` once per workload, and writes:
 
-- ``cases``: each case's median and interquartile range in seconds, and its
-  rounds;
+- ``cases``: each case's median and interquartile range in seconds, its
+  rounds, and the ``tracemalloc`` peak in bytes of one more call of the
+  benchmarked function after the timed rounds (``benches/conftest.py``);
 - ``import_s``: the median time to import ``drcontract.cli`` (numpy
   included) in fresh interpreters that write no bytecode, as perfbench's
   ``setup_s`` is taken;
@@ -57,8 +58,8 @@ def _env(root: str) -> dict:
 
 
 def bench_cases(root: str) -> tuple[dict, dict]:
-    """Median, IQR and rounds of every case under ``benches/``, and
-    pytest-benchmark's description of the machine."""
+    """Median, IQR, rounds and traced peak of every case under ``benches/``,
+    and pytest-benchmark's description of the machine."""
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "bench.json")
         subprocess.run(
@@ -73,6 +74,8 @@ def bench_cases(root: str) -> tuple[dict, dict]:
             "median_s": bench["stats"]["median"],
             "iqr_s": bench["stats"]["iqr"],
             "rounds": bench["stats"]["rounds"],
+            # None for a checkout whose benches/ records no traced peak.
+            "tracemalloc_peak_bytes": bench["extra_info"].get("tracemalloc_peak_bytes"),
         }
         for bench in report["benchmarks"]
     }
