@@ -268,7 +268,13 @@ def _sweep_points(
 
 def cmd_sweep(args, scenario: Scenario) -> int:
     spec = _sweep_spec(scenario, args)
-    points = _sweep_points(spec, scenario.members[0], scenario.prices)
+    member = scenario.members[0]
+    if math.isinf(member.params.max_consumption / member.params.baseline):
+        raise ScenarioError(
+            f"[consumer.{member.consumer_id}]: max_consumption_kwh / baseline_kwh "
+            f"must be finite, as it bounds sweep's normalized_baseline"
+        )
+    points = _sweep_points(spec, member, scenario.prices)
     _log_run(scenario)
     lines = [SWEEP_HEADER] + [
         _sweep_row(spec.param, value, call_probability, params, scenario.prices)
@@ -308,6 +314,19 @@ def _instance(numbers: np.ndarray) -> tuple[ConsumerParams, Prices, Report]:
     return ConsumerParams(*numbers[:3]), Prices(*numbers[3:5]), Report(*numbers[5:])
 
 
+def _verdict(title: str, *measures) -> tuple[bool, str]:
+    """One suite's verdict and report line. Each measure is a ``{:.3g}``
+    template, its deviations (an array or a float) and its bound; the suite
+    passes when every |deviation| is at most its bound (a NaN fails), and
+    each template shows the largest |deviation|, exact in any order."""
+    ok, shown = True, []
+    for template, deviations, bound in measures:
+        worst = float(np.abs(deviations).max())
+        ok = ok and worst <= bound
+        shown.append(template.format(worst))
+    return ok, f"{title}: {', '.join(shown)} -> {'PASS' if ok else 'FAIL'}"
+
+
 def run_verification(
     scenario: Scenario, draws: int, literal_above_threshold: bool = False
 ) -> tuple[bool, list[str]]:
@@ -321,8 +340,6 @@ def run_verification(
     step, seed = scenario.grid_step, scenario.seed
     member = scenario.members[0]
     report_axis(member.params, scenario.prices, step)
-    lines: list[str] = []
-    # The suites run in the order they are reported.
     # Every instance is drawn at once; the constructors check the columns.
     drawn = _draw_instances(np.random.default_rng(seed), draws)
     params = ConsumerParams(*drawn[:, :3].T)
@@ -337,67 +354,48 @@ def run_verification(
     )
     payoff_dev = np.abs(closed.payoff - oracle_payoff)
     case_dev = np.abs(cases - oracle_payoff)
-    max_payoff_dev = float(payoff_dev.max())
-    max_q_dev = float(np.abs(closed.consumption - oracle_q).max())
-    max_case_dev = float(case_dev.max())
+    verdicts = [
+        _verdict(
+            f"stage-2 closed form vs grid oracle ({draws} draws x 2 signals)",
+            ("max payoff dev {:.3g}", payoff_dev, 1e-6),
+            ("max q dev {:.3g} kWh", closed.consumption - oracle_q, 2 * step),
+        ),
+        _verdict(
+            "analytic case table vs grid oracle", ("max dev {:.3g}", case_dev, 1e-9)
+        ),
+    ]
     # The worst draw is the first (draw, signal) with the largest deviation.
     worst_dev = np.maximum(payoff_dev, case_dev)
     k, s = np.unravel_index(np.argmax(worst_dev), worst_dev.shape)
-    worst = (*_instance(drawn[k]), int(s)) if worst_dev[k, s] > 0 else None
-    stage2_ok = max_payoff_dev <= 1e-6 and max_q_dev <= 2 * step
-    cases_ok = max_case_dev <= 1e-9
-    lines.append(
-        f"stage-2 closed form vs grid oracle ({draws} draws x 2 signals): "
-        f"max payoff dev {max_payoff_dev:.3g}, max q dev {max_q_dev:.3g} kWh "
-        f"-> {'PASS' if stage2_ok else 'FAIL'}"
-    )
-    lines.append(
-        f"analytic case table vs grid oracle: max dev {max_case_dev:.3g} "
-        f"-> {'PASS' if cases_ok else 'FAIL'}"
-    )
-    if not (stage2_ok and cases_ok) and worst is not None:
-        lines.append(f"offending draw (seed={seed}): {worst}")
-    ok = stage2_ok and cases_ok
+    if not all(ok for ok, _ in verdicts) and worst_dev[k, s] > 0:
+        worst = (*_instance(drawn[k]), int(s))
+        # This line names the draw; it passes or fails nothing.
+        verdicts.append((True, f"offending draw (seed={seed}): {worst}"))
 
     threshold = call_threshold(scenario.prices)
     for consumer in scenario.members:
-        at = expected_profit(
-            threshold, consumer.params, scenario.prices,
-            literal_above_threshold=literal_above_threshold,
+        at, just_above = (
+            expected_profit(p_r, consumer.params, scenario.prices,
+                            literal_above_threshold=literal_above_threshold)
+            for p_r in (threshold, float(np.nextafter(threshold, 1.0)))
         )
-        just_above = expected_profit(
-            float(np.nextafter(threshold, 1.0)), consumer.params, scenario.prices,
-            literal_above_threshold=literal_above_threshold,
-        )
-        jump = abs(just_above - at)
-        cont_ok = jump <= 1e-9
-        lines.append(
-            f"expected-profit continuity at threshold ({consumer.consumer_id}): "
-            f"|jump| {jump:.3g} -> {'PASS' if cont_ok else 'FAIL'}"
-        )
-        ok = ok and cont_ok
+        verdicts.append(_verdict(
+            f"expected-profit continuity at threshold ({consumer.consumer_id})",
+            ("|jump| {:.3g}", just_above - at, 1e-9),
+        ))
 
     probabilities = [k / 10 for k in range(11)]
-    oracle_reports = grid_best_reports(
-        probabilities, member.params, scenario.prices, step
-    )
-    closed_reports = solve(
-        member.params, scenario.prices, call_probability=np.array(probabilities)
-    )
-    # A max of absolute differences is exact in any order.
-    max_b_dev = float(np.abs(
-        closed_reports.report_baseline - [o.report.baseline for o in oracle_reports]
-    ).max())
-    max_e_dev = float(np.abs(
-        closed_reports.expected_profit - [o.expected_profit for o in oracle_reports]
-    ).max())
-    report_ok = max_b_dev <= 2 * step and max_e_dev <= 1e-4
-    lines.append(
+    oracle = grid_best_reports(probabilities, member.params, scenario.prices, step)
+    two_stage = solve(member.params, scenario.prices, call_probability=probabilities)
+    verdicts.append(_verdict(
         f"two-stage oracle vs closed form (11 call probabilities, "
-        f"{member.consumer_id}): max baseline dev {max_b_dev:.3g} kWh, "
-        f"max profit dev {max_e_dev:.3g} -> {'PASS' if report_ok else 'FAIL'}"
-    )
-    return ok and report_ok, lines
+        f"{member.consumer_id})",
+        ("max baseline dev {:.3g} kWh",
+         two_stage.report_baseline - [o.report.baseline for o in oracle], 2 * step),
+        ("max profit dev {:.3g}",
+         two_stage.expected_profit - [o.expected_profit for o in oracle], 1e-4),
+    ))
+    return all(ok for ok, _ in verdicts), [line for _, line in verdicts]
 
 
 def cmd_verify(args, scenario: Scenario) -> int:
@@ -444,8 +442,8 @@ def _record_chunks(result: MonteCarloResult) -> Iterator[str]:
         for s in (0, 1)
     )
     yield RECORDS_HEADER + "\n"
-    # One contiguous row of flags per trial.
-    for t, flags in enumerate(np.ascontiguousarray(result.called.T)):
+    # Each trial's flags are read in place, a strided column of result.called.
+    for t, flags in enumerate(result.called.T):
         prefix = f"{t},"
         yield prefix + prefix.join(np.where(flags, called, not_called).tolist())
 

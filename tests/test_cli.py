@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from drcontract import (
     ConsumerParams, Prices, Report, cli, load_scenario, oracle, scenario, simulation,
 )
 from drcontract.cli import main, run_verification
-from drcontract.scenario import _read_flat
+from drcontract.scenario import _read_flat, parse_scenario
 from mixed_scenario import mixed_scenario_text
 
 BAD_SCENARIO = """
@@ -193,6 +194,25 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err == f"drcontract: {message}\n"
         assert "scenario_hash=" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["--param", "gamma", "--from", "1e298", "--to", "1e299"]]
+    )
+    def test_overflowing_normalized_baseline_refused_before_the_run(
+        self, tmp_path, capsys, argv
+    ):
+        # Each b_hat is at most the cap, and cap / baseline overflows here:
+        # every normalized_baseline cell of this sweep printed inf.
+        path = tmp_path / "ratio.ini"
+        consumer = (7.9e-134, 3.9e298, 1.3e204, 0.1, "rational")
+        path.write_text(scenario_text((2.5e-26, 0.73), [consumer]))
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--scenario", str(path), *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "drcontract: [consumer.c0]: max_consumption_kwh / baseline_kwh must be "
+            "finite, as it bounds sweep's normalized_baseline\n"
+        )
         assert not out.exists()
 
     def test_unknown_sweep_param_is_usage_error(self, tmp_path, capsys):
@@ -433,6 +453,43 @@ class TestVerifyCommand:
         assert message in capsys.readouterr().err
 
 
+class TestVerdict:
+    """A suite passes when every |deviation| is at most its bound."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_deviation_at_its_bound_passes_and_the_next_float_fails(self, sign):
+        bound = 2 * 0.03
+        above = float(np.nextafter(bound, 1.0))
+        assert cli._verdict("s", ("dev {:.3g}", sign * bound, bound)) == (
+            True, "s: dev 0.06 -> PASS"
+        )
+        deviations = np.array([0.0, sign * above])
+        assert cli._verdict("s", ("dev {:.3g}", deviations, bound)) == (
+            False, "s: dev 0.06 -> FAIL"
+        )
+
+    def test_nan_fails_and_prints_nan(self):
+        deviations = np.array([[0.0, np.nan], [1e-12, 0.0]])
+        assert cli._verdict("s", ("dev {:.3g}", deviations, 1e-9)) == (
+            False, "s: dev nan -> FAIL"
+        )
+
+    @pytest.mark.parametrize("first, second", [(0.5, 2.0), (2.0, 0.5), (2.0, 2.0)])
+    def test_two_measures_fail_when_either_does(self, first, second):
+        ok, line = cli._verdict(
+            "s", ("a {:.3g}", first, 1.0), ("b {:.3g}", second, 1.0)
+        )
+        assert not ok and line.endswith(" -> FAIL")
+        assert cli._verdict("s", ("a {:.3g}", 0.5, 1.0), ("b {:.3g}", 1.0, 1.0))[0]
+
+    def test_line_shows_the_largest_absolute_deviation(self):
+        assert cli._verdict(
+            "suite",
+            ("a {:.3g}", np.array([[0.5, -3.0], [2.0, 1.0]]), 5.0),
+            ("b {:.3g} kWh", -0.25, 1.0),
+        ) == (True, "suite: a 3, b 0.25 kWh -> PASS")
+
+
 def reference_draw_instance(rng):
     """One verify instance drawn with one rng.uniform call per field, as
     verify drew them one at a time."""
@@ -473,6 +530,24 @@ class TestSimulateCommand:
             monkeypatch.setattr(module, "check_consumption_cap", counted)
         simulate_outputs(tmp_path, "--scenario", str(mixed_ini), "--trials", "2")
         assert checked == [consumers]
+
+    def test_records_csv_reads_the_call_flags_in_place(self):
+        # 200 x 10 000 call flags are 2 MB; writing the records must not
+        # copy them, so the writer's own peak stays well below that.
+        text = mixed_scenario_text(consumers=200, trials=10_000)
+        run = parse_scenario(text)
+        result = simulation.run_monte_carlo(
+            run.portfolio(), run.behaviors, trials=run.trials,
+            reduction_target=run.reduction_target, master_seed=run.seed,
+        )
+        tracemalloc.start()
+        try:
+            chunks = sum(1 for _ in cli._record_chunks(result))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunks == 1 + run.trials
+        assert peak < result.called.size / 2
 
     def test_single_trial_is_deterministic(self, tmp_path):
         out = tmp_path / "run.csv"

@@ -15,7 +15,10 @@ then ``perfbench/run.py --trace 0`` once per workload, and writes:
   benchmarked function after the timed rounds (``benches/conftest.py``);
 - ``import_s``: the median time to import ``drcontract.cli`` (numpy
   included) in fresh interpreters that write no bytecode, as perfbench's
-  ``setup_s`` is taken;
+  ``setup_s`` is taken, so each compiles ``src/drcontract`` from source;
+- ``import_cached_s``: the same, alternating with ``import_s``'s runs, from
+  a temporary copy of ``src`` precompiled with ``compileall``; the
+  difference is what compiling ``drcontract`` adds to every command;
 - ``environment``: the host, Python and package versions;
 - ``perfbench``: each workload's last stdout line, as JSON.
 
@@ -29,9 +32,11 @@ and ``perfbench``.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -41,7 +46,7 @@ WORKLOADS = ("simulate-portfolio", "simulate-wide", "verify-oracle", "sweep-dens
 MAX_TIME = 0.2  # pytest-benchmark's --benchmark-max-time per case
 SECONDS = 10.0  # perfbench's --seconds per workload
 SEED = 1  # perfbench's --seed
-IMPORT_RUNS = 7  # fresh interpreters timed for import_s
+IMPORT_RUNS = 7  # fresh interpreters timed for each of import_s, import_cached_s
 
 IMPORT_CODE = (
     "import time; t = time.perf_counter(); import drcontract.cli; "
@@ -49,12 +54,8 @@ IMPORT_CODE = (
 )
 
 
-def _env(root: str) -> dict:
-    return {
-        **os.environ,
-        "PYTHONPATH": os.path.join(root, "src"),
-        "PYTHONDONTWRITEBYTECODE": "1",
-    }
+def _env(src: str) -> dict:
+    return {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def bench_cases(root: str) -> tuple[dict, dict]:
@@ -65,7 +66,8 @@ def bench_cases(root: str) -> tuple[dict, dict]:
         subprocess.run(
             [sys.executable, "-m", "pytest", "benches", "-q", "-p", "no:cacheprovider",
              f"--benchmark-max-time={MAX_TIME}", f"--benchmark-json={path}"],
-            cwd=root, env=_env(root), check=True, stdout=subprocess.DEVNULL,
+            cwd=root, env=_env(os.path.join(root, "src")), check=True,
+            stdout=subprocess.DEVNULL,
         )
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
@@ -82,16 +84,29 @@ def bench_cases(root: str) -> tuple[dict, dict]:
     return cases, report["machine_info"]
 
 
-def import_seconds(root: str) -> float:
-    """Median import time of ``drcontract.cli`` over fresh interpreters."""
-    times = [
-        float(subprocess.run(
-            [sys.executable, "-c", IMPORT_CODE], cwd=root, env=_env(root),
-            check=True, capture_output=True, text=True,
-        ).stdout)
-        for _ in range(IMPORT_RUNS)
-    ]
-    return statistics.median(times)
+def import_seconds(root: str) -> tuple[float, float]:
+    """Median import times of ``drcontract.cli`` over fresh interpreters,
+    from ``src`` and from a precompiled copy of it, the two alternating.
+
+    The copy is compiled with ``compileall`` rather than run under
+    ``PYTHONPYCACHEPREFIX``, which would also move numpy's bytecode and so
+    recompile numpy on every import.
+    """
+    with tempfile.TemporaryDirectory() as work:
+        cached = os.path.join(work, "src")
+        shutil.copytree(
+            os.path.join(root, "src"), cached,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        compileall.compile_dir(cached, quiet=1)
+        times = {os.path.join(root, "src"): [], cached: []}
+        for _ in range(IMPORT_RUNS):
+            for src, runs in times.items():
+                runs.append(float(subprocess.run(
+                    [sys.executable, "-c", IMPORT_CODE], cwd=root, env=_env(src),
+                    check=True, capture_output=True, text=True,
+                ).stdout))
+    return tuple(statistics.median(runs) for runs in times.values())
 
 
 def perfbench_line(root: str, workload: str) -> dict:
@@ -120,9 +135,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
     cases, machine = bench_cases(root)
+    import_s, import_cached_s = import_seconds(root)
     record = {
         "cases": cases,
-        "import_s": import_seconds(root),
+        "import_s": import_s,
+        "import_cached_s": import_cached_s,
         "environment": {
             "nproc": os.cpu_count(),
             "cpu": machine.get("cpu", {}).get("brand_raw") or platform.processor(),
