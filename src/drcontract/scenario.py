@@ -72,6 +72,14 @@ class SweepSpec:
             )
         if self.stop < self.start:
             raise ScenarioError("sweep range must have stop >= start")
+        # values() steps by (stop - start) * i, which must not overflow.
+        if self.steps > 1 and not math.isfinite(
+            (self.stop - self.start) * (self.steps - 1)
+        ):
+            raise ScenarioError(
+                f"sweep range from {self.start} to {self.stop} in {self.steps} "
+                f"steps overflows: (stop - start) * (steps - 1) must be finite"
+            )
 
     def values(self) -> list[float]:
         if self.steps == 1:

@@ -109,6 +109,13 @@ def number(cell: str) -> float:
 OVERFLOW_PRICES = (0.0, 1e10)
 STATS_OVERFLOW = [(1.0, 1.0, 1e150, 0.5, "rational")]
 PAYOUT_OVERFLOW = [(1.0, 1.0, 1.1e297, 1.0, "rational")] * 20
+# A first consumer whose cap / baseline overflows sweep's normalized_baseline.
+RATIO_OVERFLOW_PRICES = (2.5e-26, 0.73)
+RATIO_OVERFLOW = (7.9e-134, 3.9e298, 1.3e204, 0.1, "rational")
+OVERFLOWING_RANGE = (
+    "sweep range from -1e+308 to 1e+308 in 3 steps overflows: "
+    "(stop - start) * (steps - 1) must be finite"
+)
 
 
 class TestSweepCommand:
@@ -186,6 +193,8 @@ class TestSweepCommand:
              "the saturation point baseline + p/gamma = 268.0"),
             (["--param", "gamma", "--from", "0.5", "--to", "0.2"],
              "sweep range must have stop >= start"),
+            # The range's width overflows, so its points would be nan.
+            (["--from=-1e308", "--to", "1e308", "--steps", "3"], OVERFLOWING_RANGE),
         ],
     )
     def test_bad_point_rejected_before_the_run(self, tmp_path, capsys, argv, message):
@@ -196,6 +205,15 @@ class TestSweepCommand:
         assert "scenario_hash=" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "simulate", "verify"])
+    def test_overflowing_scenario_range_refused(self, tmp_path, capsys, command):
+        path = tmp_path / "range.ini"
+        path.write_text(GOOD_SCENARIO + "[sweep]\nfrom = -1e308\nto = 1e308\nsteps = 3\n")
+        out = tmp_path / "x.csv"
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"drcontract: [sweep]: {OVERFLOWING_RANGE}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["range.ini"]
+
     @pytest.mark.parametrize(
         "argv", [[], ["--param", "gamma", "--from", "1e298", "--to", "1e299"]]
     )
@@ -205,8 +223,7 @@ class TestSweepCommand:
         # Each b_hat is at most the cap, and cap / baseline overflows here:
         # every normalized_baseline cell of this sweep printed inf.
         path = tmp_path / "ratio.ini"
-        consumer = (7.9e-134, 3.9e298, 1.3e204, 0.1, "rational")
-        path.write_text(scenario_text((2.5e-26, 0.73), [consumer]))
+        path.write_text(scenario_text(RATIO_OVERFLOW_PRICES, [RATIO_OVERFLOW]))
         out = tmp_path / "x.csv"
         assert main(["sweep", "--scenario", str(path), *argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
@@ -805,14 +822,41 @@ class TestStatisticsOverflowRefused:
     @example(OVERFLOW_PRICES, STATS_OVERFLOW)
     @example(OVERFLOW_PRICES, PAYOUT_OVERFLOW)
     def test_every_run_is_finite_or_refused(self, prices, consumers):
+        self.finite_or_refused(prices, consumers, ["simulate", "--trials", "4"], 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.tuples(log_uniform, log_uniform),
+        st.tuples(
+            log_uniform, log_uniform, log_uniform, st.floats(0, 1), st.just("rational")
+        ),
+        st.one_of(
+            st.just(["--param", "p_r"]),
+            st.tuples(log_uniform, log_uniform).map(lambda r: [
+                "--param", "gamma", "--from", repr(min(r)), "--to", repr(max(r)),
+            ]),
+        ),
+    )
+    @example(RATIO_OVERFLOW_PRICES, RATIO_OVERFLOW, ["--param", "p_r"])
+    @example(
+        (0.26, 0.30), (8.0, 0.05, 16.0, 0.1, "rational"),
+        ["--param", "p_r", "--from=-1e308", "--to", "1e308"],
+    )
+    def test_every_sweep_is_finite_or_refused(self, prices, consumer, flags):
+        self.finite_or_refused(prices, [consumer], ["sweep", *flags, "--steps", "5"], 1)
+
+    @staticmethod
+    def finite_or_refused(prices, consumers, argv, files):
+        """Run ``argv`` on a scenario of ``prices`` and ``consumers``: it
+        writes ``files`` CSVs of finite cells, or is refused with one line
+        and writes none."""
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as work:
             path = Path(work) / "scenario.ini"
             path.write_text(scenario_text(prices, consumers))
             with contextlib.redirect_stderr(err):
                 code = main([
-                    "simulate", "--scenario", str(path), "--trials", "4",
-                    "--out", str(Path(work) / "out.csv"),
+                    *argv, "--scenario", str(path), "--out", str(Path(work) / "out.csv"),
                 ])
             written = sorted(Path(work).glob("*.csv"))
             cells = [
@@ -826,7 +870,7 @@ class TestStatisticsOverflowRefused:
             if line.startswith("drcontract:")
         ]
         if code == 0:
-            assert len(written) == 3 and not refusals
+            assert len(written) == files and not refusals
             assert all(map(math.isfinite, map(number, cells)))
         else:
             assert (code, len(refusals), written) == (1, 1, [])

@@ -332,6 +332,9 @@ class TestLoaderMessages:
             ("sweep", "to", "nan",
              "key 'to' in [sweep] must be a finite number, got 'nan'"),
             ("sweep", "to", "-1", "[sweep]: sweep range must have stop >= start"),
+            ("sweep", "from", "-1e308",
+             "[sweep]: sweep range from -1e+308 to 1.0 in 101 steps overflows: "
+             "(stop - start) * (steps - 1) must be finite"),
             ("sweep", "steps", "abc",
              "key 'steps' in [sweep] is not an integer: 'abc'"),
             ("sweep", "steps", "1.5",
@@ -428,6 +431,20 @@ class TestSweepSpec:
         from drcontract import SweepSpec
 
         assert SweepSpec("p_r", 0.3, 0.9, 1).values() == [0.3]
+
+    def test_range_whose_steps_overflow_refused(self):
+        from drcontract import SweepSpec
+
+        # One step takes no width; a finite (stop - start) * (steps - 1) keeps
+        # every point finite.
+        assert SweepSpec("gamma", -1e308, 1e308, 1).values() == [-1e308]
+        assert SweepSpec("gamma", 0.0, 1e308, 2).values() == [0.0, 1e308]
+        with pytest.raises(ScenarioError) as info:
+            SweepSpec("gamma", 0.0, 1e308, 3)
+        assert str(info.value) == (
+            "sweep range from 0.0 to 1e+308 in 3 steps overflows: "
+            "(stop - start) * (steps - 1) must be finite"
+        )
 
 
 def configparser_sections(text):

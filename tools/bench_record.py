@@ -10,9 +10,11 @@ It runs the per-function cases under ``benches/`` once,
 
 then ``perfbench/run.py --trace 0`` once per workload, and writes:
 
-- ``cases``: each case's median and interquartile range in seconds, its
-  rounds, and the ``tracemalloc`` peak in bytes of one more call of the
-  benchmarked function after the timed rounds (``benches/conftest.py``);
+- ``cases``: each case's median, interquartile range and minimum over its
+  rounds in seconds, its rounds, and the ``tracemalloc`` peak in bytes of
+  one more call of the benchmarked function after the timed rounds
+  (``benches/conftest.py``). The minimum is the least disturbed by a slow
+  phase of the host, but two records can still read far apart;
 - ``import_s``: the median time to import ``drcontract.cli`` (numpy
   included) in fresh interpreters that write no bytecode, as perfbench's
   ``setup_s`` is taken, so each compiles ``src/drcontract`` from source;
@@ -59,8 +61,8 @@ def _env(src: str) -> dict:
 
 
 def bench_cases(root: str) -> tuple[dict, dict]:
-    """Median, IQR, rounds and traced peak of every case under ``benches/``,
-    and pytest-benchmark's description of the machine."""
+    """Median, IQR, minimum, rounds and traced peak of every case under
+    ``benches/``, and pytest-benchmark's description of the machine."""
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "bench.json")
         subprocess.run(
@@ -75,6 +77,7 @@ def bench_cases(root: str) -> tuple[dict, dict]:
         bench["fullname"]: {
             "median_s": bench["stats"]["median"],
             "iqr_s": bench["stats"]["iqr"],
+            "min_s": bench["stats"]["min"],
             "rounds": bench["stats"]["rounds"],
             # None for a checkout whose benches/ records no traced peak.
             "tracemalloc_peak_bytes": bench["extra_info"].get("tracemalloc_peak_bytes"),
