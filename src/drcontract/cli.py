@@ -13,7 +13,6 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import replace
 from itertools import repeat
 
 import numpy as np
@@ -190,8 +189,14 @@ def _build_parser() -> _Parser:
         "sweep", parents=[common], help="evaluate closed forms over a parameter range"
     )
     p_sweep.add_argument("--param", choices=SWEEPABLE_PARAMS, help="swept parameter")
-    p_sweep.add_argument("--from", dest="start", type=_finite(), help="sweep start")
-    p_sweep.add_argument("--to", dest="stop", type=_finite(), help="sweep end")
+    p_sweep.add_argument(
+        "--from", dest="start", type=_finite(),
+        help="sweep start; give a negative value after '=', as in --from=-1e-3",
+    )
+    p_sweep.add_argument(
+        "--to", dest="stop", type=_finite(),
+        help="sweep end; give a negative value after '=', as in --to=-1e-3",
+    )
     p_sweep.add_argument(
         "--steps",
         type=_int_in(1, MAX_SWEEP_STEPS),
@@ -257,7 +262,7 @@ def _sweep_points(
                 check_call_probability(value)
                 point = (value, value, member.params)
             else:
-                params = replace(member.params, marginal_utility=value)
+                params = member.params._replace(marginal_utility=value)
                 check_consumption_cap(params, prices)
                 point = (value, member.call_probability, params)
         except ValueError as exc:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
@@ -69,8 +68,50 @@ class CallSignal(IntEnum):
     CALLED = 1
 
 
-@dataclass(frozen=True)
-class Prices:
+class FrozenRecord:
+    """Base of the immutable record types: a value is its fields, named in
+    order by ``_fields`` and held in the instance's ``__dict__``.
+
+    Assignment and deletion raise ``AttributeError``. Two records are equal
+    when they are of the same class and the fields named by ``_compared``
+    (by default all of them) are equal, and equal records hash alike. Each
+    subclass writes its own ``__init__``, which checks its arguments and
+    stores every field. A record pickles and copies through its
+    ``__dict__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] | None = None
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        fields = self.__dict__
+        return tuple(fields[name] for name in self._compared or self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        """A new record with ``changes`` put over this one's fields, checked
+        as any new one is."""
+        return self.__class__(**{**self.__dict__, **changes})
+
+
+class Prices(FrozenRecord):
     """Contract prices, one pair or columns of many (see :func:`columns`).
 
     Attributes:
@@ -80,11 +121,10 @@ class Prices:
             consumption; finite, > 0 and >= energy_price.
     """
 
-    energy_price: float
-    incentive_price: float
+    _fields = ("energy_price", "incentive_price")
 
-    def __post_init__(self) -> None:
-        p, p2 = self.energy_price, self.incentive_price
+    def __init__(self, energy_price: float, incentive_price: float) -> None:
+        p, p2 = energy_price, incentive_price
         require(abs(p) < _INF, "energy_price must be finite, got {}", p)
         require(abs(p2) < _INF, "incentive_price must be finite, got {}", p2)
         require(p >= 0, "energy_price must be >= 0, got {}", p)
@@ -94,10 +134,12 @@ class Prices:
             "incentive_price must be > 0: with both prices at 0 the call "
             "threshold p / (p + p2) is undefined",
         )
+        fields = self.__dict__
+        fields["energy_price"] = p
+        fields["incentive_price"] = p2
 
 
-@dataclass(frozen=True)
-class ConsumerParams:
+class ConsumerParams(FrozenRecord):
     """Private type of one consumer, or columns of many (see :func:`columns`).
 
     All three attributes must be finite.
@@ -112,12 +154,12 @@ class ConsumerParams:
             :func:`check_consumption_cap`.
     """
 
-    baseline: float
-    marginal_utility: float
-    max_consumption: float
+    _fields = ("baseline", "marginal_utility", "max_consumption")
 
-    def __post_init__(self) -> None:
-        b, g, q_max = self.baseline, self.marginal_utility, self.max_consumption
+    def __init__(
+        self, baseline: float, marginal_utility: float, max_consumption: float
+    ) -> None:
+        b, g, q_max = baseline, marginal_utility, max_consumption
         # A NaN passes every "> 0" check, so finiteness is tested first.
         require(abs(b) < _INF, "baseline must be finite, got {}", b)
         require(abs(g) < _INF, "marginal_utility must be finite, got {}", g)
@@ -125,10 +167,13 @@ class ConsumerParams:
         require(b > 0, "baseline must be > 0, got {}", b)
         require(g > 0, "marginal_utility must be > 0, got {}", g)
         require(q_max > 0, "max_consumption must be > 0, got {}", q_max)
+        fields = self.__dict__
+        fields["baseline"] = b
+        fields["marginal_utility"] = g
+        fields["max_consumption"] = q_max
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(FrozenRecord):
     """The pair a consumer announces before the event, or columns of many.
 
     Attributes:
@@ -136,16 +181,18 @@ class Report:
         committed: consumption level the consumer commits to if called, kWh.
     """
 
-    baseline: float
-    committed: float
+    _fields = ("baseline", "committed")
 
-    def __post_init__(self) -> None:
-        b, q = self.baseline, self.committed
+    def __init__(self, baseline: float, committed: float) -> None:
+        b, q = baseline, committed
         require(
             (0 <= q) & (q <= b),
             "report must satisfy 0 <= committed <= baseline, got "
             "committed={}, baseline={}", q, b,
         )
+        fields = self.__dict__
+        fields["baseline"] = b
+        fields["committed"] = q
 
 
 def columns(cls: type, values):
@@ -155,8 +202,8 @@ def columns(cls: type, values):
     and an error names the first offending row.
     """
     return cls(*(
-        np.array([getattr(v, f.name) for v in values], dtype=float)
-        for f in fields(cls)
+        np.array([getattr(v, name) for v in values], dtype=float)
+        for name in cls._fields
     ))
 
 

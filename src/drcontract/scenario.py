@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
 from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
-    ConsumerParams, Prices, check_call_probability, check_consumption_cap,
+    ConsumerParams, FrozenRecord, Prices, check_call_probability,
+    check_consumption_cap,
 )
 from .simulation import (
     Behavior, Portfolio, check_record_count, check_reduction_target, check_seed,
@@ -54,32 +54,34 @@ class ScenarioError(ValueError):
     """A scenario file failed validation."""
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    param: str
-    start: float
-    stop: float
-    steps: int
+class SweepSpec(FrozenRecord):
+    """A sweep of ``param`` over ``steps`` evenly spaced values from
+    ``start`` to ``stop``."""
 
-    def __post_init__(self) -> None:
-        if self.param not in SWEEPABLE_PARAMS:
+    _fields = ("param", "start", "stop", "steps")
+
+    def __init__(self, param: str, start: float, stop: float, steps: int) -> None:
+        if param not in SWEEPABLE_PARAMS:
             raise ScenarioError(
-                f"sweep parameter must be one of {SWEEPABLE_PARAMS}, got {self.param!r}"
+                f"sweep parameter must be one of {SWEEPABLE_PARAMS}, got {param!r}"
             )
-        if not 1 <= self.steps <= MAX_SWEEP_STEPS:
+        if not 1 <= steps <= MAX_SWEEP_STEPS:
             raise ScenarioError(
-                f"steps must lie in [1, {MAX_SWEEP_STEPS}], got {self.steps}"
+                f"steps must lie in [1, {MAX_SWEEP_STEPS}], got {steps}"
             )
-        if self.stop < self.start:
+        if stop < start:
             raise ScenarioError("sweep range must have stop >= start")
         # values() steps by (stop - start) * i, which must not overflow.
-        if self.steps > 1 and not math.isfinite(
-            (self.stop - self.start) * (self.steps - 1)
-        ):
+        if steps > 1 and not math.isfinite((stop - start) * (steps - 1)):
             raise ScenarioError(
-                f"sweep range from {self.start} to {self.stop} in {self.steps} "
+                f"sweep range from {start} to {stop} in {steps} "
                 f"steps overflows: (stop - start) * (steps - 1) must be finite"
             )
+        fields = self.__dict__
+        fields["param"] = param
+        fields["start"] = start
+        fields["stop"] = stop
+        fields["steps"] = steps
 
     def values(self) -> list[float]:
         if self.steps == 1:
@@ -107,7 +109,7 @@ def sweep_over(
     parameter, or p_r without a base."""
     if base is None or param not in (None, base.param):
         base = default_sweep(param or "p_r")
-    return replace(base, param=param or base.param, **given)
+    return base._replace(param=param or base.param, **given)
 
 
 class Scenario(NamedTuple):

@@ -11,7 +11,6 @@ t is reproducible in isolation and results do not depend on execution order.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import NamedTuple
@@ -21,6 +20,7 @@ import numpy as np
 from .core import (
     CallSignal,
     ConsumerParams,
+    FrozenRecord,
     Prices,
     Report,
     check_call_probability,
@@ -88,14 +88,20 @@ class Behavior(str, Enum):
         )
 
 
-@dataclass(frozen=True)
-class PortfolioMember:
-    consumer_id: str
-    params: ConsumerParams
-    call_probability: float
+class PortfolioMember(FrozenRecord):
+    """One consumer of a :class:`Portfolio`: its id, its private type and the
+    probability that the aggregator calls it."""
 
-    def __post_init__(self) -> None:
-        check_call_probability(self.call_probability)
+    _fields = ("consumer_id", "params", "call_probability")
+
+    def __init__(
+        self, consumer_id: str, params: ConsumerParams, call_probability: float
+    ) -> None:
+        check_call_probability(call_probability)
+        fields = self.__dict__
+        fields["consumer_id"] = consumer_id
+        fields["params"] = params
+        fields["call_probability"] = call_probability
 
 
 class Portfolio(Sequence):
@@ -286,8 +292,7 @@ class OutcomeTable(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
+class MonteCarloResult(FrozenRecord):
     """Outcome of :func:`run_monte_carlo`, kept as columns.
 
     ``called[k, t]`` is True when member k was called in trial t, and
@@ -295,13 +300,26 @@ class MonteCarloResult:
     and ``summaries`` are read-only views, one item per trial built on access
     from those columns and the run's per-trial totals: trial t's
     :class:`EventRecord` values and its :class:`EventSummary`. A result pickles.
+    Two results are equal when their stats, summaries and records are.
     """
 
-    stats: list[ConsumerStats]
-    summaries: Sequence[EventSummary]
-    records: Sequence[Sequence[EventRecord]]
-    outcomes: OutcomeTable = field(compare=False)
-    called: np.ndarray = field(compare=False)
+    _fields = ("stats", "summaries", "records", "outcomes", "called")
+    _compared = ("stats", "summaries", "records")
+
+    def __init__(
+        self,
+        stats: list[ConsumerStats],
+        summaries: Sequence[EventSummary],
+        records: Sequence[Sequence[EventRecord]],
+        outcomes: OutcomeTable,
+        called: np.ndarray,
+    ) -> None:
+        fields = self.__dict__
+        fields["stats"] = stats
+        fields["summaries"] = summaries
+        fields["records"] = records
+        fields["outcomes"] = outcomes
+        fields["called"] = called
 
 
 def collect_reports(

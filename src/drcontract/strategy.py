@@ -20,7 +20,6 @@ scalar solvers :func:`best_report`, :func:`best_response_called` and
 
 from __future__ import annotations
 
-import logging
 from enum import Enum
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -57,8 +56,6 @@ __all__ = [
     "planned_consumption",
     "solve",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class StrategyNotCalled(str, Enum):
@@ -237,6 +234,11 @@ def _optimal_report(call_probability, params, prices):
     announced = np.where(above, q_max, inflated)
     clamped = announced > q_max
     if clamped.any():
+        # Imported here, as checked input reaches the clamp only through
+        # rounding, so no command pays for logging's import otherwise.
+        import logging
+
+        logger = logging.getLogger(__name__)
         caps = np.broadcast_to(q_max, announced.shape)
         for raw, cap in zip(announced[clamped].tolist(), caps[clamped].tolist()):
             logger.warning(

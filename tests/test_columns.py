@@ -2,7 +2,6 @@
 same rules as one value, with errors that name the first offending row."""
 
 import math
-from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,8 +47,7 @@ def message(build):
 
 def rows_as_columns(cls, rows):
     """``columns`` of rows given as plain numbers, which may be invalid."""
-    names = [f.name for f in fields(cls)]
-    return columns(cls, [SimpleNamespace(**dict(zip(names, row))) for row in rows])
+    return columns(cls, [SimpleNamespace(**dict(zip(cls._fields, row))) for row in rows])
 
 
 @pytest.mark.parametrize("cls, bad", BAD_ROWS)
@@ -123,7 +121,7 @@ field_values = st.sampled_from(
         lambda cls: st.tuples(
             st.just(cls),
             st.lists(
-                st.tuples(*[field_values] * len(fields(cls))),
+                st.tuples(*[field_values] * len(cls._fields)),
                 max_size=4,
             ),
         )

@@ -1,14 +1,9 @@
 import configparser
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import drcontract
 from drcontract import (
     Behavior, ConsumerParams, PortfolioMember, Prices, Scenario, ScenarioError,
     load_scenario,
@@ -851,12 +846,3 @@ class TestMemberView:
             with pytest.raises(AttributeError):
                 setattr(members, name, None)
 
-
-def test_importing_the_cli_leaves_configparser_unloaded():
-    src = str(Path(drcontract.__file__).parents[1])
-    code = "import drcontract.cli, sys; assert 'configparser' not in sys.modules"
-    subprocess.run(
-        [sys.executable, "-c", code],
-        check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
