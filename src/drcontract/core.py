@@ -68,20 +68,23 @@ class CallSignal(IntEnum):
     CALLED = 1
 
 
-class FrozenRecord:
-    """Base of the immutable record types: a value is its fields, named in
-    order by ``_fields`` and held in the instance's ``__dict__``.
+def read_only(values) -> None:
+    """Make each numpy array among ``values`` read-only."""
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
 
-    Assignment and deletion raise ``AttributeError``. Two records are equal
-    when they are of the same class and the fields named by ``_compared``
-    (by default all of them) are equal, and equal records hash alike. Each
-    subclass writes its own ``__init__``, which checks its arguments and
-    stores every field. A record pickles and copies through its
-    ``__dict__``.
+
+class Frozen:
+    """Base of the immutable types: a value is its fields, named in order by
+    ``_fields`` and set once, by :meth:`_store`.
+
+    Assignment and deletion raise ``AttributeError``, and every numpy array
+    among the fields is read-only.
     """
 
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _compared: tuple[str, ...] | None = None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -89,9 +92,29 @@ class FrozenRecord:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _key(self) -> tuple:
+    def _store(self, *values) -> None:
+        """Set the fields to ``values``, in ``_fields`` order; refused once
+        they are set."""
         fields = self.__dict__
-        return tuple(fields[name] for name in self._compared or self._fields)
+        if fields:
+            raise AttributeError(f"the fields of {type(self).__name__} are already set")
+        read_only(values)
+        fields.update(zip(self._fields, values))
+
+
+class FrozenRecord(Frozen):
+    """Base of the record types, a :class:`Frozen` value compared by value.
+
+    Two records are equal when they are of the same class and their
+    :meth:`_key`, by default every field, is equal, and equal records hash
+    alike. Each subclass writes its own ``__init__``, which checks its
+    arguments and then stores every field with :meth:`_store`. A record
+    pickles and copies as a call of its class on its fields, so a copy is
+    checked, and read-only, again.
+    """
+
+    def _key(self) -> tuple:
+        return tuple(self.__dict__.values())
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -104,6 +127,9 @@ class FrozenRecord:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
         return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(self.__dict__.values())
 
     def _replace(self, **changes):
         """A new record with ``changes`` put over this one's fields, checked
@@ -134,9 +160,7 @@ class Prices(FrozenRecord):
             "incentive_price must be > 0: with both prices at 0 the call "
             "threshold p / (p + p2) is undefined",
         )
-        fields = self.__dict__
-        fields["energy_price"] = p
-        fields["incentive_price"] = p2
+        self._store(p, p2)
 
 
 class ConsumerParams(FrozenRecord):
@@ -167,10 +191,7 @@ class ConsumerParams(FrozenRecord):
         require(b > 0, "baseline must be > 0, got {}", b)
         require(g > 0, "marginal_utility must be > 0, got {}", g)
         require(q_max > 0, "max_consumption must be > 0, got {}", q_max)
-        fields = self.__dict__
-        fields["baseline"] = b
-        fields["marginal_utility"] = g
-        fields["max_consumption"] = q_max
+        self._store(b, g, q_max)
 
 
 class Report(FrozenRecord):
@@ -190,9 +211,7 @@ class Report(FrozenRecord):
             "report must satisfy 0 <= committed <= baseline, got "
             "committed={}, baseline={}", q, b,
         )
-        fields = self.__dict__
-        fields["baseline"] = b
-        fields["committed"] = q
+        self._store(b, q)
 
 
 def columns(cls: type, values):

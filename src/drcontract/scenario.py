@@ -77,11 +77,7 @@ class SweepSpec(FrozenRecord):
                 f"sweep range from {start} to {stop} in {steps} "
                 f"steps overflows: (stop - start) * (steps - 1) must be finite"
             )
-        fields = self.__dict__
-        fields["param"] = param
-        fields["start"] = start
-        fields["stop"] = stop
-        fields["steps"] = steps
+        self._store(param, start, stop, steps)
 
     def values(self) -> list[float]:
         if self.steps == 1:
@@ -406,6 +402,6 @@ def load_scenario(path: str | None) -> Scenario:
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"cannot read scenario file {path!r}: {exc}") from exc
     return parse_scenario(text, scenario_hash(text.encode("utf-8")))

@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     CallSignal,
     ConsumerParams,
+    Frozen,
     FrozenRecord,
     Prices,
     Report,
@@ -29,6 +30,7 @@ from .core import (
     ideal_consumption,
     payment_called,
     payment_not_called,
+    read_only,
     utility,
 )
 from .strategy import solve
@@ -98,13 +100,10 @@ class PortfolioMember(FrozenRecord):
         self, consumer_id: str, params: ConsumerParams, call_probability: float
     ) -> None:
         check_call_probability(call_probability)
-        fields = self.__dict__
-        fields["consumer_id"] = consumer_id
-        fields["params"] = params
-        fields["call_probability"] = call_probability
+        self._store(consumer_id, params, call_probability)
 
 
-class Portfolio(Sequence):
+class Portfolio(Frozen, Sequence):
     """Ordered collection of consumers under one price pair, held as
     read-only columns, entry k for member k: ``consumer_ids``, ``params``
     (:class:`ConsumerParams` of float arrays) and ``call_probabilities``.
@@ -117,10 +116,11 @@ class Portfolio(Sequence):
 
     ``portfolio[k]`` builds that :class:`PortfolioMember` on access, and a
     slice gives a tuple of them. Two portfolios are equal, and hash alike,
-    when their members and prices are.
+    when their members and prices are. As a :class:`Frozen` value, a
+    portfolio refuses assignment and deletion.
     """
 
-    __slots__ = ("consumer_ids", "params", "call_probabilities", "prices")
+    _fields = ("consumer_ids", "params", "call_probabilities", "prices")
 
     def __init__(self, members: Sequence[PortfolioMember], prices: Prices) -> None:
         members = tuple(members)
@@ -147,15 +147,7 @@ class Portfolio(Sequence):
         # message then reads inf, as a Python float gives it.
         with np.errstate(over="ignore"):
             check_consumption_cap(params, prices)
-        for column in (*vars(params).values(), call_probabilities):
-            column.flags.writeable = False
-        for name, value in zip(
-            self.__slots__, (consumer_ids, params, call_probabilities, prices)
-        ):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        self._store(consumer_ids, params, call_probabilities, prices)
 
     def __len__(self) -> int:
         return len(self.consumer_ids)
@@ -300,11 +292,11 @@ class MonteCarloResult(FrozenRecord):
     and ``summaries`` are read-only views, one item per trial built on access
     from those columns and the run's per-trial totals: trial t's
     :class:`EventRecord` values and its :class:`EventSummary`. A result pickles.
-    Two results are equal when their stats, summaries and records are.
+    ``called`` and the outcome arrays are read-only, in a copy or an
+    unpickled result too. Two results are equal when their stats, summaries and records are.
     """
 
     _fields = ("stats", "summaries", "records", "outcomes", "called")
-    _compared = ("stats", "summaries", "records")
 
     def __init__(
         self,
@@ -314,12 +306,12 @@ class MonteCarloResult(FrozenRecord):
         outcomes: OutcomeTable,
         called: np.ndarray,
     ) -> None:
-        fields = self.__dict__
-        fields["stats"] = stats
-        fields["summaries"] = summaries
-        fields["records"] = records
-        fields["outcomes"] = outcomes
-        fields["called"] = called
+        if isinstance(outcomes, OutcomeTable):
+            read_only(outcomes)
+        self._store(stats, summaries, records, outcomes, called)
+
+    def _key(self) -> tuple:
+        return self.stats, self.summaries, self.records
 
 
 def collect_reports(

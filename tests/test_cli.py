@@ -1080,6 +1080,30 @@ class TestSimulateOutputIsStable:
         assert capsys.readouterr().out == "".join(read(p) for p in paths)
 
 
+class TestUnreadableScenario:
+    """A scenario file that cannot be read or decoded is one error line, exit 1,
+    named by its path."""
+
+    @pytest.mark.parametrize("command", ["sweep", "verify", "simulate"])
+    def test_non_utf8_file_names_the_path(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin.ini"
+        bad.write_bytes(b"# caf\xe9\n" + GOOD_SCENARIO.encode())
+        out = tmp_path / "out.csv"
+        assert main([command, "--scenario", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"drcontract: cannot read scenario file {str(bad)!r}: 'utf-8' codec "
+            "can't decode byte 0xe9 in position 5: invalid continuation byte\n"
+        )
+        assert not out.exists()
+
+    def test_missing_file_names_the_path(self, tmp_path, capsys):
+        missing = tmp_path / "missing.ini"
+        assert main(["simulate", "--scenario", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"drcontract: cannot read scenario file {str(missing)!r}: ")
+        assert err.count("\n") == 1
+
+
 class TestUnwritableOutput:
     """An output path that cannot be written is one error line, exit 1."""
 

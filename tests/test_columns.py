@@ -1,7 +1,9 @@
 """Column-valued domain types: one float array per field, checked by the
 same rules as one value, with errors that name the first offending row."""
 
+import copy
 import math
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -74,6 +76,23 @@ def test_columns_hold_one_float_array_per_field(cls):
     for name, column in vars(built).items():
         assert column.dtype == float
         assert column.tolist() == [getattr(values[0], name)] * 2
+
+
+@pytest.mark.parametrize("cls", [ConsumerParams, Prices, Report])
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+)
+def test_columns_are_the_arrays_passed_in_made_read_only(cls, duplicate):
+    given = [np.array([value] * 2) for value in GOOD_ROWS[cls]]
+    built = cls(*given)
+    for value in (built, duplicate(built)):
+        for column, array in zip(vars(value).values(), given):
+            assert not column.flags.writeable
+            assert column.tolist() == array.tolist()
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+    assert all(column is array for column, array in zip(vars(built).values(), given))
 
 
 def test_cap_check_names_the_first_row_under_saturation():

@@ -1,5 +1,6 @@
 """The package's public names, and the names the benchmark's tracer wraps."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -9,6 +10,7 @@ from drcontract import core, oracle, scenario, simulation, strategy
 
 MODULES = (core, oracle, scenario, simulation, strategy)
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PACKAGE = Path(drcontract.__file__).resolve().parent
 
 # drcontract.__all__ before it was built from the modules' lists.
 EXPORTED_BEFORE = (
@@ -55,3 +57,30 @@ def test_tracer_targets_stay_bound():
         assert callable(getattr(importlib.import_module(module), attr, None)), (
             f"{module}.{attr}"
         )
+
+
+def freeze_rule_breaches(path: Path) -> list[str]:
+    """Where the module at ``path`` reaches an instance's ``__dict__``, calls
+    an ``__setattr__`` or ``__delattr__`` (as ``object.__setattr__``) or
+    defines one: each ``line: name``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.FunctionDef):
+            name = node.name
+        else:
+            continue
+        if name in ("__dict__", "__setattr__", "__delattr__"):
+            found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_only_core_stores_fields():
+    # core.Frozen alone sets fields and refuses assignment and deletion.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "core.py" in modules and len(modules) > 2
+    for path in modules:
+        if path.name != "core.py":
+            assert freeze_rule_breaches(path) == [], path.name
+    assert freeze_rule_breaches(PACKAGE / "core.py")

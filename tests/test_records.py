@@ -43,6 +43,8 @@ def test_fields_can_be_neither_assigned_nor_deleted(cls):
             setattr(record, name, 1.0)
         with pytest.raises(AttributeError):
             delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.__init__(*ARGS[cls][1])
     assert tuple(vars(record).values()) == ARGS[cls][0]
 
 

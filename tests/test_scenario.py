@@ -842,7 +842,10 @@ class TestMemberView:
             with pytest.raises(ValueError):
                 column[0] = 1.0
         assert isinstance(members.consumer_ids, tuple)
-        for name in ("consumer_ids", "params", "extra"):
+        for name in (*type(members)._fields, "extra"):
             with pytest.raises(AttributeError):
                 setattr(members, name, None)
+            with pytest.raises(AttributeError):
+                delattr(members, name)
+        assert members.prices == Prices(0.26, 0.30)
 

@@ -1,3 +1,4 @@
+import copy
 import pickle
 import tracemalloc
 import warnings
@@ -657,6 +658,32 @@ class TestColumnarMonteCarlo:
         copied = pickle.loads(pickle.dumps(result))
         assert copied == result
         assert copied.records == records and copied.summaries == summaries
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [
+            lambda result: result,
+            lambda result: pickle.loads(pickle.dumps(result)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+    )
+    def test_result_arrays_are_read_only(self, mixed, duplicate):
+        _, result, _, settled = mixed
+        result = duplicate(result)
+        outcomes = result.outcomes
+        with pytest.raises(ValueError):
+            result.called[0, 0] = not result.called[0, 0]
+        for array in (
+            outcomes.consumption, outcomes.payment, outcomes.profit,
+            outcomes.report.baseline, outcomes.report.committed,
+        ):
+            with pytest.raises(ValueError):
+                array[0] = -1.0
+        for t, (_, records, summary) in enumerate(settled):
+            called = sum(int(r.signal) for r in result.records[t])
+            assert called == result.summaries[t].called_count == summary.called_count
+            assert result.records[t] == records
 
     def test_result_holds_under_100_bytes_per_trial(self):
         # One call flag per consumer and trial, and each trial's count, two
