@@ -68,22 +68,21 @@ class CallSignal(IntEnum):
     CALLED = 1
 
 
-def read_only(values) -> None:
-    """Make each numpy array among ``values`` read-only."""
-    for value in values:
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-
-
-class Frozen:
-    """Base of the immutable types: a value is its fields, named in order by
-    ``_fields`` and set once, by :meth:`_store`.
+class FrozenRecord:
+    """Base of the package's value types: a record is its fields, named in
+    order by ``_fields`` and set once, by :meth:`_store`.
 
     Assignment and deletion raise ``AttributeError``, and every numpy array
-    among the fields is read-only.
+    among the fields is read-only. Two records are equal when they are of
+    the same class and their :meth:`_key`, by default every field, is
+    equal, and equal records hash alike. Each subclass writes its own
+    ``__init__``, which checks its arguments and then stores every field
+    with :meth:`_store`. A record pickles and copies through
+    :meth:`__reduce__`, by default a call of its class on its fields, and
+    :meth:`_replace` rebuilds through it too, naming each field, so a copy
+    or a changed record is checked, and read-only, again.
     """
 
-    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
@@ -98,20 +97,10 @@ class Frozen:
         fields = self.__dict__
         if fields:
             raise AttributeError(f"the fields of {type(self).__name__} are already set")
-        read_only(values)
+        for value in values:
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
         fields.update(zip(self._fields, values))
-
-
-class FrozenRecord(Frozen):
-    """Base of the record types, a :class:`Frozen` value compared by value.
-
-    Two records are equal when they are of the same class and their
-    :meth:`_key`, by default every field, is equal, and equal records hash
-    alike. Each subclass writes its own ``__init__``, which checks its
-    arguments and then stores every field with :meth:`_store`. A record
-    pickles and copies as a call of its class on its fields, so a copy is
-    checked, and read-only, again.
-    """
 
     def _key(self) -> tuple:
         return tuple(self.__dict__.values())
@@ -132,9 +121,11 @@ class FrozenRecord(Frozen):
         return self.__class__, tuple(self.__dict__.values())
 
     def _replace(self, **changes):
-        """A new record with ``changes`` put over this one's fields, checked
-        as any new one is."""
-        return self.__class__(**{**self.__dict__, **changes})
+        """A new record with ``changes`` put over this one's fields, rebuilt
+        as :meth:`__reduce__` rebuilds it and so checked as any new one is;
+        an unknown field is a ``TypeError``."""
+        rebuild, values = self.__reduce__()
+        return rebuild(**dict(zip(self._fields, values), **changes))
 
 
 class Prices(FrozenRecord):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from importlib import resources
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -110,16 +111,22 @@ def sweep_over(
 
 class Scenario(NamedTuple):
     """Everything a scenario file sets, read and checked once. Command-line
-    flags override fields through ``_replace``."""
+    flags override fields through ``_replace``. ``kinds`` holds each
+    member's :class:`Behavior`, in member order."""
 
     members: Portfolio
-    behaviors: dict[str, Behavior]
+    kinds: tuple[Behavior, ...]
     trials: int = DEFAULT_TRIALS
     seed: int = 42
     grid_step: float = 0.01
     reduction_target: float = 0.0
     sweep: SweepSpec | None = None
     source_hash: str = "unknown"
+
+    @property
+    def behaviors(self) -> MappingProxyType:
+        """Each member's :class:`Behavior` by consumer id, read-only."""
+        return MappingProxyType(dict(zip(self.members.consumer_ids, self.kinds)))
 
     @property
     def prices(self) -> Prices:
@@ -208,9 +215,9 @@ def _check_consumer(name: str, section, prices: Prices) -> None:
 
 def _consumers(
     sections: dict[str, dict[str, str]], prices: Prices
-) -> tuple[Portfolio, dict[str, Behavior]]:
+) -> tuple[Portfolio, tuple[Behavior, ...]]:
     """The ``[consumer.<id>]`` sections as a :class:`Portfolio` of columns,
-    checked as columns.
+    checked as columns, and each one's :class:`Behavior` in the same order.
 
     When a value is missing or unreadable, or a check fails, the sections
     go through :func:`_check_consumer` in file order, and the first bad one
@@ -228,7 +235,7 @@ def _consumers(
             np.array([float(row[key]) for row in rows], dtype=float)
             for key in _CONSUMER_NUMBERS
         )
-        kinds = [_BEHAVIORS[row.get("behavior", "rational")] for row in rows]
+        kinds = tuple(_BEHAVIORS[row.get("behavior", "rational")] for row in rows)
         members = Portfolio.of_columns(
             ids, ConsumerParams(*floats), probabilities, prices
         )
@@ -236,7 +243,7 @@ def _consumers(
         for name, row in zip(names, rows):
             _check_consumer(name, row, prices)
         raise
-    return members, dict(zip(ids, kinds))
+    return members, kinds
 
 
 def _read_flat(text: str) -> dict[str, dict[str, str]] | None:
@@ -337,7 +344,7 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"[prices]: {exc}") from exc
 
-    members, behaviors = _consumers(sections, prices)
+    members, kinds = _consumers(sections, prices)
 
     sim = sections.get("simulation", {})
     settings = {}
@@ -377,7 +384,7 @@ def parse_scenario(text: str, source_hash: str = "unknown") -> Scenario:
     # Checked after every other rule, whose messages come first.
     _check_known(sections, shared)
     return Scenario(
-        members, behaviors, **settings, sweep=sweep,
+        members, kinds, **settings, sweep=sweep,
         source_hash=source_hash,
     )
 

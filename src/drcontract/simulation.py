@@ -20,7 +20,6 @@ import numpy as np
 from .core import (
     CallSignal,
     ConsumerParams,
-    Frozen,
     FrozenRecord,
     Prices,
     Report,
@@ -30,7 +29,6 @@ from .core import (
     ideal_consumption,
     payment_called,
     payment_not_called,
-    read_only,
     utility,
 )
 from .strategy import solve
@@ -103,7 +101,7 @@ class PortfolioMember(FrozenRecord):
         self._store(consumer_id, params, call_probability)
 
 
-class Portfolio(Frozen, Sequence):
+class Portfolio(FrozenRecord, Sequence):
     """Ordered collection of consumers under one price pair, held as
     read-only columns, entry k for member k: ``consumer_ids``, ``params``
     (:class:`ConsumerParams` of float arrays) and ``call_probabilities``.
@@ -116,8 +114,9 @@ class Portfolio(Frozen, Sequence):
 
     ``portfolio[k]`` builds that :class:`PortfolioMember` on access, and a
     slice gives a tuple of them. Two portfolios are equal, and hash alike,
-    when their members and prices are. As a :class:`Frozen` value, a
-    portfolio refuses assignment and deletion.
+    when their members and prices are. A portfolio pickles and copies
+    through :meth:`of_columns`, and ``_replace`` rebuilds through it too, so
+    a changed portfolio is checked again.
     """
 
     _fields = ("consumer_ids", "params", "call_probabilities", "prices")
@@ -167,18 +166,11 @@ class Portfolio(Frozen, Sequence):
             float(self.call_probabilities[index]),
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Portfolio):
-            return NotImplemented
-        return self.prices == other.prices and tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash((tuple(self), self.prices))
+    def _key(self) -> tuple:
+        return tuple(self), self.prices
 
     def __reduce__(self):
-        return type(self).of_columns, (
-            self.consumer_ids, self.params, self.call_probabilities, self.prices
-        )
+        return self.of_columns, super().__reduce__()[1]
 
 
 class CallAllocation(NamedTuple):
@@ -252,20 +244,25 @@ class _Rows(Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
-class OutcomeTable(NamedTuple):
+
+class OutcomeTable(FrozenRecord):
     """Consumption, payment and profit of every consumer under each signal.
 
-    Row k is portfolio member k; column s of each ``(n, 2)`` array is the
-    outcome under ``CallSignal(s)``. ``report`` holds the members' reports
-    as :func:`columns`.
+    Row k is portfolio member k; column s of each read-only ``(n, 2)`` array
+    is the outcome under ``CallSignal(s)``. ``report`` holds the members'
+    reports as :func:`columns`.
     """
 
-    consumer_ids: tuple[str, ...]
-    report: object
-    consumption: np.ndarray
-    payment: np.ndarray
-    profit: np.ndarray
+    _fields = ("consumer_ids", "report", "consumption", "payment", "profit")
+
+    def __init__(
+        self, consumer_ids: tuple[str, ...], report: Report,
+        consumption: np.ndarray, payment: np.ndarray, profit: np.ndarray,
+    ) -> None:
+        self._store(consumer_ids, report, consumption, payment, profit)
 
     def records(self, called: np.ndarray, t: int) -> _Rows:
         """The records of event t, whose call flags are ``called[:, t]``."""
@@ -291,23 +288,23 @@ class MonteCarloResult(FrozenRecord):
     ``outcomes`` gives each member's outcome under either signal. ``records``
     and ``summaries`` are read-only views, one item per trial built on access
     from those columns and the run's per-trial totals: trial t's
-    :class:`EventRecord` values and its :class:`EventSummary`. A result pickles.
-    ``called`` and the outcome arrays are read-only, in a copy or an
-    unpickled result too. Two results are equal when their stats, summaries and records are.
+    :class:`EventRecord` values and its :class:`EventSummary`. ``stats`` is
+    a tuple, one row per member. A result pickles. ``called`` and the
+    outcome arrays are read-only, in a copy or an unpickled result too. Two
+    results are equal, and hash alike, when their stats, summaries and
+    records are.
     """
 
     _fields = ("stats", "summaries", "records", "outcomes", "called")
 
     def __init__(
         self,
-        stats: list[ConsumerStats],
+        stats: tuple[ConsumerStats, ...],
         summaries: Sequence[EventSummary],
         records: Sequence[Sequence[EventRecord]],
         outcomes: OutcomeTable,
         called: np.ndarray,
     ) -> None:
-        if isinstance(outcomes, OutcomeTable):
-            read_only(outcomes)
         self._store(stats, summaries, records, outcomes, called)
 
     def _key(self) -> tuple:
@@ -658,10 +655,10 @@ def run_monte_carlo(
     per_member = per_stat.T
     ids = table.consumer_ids
     _check_finite(per_member, lambda k: f"consumer {ids[k]!r}", STATS_COLUMNS[3:])
-    stats = [
+    stats = tuple(
         ConsumerStats(cid, kind, trials, *row)
         for cid, kind, row in zip(ids, kinds, per_member.tolist())
-    ]
+    )
     return MonteCarloResult(
         stats=stats,
         summaries=summaries,

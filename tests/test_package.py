@@ -77,10 +77,30 @@ def freeze_rule_breaches(path: Path) -> list[str]:
 
 
 def test_only_core_stores_fields():
-    # core.Frozen alone sets fields and refuses assignment and deletion.
+    # core.FrozenRecord alone sets fields and refuses assignment and deletion.
     modules = sorted(PACKAGE.glob("*.py"))
     assert PACKAGE / "core.py" in modules and len(modules) > 2
     for path in modules:
         if path.name != "core.py":
             assert freeze_rule_breaches(path) == [], path.name
     assert freeze_rule_breaches(PACKAGE / "core.py")
+
+
+def test_every_value_type_is_a_tuple_or_a_record():
+    # A class with _fields is a NamedTuple or a core.FrozenRecord, and only
+    # FrozenRecord states how a value compares, hashes and refuses changes.
+    rule = ("__eq__", "__hash__", "__setattr__", "__delattr__")
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = f"drcontract.{path.stem}".removesuffix(".__init__")
+        module = importlib.import_module(name)
+        for value in vars(module).values():
+            if (isinstance(value, type) and value.__module__ == module.__name__
+                    and hasattr(value, "_fields")):
+                found.append(value)
+                assert issubclass(value, (tuple, core.FrozenRecord)), value
+                if value is not core.FrozenRecord:
+                    assert not set(rule) & set(vars(value)), value
+    assert core.FrozenRecord in found and simulation.Portfolio in found
+    assert simulation.OutcomeTable in found and scenario.Scenario in found
+    assert set(rule) <= set(vars(core.FrozenRecord))

@@ -1,12 +1,14 @@
 import configparser
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drcontract import (
-    Behavior, ConsumerParams, PortfolioMember, Prices, Scenario, ScenarioError,
-    load_scenario,
+    Behavior, ConsumerParams, Portfolio, PortfolioMember, Prices, Scenario,
+    ScenarioError, load_scenario, run_monte_carlo,
 )
 from drcontract.scenario import (
     _read_flat,
@@ -47,6 +49,20 @@ class TestDefaultScenario:
         assert scenario.sweep.param == "p_r"
         assert scenario.sweep.steps == 101
         scenario.portfolio()  # validates
+
+    def test_behaviors_are_read_only(self):
+        scenario = load_scenario(None)
+        before = run_monte_carlo(scenario.members, scenario.behaviors, 20, master_seed=1)
+        with pytest.raises(TypeError):
+            scenario.behaviors["household"] = Behavior.NAIVE_GAMER
+        after = run_monte_carlo(scenario.members, scenario.behaviors, 20, master_seed=1)
+        assert after == before
+        assert after.stats[0].behavior is Behavior.RATIONAL
+        copied = pickle.loads(pickle.dumps(scenario))
+        assert copied == scenario
+        assert dict(copied.behaviors) == {"household": Behavior.RATIONAL}
+        with pytest.raises(TypeError):
+            copied.behaviors["household"] = Behavior.NAIVE_GAMER
 
 
 class TestParsing:
@@ -849,3 +865,29 @@ class TestMemberView:
                 delattr(members, name)
         assert members.prices == Prices(0.26, 0.30)
 
+    def test_replace_checks_again(self):
+        members = parse_scenario(mixed_scenario_text(consumers=4)).members
+        probabilities = np.array([0.5, 0.25, 0.0, 1.0])
+        changed = members._replace(call_probabilities=probabilities)
+        assert type(changed) is Portfolio
+        assert changed.call_probabilities is probabilities
+        assert changed.consumer_ids == members.consumer_ids
+        assert changed.params is members.params and changed.prices is members.prices
+        for column in (changed.call_probabilities, changed.params.baseline):
+            with pytest.raises(ValueError):
+                column[0] = 0.1
+        assert changed != members
+        assert [m.call_probability for m in changed] == [0.5, 0.25, 0.0, 1.0]
+        with pytest.raises(ValueError, match="call probability"):
+            members._replace(call_probabilities=np.array([0.5, 0.25, 0.0, 1.5]))
+        with pytest.raises(ValueError, match="consumer ids must be unique"):
+            members._replace(consumer_ids=("a", "b", "a", "c"))
+        with pytest.raises(ValueError, match="saturation point"):
+            members._replace(prices=Prices(100.0, 100.0))
+        with pytest.raises(TypeError):
+            members._replace(behaviors=())
+
+    def test_prints_as_a_record(self):
+        members = parse_scenario(mixed_scenario_text(consumers=2)).members
+        assert repr(members).startswith("Portfolio(consumer_ids=('m000', 'm001'), ")
+        assert repr(members).endswith(f"prices={members.prices!r})")

@@ -24,7 +24,7 @@ from drcontract import (
     utility,
 )
 from drcontract import oracle, simulation, strategy
-from drcontract.core import columns
+from drcontract.core import FrozenRecord, columns
 from drcontract.scenario import load_scenario, parse_scenario
 from mixed_scenario import MIXED_PRICES, mixed_scenario_text
 
@@ -669,8 +669,11 @@ class TestColumnarMonteCarlo:
         ],
     )
     def test_result_arrays_are_read_only(self, mixed, duplicate):
-        _, result, _, settled = mixed
-        result = duplicate(result)
+        _, run, _, settled = mixed
+        result = duplicate(run)
+        assert hash(result) == hash(run)
+        with pytest.raises(TypeError):
+            result.stats[0] = result.stats[0]
         outcomes = result.outcomes
         with pytest.raises(ValueError):
             result.called[0, 0] = not result.called[0, 0]
@@ -684,6 +687,19 @@ class TestColumnarMonteCarlo:
             called = sum(int(r.signal) for r in result.records[t])
             assert called == result.summaries[t].called_count == summary.called_count
             assert result.records[t] == records
+
+    def test_outcome_table_holds_its_arrays_read_only(self):
+        arrays = [np.zeros((2, 2)) for _ in range(3)]
+        report = Report(np.array([2.0, 3.0]), np.array([1.0, 1.0]))
+        table = simulation.OutcomeTable(("a", "b"), report, *arrays)
+        assert isinstance(table, FrozenRecord)
+        assert not isinstance(table, tuple)
+        for array in (table.consumption, table.payment, table.profit):
+            assert array.flags.writeable is False
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            table.profit = np.ones((2, 2))
 
     def test_result_holds_under_100_bytes_per_trial(self):
         # One call flag per consumer and trial, and each trial's count, two
