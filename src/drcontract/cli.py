@@ -231,11 +231,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _sweep_spec(scenario: Scenario, args) -> SweepSpec:
-    ranges = _given(args, "start", "stop", "steps")
-    return sweep_over(args.param, scenario.sweep, **ranges)
-
-
 def _sweep_row(param: str, value: float, call_probability: float,
                params: ConsumerParams, prices: Prices) -> str:
     solution = best_report(call_probability, params, prices)
@@ -272,7 +267,8 @@ def _sweep_points(
 
 
 def cmd_sweep(args, scenario: Scenario) -> int:
-    spec = _sweep_spec(scenario, args)
+    ranges = _given(args, "start", "stop", "steps")
+    spec = sweep_over(args.param, scenario.sweep, **ranges)
     member = scenario.members[0]
     if math.isinf(member.params.max_consumption / member.params.baseline):
         raise ScenarioError(

@@ -91,10 +91,10 @@ _UFUNC_BUFFER = 64
 
 
 @contextlib.contextmanager
-def _ufunc_buffer(size: int):
-    """Run the body with numpy's ufunc buffer at ``size`` elements, and
-    restore the previous size on every exit."""
-    old = np.setbufsize(size)
+def _ufunc_buffer():
+    """Run the body with numpy's ufunc buffer at :data:`_UFUNC_BUFFER`
+    elements, and restore the previous size on every exit."""
+    old = np.setbufsize(_UFUNC_BUFFER)
     try:
         yield
     finally:
@@ -242,7 +242,7 @@ def grid_best_responses(
             q, signals, *(c[rows, None] for c in operands), *scratch
         )
 
-    with _ufunc_buffer(_UFUNC_BUFFER):
+    with _ufunc_buffer():
         start = 0
         while start < q_max.size:
             width = int(last[start]) + 1
@@ -315,7 +315,7 @@ def _best_commitments(
         np.maximum.accumulate(((base_gain + p2 * 0.0) - px)[::-1])[::-1], -np.inf
     )
     block = max(1, _BLOCK_ELEMENTS // n)
-    with _ufunc_buffer(_UFUNC_BUFFER):
+    with _ufunc_buffer():
         for lo in range(0, n, block):
             hi = min(lo + block, n)
             rows = slice(lo, hi)

@@ -29,6 +29,7 @@ from .core import (
     ideal_consumption,
     payment_called,
     payment_not_called,
+    require,
     utility,
 )
 from .strategy import solve
@@ -353,11 +354,12 @@ def allocate_calls(
     called consumers' committed reductions sum to less than the target, the
     allocation is flagged under-provisioned rather than re-drawn, since any
     conditioning would break the probability each consumer optimized
-    against.
+    against. A report above its member's cap is refused, as
+    :func:`settle_event` refuses it.
     """
     check_seed(seed)
     check_reduction_target(reduction_target)
-    report = columns(Report, _by_id(reports, portfolio, "report"))
+    report = _report_columns(portfolio, reports)
     called, committed = _draw_calls(portfolio, report, [seed])
     return CallAllocation(
         signals={
@@ -419,6 +421,26 @@ def _block_rows(trials: int) -> int:
     return max(1, _BLOCK_ELEMENTS // trials)
 
 
+def _report_columns(portfolio: Portfolio, reports: Mapping) -> Report:
+    """The members' reports, in portfolio order, as :func:`columns`. A
+    value that is not a :class:`Report`, or whose baseline is above the
+    member's cap, is refused in the member's name."""
+    given = _by_id(reports, portfolio, "report")
+    caps = portfolio.params.max_consumption.tolist()
+    return columns(Report, [
+        _member(partial(_capped, cap), cid, report)
+        for cid, report, cap in zip(portfolio.consumer_ids, given, caps)
+    ])
+
+
+def _capped(cap: float, report) -> Report:
+    """``report``, if it is a :class:`Report` whose baseline is at most ``cap``."""
+    require(isinstance(report, Report), "{!r} is not a Report", report)
+    require(report.baseline <= cap, "reported baseline must lie in [0, {}], got {}",
+            cap, report.baseline)
+    return report
+
+
 def _by_id(mapping: Mapping, portfolio: Portfolio, what: str) -> list:
     """The values of ``mapping`` for the portfolio's members, in order."""
     try:
@@ -441,7 +463,7 @@ def _behaviors(portfolio: Portfolio, behaviors: Mapping) -> tuple:
         codes = [_BEHAVIOR_CODES[kind] for kind in given]
     except (KeyError, TypeError):
         codes = [
-            _BEHAVIOR_CODES[_behavior(cid, kind)]
+            _BEHAVIOR_CODES[_member(Behavior, cid, kind)]
             for cid, kind in zip(portfolio.consumer_ids, given)
         ]
     kinds = [_BEHAVIORS_BY_CODE[code] for code in codes]
@@ -453,10 +475,11 @@ def _behaviors(portfolio: Portfolio, behaviors: Mapping) -> tuple:
     )
 
 
-def _behavior(cid: str, kind) -> Behavior:
-    """``Behavior(kind)``, refused in the name of consumer ``cid``."""
+def _member(kind, cid: str, value):
+    """``kind(value)``, refused in the name of consumer ``cid``: ``kind`` is
+    an enum or a check that raises ``ValueError``."""
     try:
-        return Behavior(kind)
+        return kind(value)
     except ValueError as exc:
         raise ValueError(f"consumer {cid!r}: {exc}") from None
 
@@ -559,11 +582,11 @@ def settle_event(
     else:
         signals = calls
         under = False
-    called = np.array(
-        [CallSignal(s) for s in _by_id(signals, portfolio, "call signal")],
-        dtype=bool,
-    )[:, None]
-    report = columns(Report, _by_id(reports, portfolio, "report"))
+    given = _by_id(signals, portfolio, "call signal")
+    called = np.array([
+        _member(CallSignal, cid, s) for cid, s in zip(portfolio.consumer_ids, given)
+    ], dtype=bool)[:, None]
+    report = _report_columns(portfolio, reports)
     _, *masks = _behaviors(portfolio, behaviors)
     table = _settle(portfolio, report, *masks)
     summary = _summarize(table, called, np.array([under]), lambda t: "event")[0]

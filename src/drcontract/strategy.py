@@ -382,7 +382,7 @@ def expected_profit(
             p**2 / (2 * g)
             + b * p
             - p * q_max
-            + g * b**2 / 2
+            + opt_out_payoff(params)
             - p**2 * pr / (2 * g)
             + p2**2 * pr / (2 * g)
             - b * pr
@@ -392,7 +392,7 @@ def expected_profit(
         )
     return (
         (1 - pr) * (p**2 / (2 * g) + b * p - p * q_max)
-        + g * b**2 / 2
+        + opt_out_payoff(params)
         + pr * (p2**2 / (2 * g) - b * p2 + p2 * q_max)
     )
 
@@ -415,7 +415,7 @@ def planned_consumption(
     g = params.marginal_utility
     p2 = prices.incentive_price
     if signal == CallSignal.CALLED:
-        return max(b - p2 / g, 0.0)
+        return ideal_consumption(params, prices, CallSignal.CALLED)
     if call_probability <= call_threshold(prices):
         planned = b + call_probability * p2 / (g * (1 - call_probability))
     else:

@@ -810,7 +810,7 @@ class TestManyRowStage2Oracle:
         )
         gain, paid, work = np.empty((3, *q.shape))
         for signal in SIGNALS:
-            with oracle._ufunc_buffer(oracle._UFUNC_BUFFER):
+            with oracle._ufunc_buffer():
                 oracle._search_block(q, [signal], *operands, gain, paid, work)
             want = stage2_profit(q, reports, signal, params, prices)
             assert np.array_equal(paid.view(np.int64), want.view(np.int64))

@@ -322,7 +322,7 @@ class TestSettleEvent:
 
 class TestLookupMessages:
     """Every public function names the first member, in portfolio order,
-    that a mapping leaves out."""
+    that a mapping leaves out or gives a bad value."""
 
     @staticmethod
     def two_members():
@@ -351,6 +351,16 @@ class TestLookupMessages:
              "no behavior defined for consumer 'b'"),
             (lambda p, bh, rp, sg: run_monte_carlo(p, {"a": bh["a"]}, trials=2),
              "no behavior defined for consumer 'b'"),
+            (lambda p, bh, rp, sg: settle_event(p, rp, {**sg, "b": 5}, bh),
+             "consumer 'b': 5 is not a valid CallSignal"),
+            (lambda p, bh, rp, sg: allocate_calls(
+                p, {**rp, "b": Report(17.0, 2.0)}, 0.0, 1),
+             "consumer 'b': reported baseline must lie in [0, 16.0], got 17.0"),
+            (lambda p, bh, rp, sg: settle_event(
+                p, {**rp, "b": Report(17.0, 2.0)}, sg, bh),
+             "consumer 'b': reported baseline must lie in [0, 16.0], got 17.0"),
+            (lambda p, bh, rp, sg: allocate_calls(p, {**rp, "b": (8.0, 2.0)}, 0.0, 1),
+             "consumer 'b': (8.0, 2.0) is not a Report"),
         ],
         ids=[
             "collect_reports-behavior",
@@ -359,6 +369,10 @@ class TestLookupMessages:
             "settle_event-report",
             "settle_event-behavior",
             "run_monte_carlo-behavior",
+            "settle_event-bad-signal",
+            "allocate_calls-report-over-cap",
+            "settle_event-report-over-cap",
+            "allocate_calls-not-a-report",
         ],
     )
     def test_missing_entry_is_named(self, call, message):
