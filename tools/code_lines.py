@@ -2,8 +2,10 @@
 
 Run from the root of a checkout:
 
-    python tools/code_lines.py            # this checkout
-    python tools/code_lines.py --root DIR  # another one
+    python tools/code_lines.py
+
+It counts the checkout it sits in, so another checkout's copy counts that
+checkout.
 
 A code line is a line that holds part of a token of code. Blank lines,
 comment-only lines and the lines of a docstring (the string that opens a
@@ -13,7 +15,6 @@ reformatting a comment or a docstring leaves the count as it is.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import tokenize
@@ -49,15 +50,10 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--root", type=Path, default=Path(__file__).resolve().parents[1],
-        help="the checkout to count (default: this one)",
-    )
-    args = parser.parse_args(argv)
+def main() -> int:
     total = 0
-    for path in sorted((args.root / "src" / "drcontract").glob("*.py")):
+    src = Path(__file__).resolve().parents[1] / "src" / "drcontract"
+    for path in sorted(src.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{path.name:<16}{count:>6}")
