@@ -25,7 +25,8 @@ from .core import (
     check_consumption_cap,
 )
 from .simulation import (
-    Behavior, Portfolio, check_record_count, check_reduction_target, check_seed,
+    _BEHAVIORS, Behavior, Portfolio, check_record_count, check_reduction_target,
+    check_seed,
 )
 
 __all__ = [
@@ -181,9 +182,6 @@ def _get(section, key: str, where: str, kind=float):
             f"key {key!r} in [{where}] must be a finite number, got {text!r}"
         )
     return value
-
-
-_BEHAVIORS = {kind.value: kind for kind in Behavior}
 
 
 def _bad_id(cid: str) -> bool:

@@ -89,6 +89,11 @@ class Behavior(str, Enum):
         )
 
 
+# Each Behavior by its value; a Behavior hashes and compares as its value, so
+# one lookup resolves either.
+_BEHAVIORS = {kind.value: kind for kind in Behavior}
+
+
 class PortfolioMember(FrozenRecord):
     """One consumer of a :class:`Portfolio`: its id, its private type and the
     probability that the aggregator calls it."""
@@ -395,6 +400,10 @@ def _called_totals(called: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per trial t, the sum of ``values[k]`` over the members k with
     ``called[k, t]``, added one at a time in portfolio order from +0.0.
 
+    Each member adds ``called[k, t] * values[k]``. That is ``values[k]``
+    when it is called and ±0.0 when not, which leaves a total that starts
+    at +0.0 unchanged; so every value must be finite, as the portfolio's
+    checks and the report caps make it (``inf * 0`` is nan).
     ``np.add.accumulate`` always adds in order; ``np.sum`` would add pairwise
     when there is one trial, so a trial alone would differ from a batch. The
     members go a block at a time, and the first row of each block carries
@@ -406,10 +415,7 @@ def _called_totals(called: np.ndarray, values: np.ndarray) -> np.ndarray:
     block = np.zeros((min(rows, n) + 1, trials))
     for lo in range(0, n, rows):
         part = block[: min(rows, n - lo) + 1]
-        part[1:] = 0.0
-        np.copyto(
-            part[1:], values[lo:lo + rows, None], where=called[lo:lo + rows]
-        )
+        np.multiply(called[lo:lo + rows], values[lo:lo + rows, None], out=part[1:])
         np.add.accumulate(part, axis=0, out=part)
         part[0] = part[-1]
     return block[0].copy()
@@ -449,30 +455,20 @@ def _by_id(mapping: Mapping, portfolio: Portfolio, what: str) -> list:
         raise ValueError(f"no {what} for consumer {exc.args[0]!r}") from None
 
 
-# Each behavior's index in Behavior, by its value; a Behavior hashes and
-# compares as its value, so one lookup resolves either.
-_BEHAVIOR_CODES = {kind.value: code for code, kind in enumerate(Behavior)}
-_BEHAVIORS_BY_CODE = tuple(Behavior)
-
-
 def _behaviors(portfolio: Portfolio, behaviors: Mapping) -> tuple:
     """The :class:`Behavior` of each member, in portfolio order, then which
     members are rational and which truthful, as bool columns."""
     given = _by_id(behaviors, portfolio, "behavior defined")
     try:
-        codes = [_BEHAVIOR_CODES[kind] for kind in given]
+        kinds = [_BEHAVIORS[kind] for kind in given]
     except (KeyError, TypeError):
-        codes = [
-            _BEHAVIOR_CODES[_member(Behavior, cid, kind)]
-            for cid, kind in zip(portfolio.consumer_ids, given)
-        ]
-    kinds = [_BEHAVIORS_BY_CODE[code] for code in codes]
-    codes = np.array(codes, dtype=np.int8)
-    return (
-        kinds,
-        codes == _BEHAVIOR_CODES[Behavior.RATIONAL],
-        codes == _BEHAVIOR_CODES[Behavior.TRUTHFUL],
+        ids = portfolio.consumer_ids
+        kinds = [_member(Behavior, cid, kind) for cid, kind in zip(ids, given)]
+    rational, truthful = (
+        np.array([k is kind for k in kinds], dtype=bool)
+        for kind in (Behavior.RATIONAL, Behavior.TRUTHFUL)
     )
+    return kinds, rational, truthful
 
 
 def _member(kind, cid: str, value):
@@ -594,8 +590,10 @@ def settle_event(
 
 
 def check_record_count(consumers: int, trials: int, name: str = "trials") -> None:
-    """Refuse a Monte Carlo run of no trials or over :data:`MAX_RECORDS`
-    records (consumers x trials); ``name`` is the input that set the trials."""
+    """Refuse a Monte Carlo run whose trial count is not an integer, is
+    below 1 or gives over :data:`MAX_RECORDS` records (consumers x trials);
+    ``name`` is the input that set the trials."""
+    _check_integer(trials, name)
     if trials < 1:
         raise ValueError(f"{name} must be >= 1, got {trials}")
     if consumers * trials > MAX_RECORDS:
@@ -607,10 +605,18 @@ def check_record_count(consumers: int, trials: int, name: str = "trials") -> Non
 
 
 def check_seed(seed: int, name: str = "seed") -> None:
-    """Refuse a negative seed, which numpy cannot seed a generator with;
-    ``name`` is the input that set it."""
+    """Refuse a seed that is not an integer or is negative, which numpy
+    cannot seed a generator with; ``name`` is the input that set it."""
+    _check_integer(seed, name)
     if seed < 0:
         raise ValueError(f"{name} must be >= 0, got {seed}")
+
+
+def _check_integer(value, name: str) -> None:
+    """Refuse a ``value`` that is not a Python or numpy integer; a ``bool``
+    is refused too. ``name`` is the input that set it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value}")
 
 
 def check_reduction_target(target: float, name: str = "reduction target") -> None:

@@ -178,7 +178,7 @@ def _respond(signal: CallSignal, report, params, prices):
     q_max = params.max_consumption
     reported = report.baseline
     inside = (0 <= reported) & (reported <= q_max)
-    require(inside, "reported baseline must lie in [0, {}]", q_max)
+    require(inside, "reported baseline must lie in [0, {}], got {}", q_max, reported)
     if signal == CallSignal.NOT_CALLED:
         levels = [b, reported, np.minimum(saturation_point(params, prices), q_max)]
         labels = [0, 1, 2]

@@ -46,7 +46,8 @@ def _pick_best(candidates, report, signal, params, prices):
 def reference_not_called(reported_baseline, params, prices):
     if not 0 <= reported_baseline <= params.max_consumption:
         raise ValueError(
-            f"reported baseline must lie in [0, {params.max_consumption}]"
+            f"reported baseline must lie in [0, {params.max_consumption}], "
+            f"got {reported_baseline}"
         )
     report = Report(baseline=reported_baseline, committed=0.0)
     sat = min(saturation_point(params, prices), params.max_consumption)
@@ -61,7 +62,8 @@ def reference_not_called(reported_baseline, params, prices):
 def reference_called(report, params, prices):
     if report.baseline > params.max_consumption:
         raise ValueError(
-            f"reported baseline must lie in [0, {params.max_consumption}]"
+            f"reported baseline must lie in [0, {params.max_consumption}], "
+            f"got {report.baseline}"
         )
     b = params.baseline
     g = params.marginal_utility
@@ -308,15 +310,15 @@ class TestKernelErrorsAndWarnings:
             (lambda h, p: best_report(float("nan"), h, p),
              "call probability must lie in [0, 1], got nan"),
             (lambda h, p: best_response_not_called(16.5, h, p),
-             "reported baseline must lie in [0, 16.0]"),
+             "reported baseline must lie in [0, 16.0], got 16.5"),
             (lambda h, p: best_response_not_called(-0.5, h, p),
-             "reported baseline must lie in [0, 16.0]"),
+             "reported baseline must lie in [0, 16.0], got -0.5"),
             (lambda h, p: best_response_called(Report(16.5, 2.0), h, p),
-             "reported baseline must lie in [0, 16.0]"),
+             "reported baseline must lie in [0, 16.0], got 16.5"),
             # Not a Report, so not checked on construction.
             (lambda h, p: best_response_called(
                 SimpleNamespace(baseline=float("nan"), committed=0.0), h, p),
-             "reported baseline must lie in [0, 16.0]"),
+             "reported baseline must lie in [0, 16.0], got nan"),
         ],
     )
     def test_one_row_messages_match_the_reference(
@@ -342,7 +344,9 @@ class TestKernelErrorsAndWarnings:
     def test_row_errors_name_that_rows_value(self, household, prices):
         rows = columns(ConsumerParams, [household, ConsumerParams(8.0, 0.05, 12.0)])
         reports = columns(Report, [Report(9.0, 2.0), Report(13.0, 2.0)])
-        with pytest.raises(ValueError, match=r"^reported baseline .* \[0, 12.0\]$"):
+        with pytest.raises(
+            ValueError, match=r"^reported baseline .* \[0, 12.0\], got 13.0$"
+        ):
             solve(rows, prices, report=reports)
         with pytest.raises(ValueError, match=r"^call probability .* got -0.25$"):
             solve(rows, prices, call_probability=np.array([0.5, -0.25]))

@@ -1100,6 +1100,14 @@ class TestRunInputs:
              "reduction target must be >= 0, got nan"),
             (lambda p, bh: allocate_calls(p, {"household": Report(9.0, 2.0)}, -1.0, 3),
              "reduction target must be >= 0, got -1.0"),
+            (lambda p, bh: allocate_calls(p, {"household": Report(9.0, 2.0)}, 0.0, 1.5),
+             "seed must be an integer, got 1.5"),
+            (lambda p, bh: run_monte_carlo(p, bh, 3, master_seed=1.5),
+             "master_seed must be an integer, got 1.5"),
+            (lambda p, bh: run_monte_carlo(p, bh, 2.5),
+             "trials must be an integer, got 2.5"),
+            (lambda p, bh: run_monte_carlo(p, bh, True),
+             "trials must be an integer, got True"),
         ],
     )
     def test_monte_carlo_inputs_refused_before_any_work(self, no_work, call, message):
