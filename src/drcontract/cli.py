@@ -309,9 +309,9 @@ def _draw_instances(rng, draws: int) -> np.ndarray:
     )
 
 
-def _instance(numbers: np.ndarray) -> tuple[ConsumerParams, Prices, Report]:
-    """The objects of one drawn row."""
-    numbers = numbers.tolist()
+def _instance(numbers) -> tuple[ConsumerParams, Prices, Report]:
+    """The objects of one drawn row's seven numbers, or of every drawn row
+    from the seven columns (the rows transposed)."""
     return ConsumerParams(*numbers[:3]), Prices(*numbers[3:5]), Report(*numbers[5:])
 
 
@@ -343,9 +343,7 @@ def run_verification(
     report_axis(member.params, scenario.prices, step)
     # Every instance is drawn at once; the constructors check the columns.
     drawn = _draw_instances(np.random.default_rng(seed), draws)
-    params = ConsumerParams(*drawn[:, :3].T)
-    prices = Prices(*drawn[:, 3:5].T)
-    report = Report(*drawn[:, 5:].T)
+    params, prices, report = _instance(drawn.T)
     closed = solve(params, prices, report=report)
     signals = (CallSignal.NOT_CALLED, CallSignal.CALLED)
     oracle_q, oracle_payoff = grid_best_responses(report, signals, params, prices, step)
@@ -369,7 +367,7 @@ def run_verification(
     worst_dev = np.maximum(payoff_dev, case_dev)
     k, s = np.unravel_index(np.argmax(worst_dev), worst_dev.shape)
     if not all(ok for ok, _ in verdicts) and worst_dev[k, s] > 0:
-        worst = (*_instance(drawn[k]), int(s))
+        worst = (*_instance(drawn[k].tolist()), int(s))
         # This line names the draw; it passes or fails nothing.
         verdicts.append((True, f"offending draw (seed={seed}): {worst}"))
 

@@ -75,15 +75,23 @@ class FrozenRecord:
     Assignment and deletion raise ``AttributeError``, and every numpy array
     among the fields is read-only. Two records are equal when they are of
     the same class and their :meth:`_key`, by default every field, is
-    equal, and equal records hash alike. Each subclass writes its own
-    ``__init__``, which checks its arguments and then stores every field
-    with :meth:`_store`. A record pickles and copies through
+    equal, and equal records hash alike. The default ``__init__`` takes the
+    fields in order or by name and stores them unchecked; a subclass whose
+    fields need checks writes its own, which checks its arguments and then
+    stores every field with :meth:`_store`. A record pickles and copies through
     :meth:`__reduce__`, by default a call of its class on its fields, and
     :meth:`_replace` rebuilds through it too, naming each field, so a copy
     or a changed record is checked, and read-only, again.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values, **named) -> None:
+        names = self._fields
+        values += tuple(named.pop(k) for k in names[len(values):] if k in named)
+        if len(values) != len(names) or named:
+            raise TypeError(f"{type(self).__name__}() takes the fields {names}")
+        self._store(*values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -301,9 +309,9 @@ def utility(consumption, params: ConsumerParams, prices: Prices):
     non-decreasing.
 
     The square is taken as ``d * d``: numpy squares an array that way, but
-    raises a 0-d value ``** 2`` through libm ``pow``, which can differ in
-    the last bit. So one consumption level gives the same bits as a scalar,
-    in an array, or with per-row parameters.
+    raises a Python float or numpy scalar ``** 2`` through libm ``pow``,
+    which can differ in the last bit. So one consumption level gives the
+    same bits as a scalar, in an array, or with per-row parameters.
 
     Args:
         consumption: kWh, scalar or array, >= 0.
@@ -325,7 +333,7 @@ def utility(consumption, params: ConsumerParams, prices: Prices):
 
 def opt_out_payoff(params: ConsumerParams) -> float:
     """Payoff of a consumer that does not participate in DR: g*b^2/2."""
-    return params.marginal_utility * params.baseline**2 / 2
+    return params.marginal_utility * (params.baseline * params.baseline) / 2
 
 
 def ideal_consumption(

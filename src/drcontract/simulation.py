@@ -264,12 +264,6 @@ class OutcomeTable(FrozenRecord):
 
     _fields = ("consumer_ids", "report", "consumption", "payment", "profit")
 
-    def __init__(
-        self, consumer_ids: tuple[str, ...], report: Report,
-        consumption: np.ndarray, payment: np.ndarray, profit: np.ndarray,
-    ) -> None:
-        self._store(consumer_ids, report, consumption, payment, profit)
-
     def records(self, called: np.ndarray, t: int) -> _Rows:
         """The records of event t, whose call flags are ``called[:, t]``."""
         return _Rows(len(called), partial(self.record, called[:, t]))
@@ -302,16 +296,6 @@ class MonteCarloResult(FrozenRecord):
     """
 
     _fields = ("stats", "summaries", "records", "outcomes", "called")
-
-    def __init__(
-        self,
-        stats: tuple[ConsumerStats, ...],
-        summaries: Sequence[EventSummary],
-        records: Sequence[Sequence[EventRecord]],
-        outcomes: OutcomeTable,
-        called: np.ndarray,
-    ) -> None:
-        self._store(stats, summaries, records, outcomes, called)
 
     def _key(self) -> tuple:
         return self.stats, self.summaries, self.records
@@ -390,9 +374,7 @@ def _draw_calls(portfolio: Portfolio, report, seeds) -> tuple[np.ndarray, np.nda
     called = np.empty((probs.size, len(seeds)), dtype=bool)
     for t, seed in enumerate(seeds):
         called[:, t] = np.random.default_rng(int(seed)).random(probs.size) < probs
-    # Only compared with the target, so a total that overflows is kept.
-    with np.errstate(over="ignore"):
-        committed = _called_totals(called, report.baseline - report.committed)
+    committed = _called_totals(called, report.baseline - report.committed)
     return called, committed
 
 
@@ -413,11 +395,14 @@ def _called_totals(called: np.ndarray, values: np.ndarray) -> np.ndarray:
     n, trials = called.shape
     rows = _block_rows(trials)
     block = np.zeros((min(rows, n) + 1, trials))
-    for lo in range(0, n, rows):
-        part = block[: min(rows, n - lo) + 1]
-        np.multiply(called[lo:lo + rows], values[lo:lo + rows, None], out=part[1:])
-        np.add.accumulate(part, axis=0, out=part)
-        part[0] = part[-1]
+    # Only the accumulate can overflow. A total that does is kept: each
+    # caller compares it with a target or refuses it.
+    with np.errstate(over="ignore"):
+        for lo in range(0, n, rows):
+            part = block[: min(rows, n - lo) + 1]
+            np.multiply(called[lo:lo + rows], values[lo:lo + rows, None], out=part[1:])
+            np.add.accumulate(part, axis=0, out=part)
+            part[0] = part[-1]
     return block[0].copy()
 
 
@@ -526,11 +511,10 @@ def _summarize(
     The first event whose totals are not finite is refused, named by
     ``label(t)``.
     """
-    with np.errstate(over="ignore"):
-        totals = np.stack([
-            _called_totals(called, _reduction(table)),
-            _called_totals(called, -table.payment[:, 1]),
-        ], axis=1)
+    totals = np.stack([
+        _called_totals(called, _reduction(table)),
+        _called_totals(called, -table.payment[:, 1]),
+    ], axis=1)
     _check_finite(totals, label, SUMMARY_COLUMNS[2:4])
     return _Rows(len(totals), partial(
         _summary, np.count_nonzero(called, axis=0), totals, under_provisioned
@@ -620,8 +604,12 @@ def _check_integer(value, name: str) -> None:
 
 
 def check_reduction_target(target: float, name: str = "reduction target") -> None:
-    """Refuse a negative or NaN reduction target; ``name`` is the input that
-    set it."""
+    """Refuse a reduction target that is not a real number (a ``bool``
+    included), is negative or is NaN; ``name`` is the input that set it."""
+    if isinstance(target, bool) or not isinstance(
+        target, (int, float, np.integer, np.floating)
+    ):
+        raise ValueError(f"{name} must be a number, got {target!r}")
     if not target >= 0:
         raise ValueError(f"{name} must be >= 0, got {target}")
 

@@ -155,10 +155,10 @@ def break_even_baseline(
     g = params.marginal_utility
     p2 = prices.incentive_price
     return (
-        g * b**2 / (2 * p2)
+        g * (b * b) / (2 * p2)
         - g * b * committed / p2
         - b
-        + g * committed**2 / (2 * p2)
+        + g * (committed * committed) / (2 * p2)
         + 2 * committed
         + p2 / (2 * g)
     )
@@ -216,22 +216,25 @@ def _respond(signal: CallSignal, report, params, prices):
     )
 
 
+def _inflated(pr, params, prices):
+    """The true baseline inflated by p2*pr/(g*(1 - pr)) at call probability
+    ``pr``: the optimal report's baseline below the threshold."""
+    g = params.marginal_utility
+    return params.baseline + pr * prices.incentive_price / (g * (1 - pr))
+
+
 def _optimal_report(call_probability, params, prices):
     """The optimal report's baseline and commitment, and where the call
     probability lies above the threshold, per row; see :func:`best_report`."""
     pr = np.asarray(call_probability, dtype=float)
     # A single probability is named as it was given.
     check_call_probability(pr if pr.ndim else call_probability)
-    b = params.baseline
     q_max = params.max_consumption
     above = pr > call_threshold(prices)
     # Above the threshold the inflated baseline is unused: at pr = 1 it
     # divides by zero, and near 1 it can overflow.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inflated = b + pr * prices.incentive_price / (
-            params.marginal_utility * (1 - pr)
-        )
-    announced = np.where(above, q_max, inflated)
+        announced = np.where(above, q_max, _inflated(pr, params, prices))
     clamped = announced > q_max
     if clamped.any():
         # Imported here, as checked input reaches the clamp only through
@@ -297,9 +300,7 @@ def best_response_not_called(
     true baseline, the reported baseline, and the saturation point (capped).
     """
     report = SimpleNamespace(baseline=reported_baseline, committed=0.0)
-    q, payoff, label = _respond(CallSignal.NOT_CALLED, report, params, prices)
-    label = LABELS[CallSignal.NOT_CALLED][int(label)]
-    return Stage2Solution(float(q), label, float(payoff))
+    return _one_response(CallSignal.NOT_CALLED, report, params, prices)
 
 
 def best_response_called(
@@ -314,9 +315,14 @@ def best_response_called(
     the report reaches b - p2/g and W below it; the reduced optimum X when
     the commitment reaches (b - 2*p2/g)+ and Y below it.
     """
-    q, payoff, label = _respond(CallSignal.CALLED, report, params, prices)
-    label = LABELS[CallSignal.CALLED][int(label)]
-    return Stage2Solution(float(q), label, float(payoff))
+    return _one_response(CallSignal.CALLED, report, params, prices)
+
+
+def _one_response(signal: CallSignal, report, params, prices) -> Stage2Solution:
+    """One consumer's best response to ``signal``, as :func:`_respond`
+    finds it, with its strategy label."""
+    q, payoff, label = _respond(signal, report, params, prices)
+    return Stage2Solution(float(q), LABELS[signal][int(label)], float(payoff))
 
 
 def best_report(
@@ -376,24 +382,24 @@ def expected_profit(
     q_max = params.max_consumption
     pr = call_probability
     if pr <= call_threshold(prices):
-        return opt_out_payoff(params) + pr * p2**2 / (2 * g * (1 - pr))
+        return opt_out_payoff(params) + pr * (p2 * p2) / (2 * g * (1 - pr))
     if literal_above_threshold:
         return (
-            p**2 / (2 * g)
+            p * p / (2 * g)
             + b * p
             - p * q_max
             + opt_out_payoff(params)
-            - p**2 * pr / (2 * g)
-            + p2**2 * pr / (2 * g)
+            - p * p * pr / (2 * g)
+            + p2 * p2 * pr / (2 * g)
             - b * pr
             - b * p2 * pr
             + p * q_max * pr
             + p2 * q_max * pr
         )
     return (
-        (1 - pr) * (p**2 / (2 * g) + b * p - p * q_max)
+        (1 - pr) * (p * p / (2 * g) + b * p - p * q_max)
         + opt_out_payoff(params)
-        + pr * (p2**2 / (2 * g) - b * p2 + p2 * q_max)
+        + pr * (p2 * p2 / (2 * g) - b * p2 + p2 * q_max)
     )
 
 
@@ -411,13 +417,10 @@ def planned_consumption(
     reduced optimum (b - p2/g)+ regardless of the probability.
     """
     check_call_probability(call_probability)
-    b = params.baseline
-    g = params.marginal_utility
-    p2 = prices.incentive_price
     if signal == CallSignal.CALLED:
         return ideal_consumption(params, prices, CallSignal.CALLED)
     if call_probability <= call_threshold(prices):
-        planned = b + call_probability * p2 / (g * (1 - call_probability))
+        planned = _inflated(call_probability, params, prices)
     else:
         planned = saturation_point(params, prices)
     return min(planned, params.max_consumption)

@@ -8,9 +8,22 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from drcontract import ConsumerParams, Prices, Report
+from drcontract import (
+    CallSignal,
+    ConsumerParams,
+    Prices,
+    Report,
+    break_even_baseline,
+    ideal_consumption,
+    opt_out_payoff,
+    payment_called,
+    payment_not_called,
+    saturation_point,
+    stage2_profit,
+    utility,
+)
 from drcontract.core import check_call_probability, check_consumption_cap, columns
 
 NAN, INF = math.nan, math.inf
@@ -160,3 +173,52 @@ def test_a_column_raises_iff_some_row_raises(case):
         assert str(exc) in alone
     else:
         assert not alone
+
+
+# A second row for the batches below.
+HOUSEHOLD = (ConsumerParams(8.0, 0.05, 16.0), Prices(0.26, 0.30), Report(9.0, 2.0), 5.0)
+
+
+def closed_forms(params, prices, report, q):
+    """Every per-consumer closed form of one row, or of columns of rows."""
+    yield utility(q, params, prices)
+    yield payment_not_called(q, report.baseline, prices)
+    yield payment_called(q, report, prices)
+    for signal in CallSignal:
+        yield stage2_profit(q, report, signal, params, prices)
+        yield ideal_consumption(params, prices, signal)
+    yield opt_out_payoff(params)
+    yield saturation_point(params, prices)
+    yield break_even_baseline(report.committed, params, prices)
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@given(
+    baseline=st.floats(1.0, 20.0), gamma=st.floats(0.01, 0.2),
+    p=st.floats(0.05, 0.5), markup=unit, headroom=st.floats(1.0, 10.0),
+    reported=unit, committed=unit, consumed=unit,
+)
+# Python's float ** 2 (libm pow) squares this baseline a bit off b * b.
+@example(
+    baseline=11.859066783865458, gamma=0.05, p=0.26, markup=0.15, headroom=3.0,
+    reported=0.5, committed=0.5, consumed=0.5,
+)
+def test_a_row_gives_the_same_bits_alone_as_in_a_batch(
+    baseline, gamma, p, markup, headroom, reported, committed, consumed
+):
+    q_max = baseline + p / gamma + headroom
+    report = Report(reported * q_max, committed * reported * q_max)
+    one = (
+        ConsumerParams(baseline, gamma, q_max), Prices(p, p + markup * p), report,
+        consumed * q_max,
+    )
+    batch = [
+        columns(cls, pair)
+        for cls, pair in zip((ConsumerParams, Prices, Report), zip(one, HOUSEHOLD))
+    ]
+    batch.append(np.array([one[3], HOUSEHOLD[3]]))
+    for alone, column in zip(closed_forms(*one), closed_forms(*batch), strict=True):
+        assert type(alone) is float
+        assert alone.hex() == float(column[0]).hex()

@@ -125,6 +125,13 @@ class TestOptOutPayoff:
         tiny = ConsumerParams(1e-9, 0.05, 10.0)
         assert opt_out_payoff(tiny) == pytest.approx(0.0, abs=1e-12)
 
+    def test_one_row_equals_its_row_in_a_batch(self, household):
+        # For this baseline Python's float ** 2 (libm pow) differs from
+        # b * b in the last bit; the payoff squares as b * b.
+        one = ConsumerParams(11.859066783865458, 0.05, 20.0)
+        batch = columns(ConsumerParams, [one, household])
+        assert opt_out_payoff(one) == opt_out_payoff(batch)[0] == 3.5159366246045254
+
 
 class TestIdealConsumption:
     def test_not_called_is_baseline(self, household, prices):
@@ -290,7 +297,7 @@ class TestPayoffTerms:
             ConsumerParams(1.0, 1.0, 1e250), Prices(0.26, 1e100),
             lambda params, prices: expected_profit(0.9, params, prices),
         ),
-        # The expected profit takes p2**2 of a Python float, which raises.
+        # The expected profit takes p2*p2 of a Python float, which gives inf.
         "incentive_price^2": (
             ConsumerParams(1e-200, 1e300, 2e-200), Prices(0.0, 1e160),
             lambda params, prices: expected_profit(0.0, params, prices),

@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import pytest
 
 from drcontract import (
-    ConsumerParams, MonteCarloResult, PortfolioMember, Prices, Report, SweepSpec,
+    ConsumerParams, MonteCarloResult, OutcomeTable, PortfolioMember, Prices, Report,
+    SweepSpec,
 )
 
 HOUSEHOLD = ConsumerParams(8.0, 0.05, 16.0)
@@ -106,3 +107,23 @@ def test_results_compare_by_stats_summaries_and_records_only():
         assert other == result
         assert hash(other) == hash(result)
     assert result != result._replace(records=("other",))
+
+
+@pytest.mark.parametrize("cls", [OutcomeTable, MonteCarloResult])
+def test_the_default_constructor_takes_the_fields_in_order_or_by_name(cls):
+    values = tuple(f"v{k}" for k in range(len(cls._fields)))
+    named = dict(zip(cls._fields, values))
+    record = cls(*values)
+    assert tuple(vars(record).values()) == values
+    assert cls(**named) == record == cls(values[0], **dict(list(named.items())[1:]))
+    missing = dict(list(named.items())[:-1])
+    for build in (
+        lambda: cls(*values[:-1]),
+        lambda: cls(**missing),
+        lambda: cls(*values, "extra"),
+        lambda: cls(*values, unknown=1.0),
+        lambda: cls(**missing, unknown=1.0),
+    ):
+        with pytest.raises(TypeError) as exc:
+            build()
+        assert str(exc.value) == f"{cls.__name__}() takes the fields {cls._fields}"

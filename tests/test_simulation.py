@@ -673,6 +673,13 @@ class TestColumnarMonteCarlo:
         assert copied == result
         assert copied.records == records and copied.summaries == summaries
 
+    def test_a_view_equals_no_non_sequence(self, mixed):
+        _, result, _, _ = mixed
+        for view in (result.records, result.summaries, result.records[0]):
+            for other in (None, 3, {0: view[0]}, iter(view)):
+                assert view.__eq__(other) is NotImplemented
+                assert view != other and other != view
+
     @pytest.mark.parametrize(
         "duplicate",
         [
@@ -1108,6 +1115,12 @@ class TestRunInputs:
              "trials must be an integer, got 2.5"),
             (lambda p, bh: run_monte_carlo(p, bh, True),
              "trials must be an integer, got True"),
+            (lambda p, bh: run_monte_carlo(p, bh, 2, reduction_target="5"),
+             "reduction target must be a number, got '5'"),
+            (lambda p, bh: run_monte_carlo(p, bh, 2, reduction_target=None),
+             "reduction target must be a number, got None"),
+            (lambda p, bh: allocate_calls(p, {"household": Report(9.0, 2.0)}, True, 3),
+             "reduction target must be a number, got True"),
         ],
     )
     def test_monte_carlo_inputs_refused_before_any_work(self, no_work, call, message):
