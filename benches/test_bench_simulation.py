@@ -4,8 +4,9 @@ Run from the root of a checkout (pytest-benchmark is required):
 
     PYTHONPATH=src python -m pytest benches
 
-These are not tier-1 tests: ``testpaths`` in pyproject.toml names only
-``tests``, so a plain ``pytest`` run does not collect them.
+These are not tier-1 tests: ``testpaths`` in pyproject.toml names
+``tests`` and ``perfbench`` only, so a plain ``pytest`` run does not collect
+them.
 """
 
 import sys

@@ -46,20 +46,21 @@ __all__ = [
 # Points-per-grid guard; a finer request is almost certainly a unit mistake.
 _MAX_POINTS = 10**7
 # grid_best_reports does O(N^2) work on an N-point axis; 10**9 report pairs
-# take about 11 s on a 2-vCPU Xeon host (about 95 M pairs/s at N = 16 003).
+# take about 6.5 s on a 2-vCPU Xeon host (about 155 M pairs/s at N = 16 003).
 _MAX_REPORT_PAIRS = 10**9
 # Both grid searches work in blocks of at most this many float64 entries
-# (128 KiB) or one row, so memory stays flat in the grid size.
+# (256 KiB) or one row, so memory stays flat in the grid size.
 # grid_best_reports builds the lower triangle of its (baseline, commitment)
 # table in blocks of _BLOCK_ELEMENTS // N rows (at least one) of its N-point
 # axis; a block of rows below hi needs only the columns below hi.
 # grid_best_responses searches many rows' grid points at once, each padded to
-# the longest of its block, and the rows' caps and kinks in chunks.
-_BLOCK_ELEMENTS = 2**14
+# the longest of its block, and the rows' caps and kinks in chunks; its four
+# buffers of a block (1 MiB) fit in a core's 2 MiB L2 cache.
+_BLOCK_ELEMENTS = 2**15
 # grid_best_responses evaluates every point of every row's axis; 10**9
-# points take about 8 s on a 2-vCPU Xeon host (about 125 M points/s) in rows
-# of up to 7*10**4 points, and 15-30 s in rows of 10**6 to 4*10**6 points,
-# each a block whose buffers do not fit in the 2 MiB L2 cache.
+# points take about 9 s on a 2-vCPU Xeon host (about 110 M points/s) in rows
+# of up to 7*10**4 points, and 18-36 s in rows of 10**6 to 4*10**6 points,
+# each a block whose buffers do not fit in a core's 2 MiB L2 cache.
 _MAX_STAGE2_POINTS = 10**9
 
 
@@ -300,11 +301,18 @@ def _best_commitments(
     payoff is also the tie-broken best commitment at every call
     probability, since the expected profit never decreases in the called
     payoff.
+
+    The left (prefix) envelope is taken elementwise, as (h + p2*x) - p2*x.
+    Rounding is monotone and p2*x ascends, so no c beats the last position
+    at or before it where the prefix max was set, and the first best c is
+    such a position, where the two forms agree: the maximum and its first
+    argmax do not change, NaN and infinities included. The right envelope
+    keeps its suffix max, as a rounding tie can put the first best c before
+    the suffix record.
     """
     n = x.size
     called = np.empty(n)
     commit = np.empty(n, dtype=np.intp)
-    cols = np.arange(n)
     px = p2 * x
     # Rows lo..hi-1 keep commitments c < hi only, for which the left envelope
     # reads h at q < hi. At q >= hi, above every such row's baseline, h is
@@ -314,24 +322,35 @@ def _best_commitments(
     shared = np.append(
         np.maximum.accumulate(((base_gain + p2 * 0.0) - px)[::-1])[::-1], -np.inf
     )
-    block = max(1, _BLOCK_ELEMENTS // n)
+    block = min(max(1, _BLOCK_ELEMENTS // n), n)
+    # A block's h, which becomes its envelope, and its right envelope with
+    # the shared column, in two buffers that every block reuses.
+    table, suffix = np.empty((2, block * (n + 1)))
+    # Commitments above the baseline are not reports; below lo there are none.
+    above = np.arange(block) > np.arange(block)[:, None]
     with _ufunc_buffer():
         for lo in range(0, n, block):
             hi = min(lo + block, n)
-            rows = slice(lo, hi)
+            k = hi - lo
             pxs = px[:hi]
-            h = base_gain[:hi] + p2 * np.maximum(x[rows, None] - x[:hi], 0.0)
-            left = np.maximum.accumulate(h + pxs, axis=1) - pxs
-            right = np.empty((hi - lo, hi + 1))
+            h = table[: k * hi].reshape(k, hi)
+            np.subtract(x[lo:hi, None], x[:hi], out=h)
+            np.maximum(h, 0.0, out=h)
+            np.multiply(p2, h, out=h)
+            np.add(base_gain[:hi], h, out=h)
+            right = suffix[: k * (hi + 1)].reshape(k, hi + 1)
             np.subtract(h, pxs, out=right[:, :hi])
             right[:, hi] = shared[hi]
-            right = np.maximum.accumulate(right[:, ::-1], axis=1)[:, :0:-1] + pxs
-            envelope = np.maximum(left, right)
-            # Commitments above the baseline are not reports; below lo there
-            # are none.
-            envelope[:, rows][cols[rows] > cols[rows, None]] = -np.inf
-            commit[rows] = envelope.argmax(axis=1)
-            called[rows] = envelope[cols[: hi - lo], commit[rows]]
+            np.maximum.accumulate(right[:, ::-1], axis=1, out=right[:, ::-1])
+            right = right[:, :hi]
+            np.add(right, pxs, out=right)
+            envelope = h  # built in place: h is not read again
+            np.add(envelope, pxs, out=envelope)
+            np.subtract(envelope, pxs, out=envelope)
+            np.maximum(envelope, right, out=envelope)
+            np.copyto(envelope[:, lo:hi], -np.inf, where=above[:k, :k])
+            envelope.argmax(axis=1, out=commit[lo:hi])
+            called[lo:hi] = envelope[np.arange(k), commit[lo:hi]]
     return called, commit
 
 
@@ -386,8 +405,10 @@ def grid_best_reports(
     found once, and each probability then costs O(N). Finding them takes
     O(N^2) work on an N-point axis, over the lower triangle of the
     (baseline, commitment) table only (about N^2 / 2 entries), in row
-    blocks of bounded size, plus one O(N) suffix maximum that every block
-    shares.
+    blocks of at most ``_BLOCK_ELEMENTS`` entries or one row, built in two
+    buffers that every block reuses, plus one O(N) suffix maximum that every
+    block shares. A block takes one running maximum, for the right envelope;
+    the left envelope is elementwise (see :func:`_best_commitments`).
     """
     probabilities = list(call_probabilities)
     for pr in probabilities:

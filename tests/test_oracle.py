@@ -1152,3 +1152,58 @@ class TestTwoStageBlocks:
             reference_grid_best_report(q, params, prices, step)
             for q in probabilities
         ]
+
+
+@st.composite
+def adversarial_axes(draw):
+    """An ascending axis of 1 to 40 points, a base gain on it and p2, built
+    to stress the envelopes' rounding: steps of one ulp, base gains of
+    tie - p2*x or tie + p2*x that tie h + p2*x or h - p2*x across points,
+    repeated values, signed zeros, NaN and +-inf, and p2 from 1e-17 to
+    1e17."""
+    n = draw(st.integers(1, 40))
+    p2 = draw(st.sampled_from([1e-17, 0.3, 1.0, 1e17]))
+    x = [draw(st.sampled_from([0.0, -0.0, 1e-300, 3.0]))]
+    for _ in range(n - 1):
+        x.append(
+            draw(
+                st.one_of(
+                    st.just(float(np.nextafter(x[-1], np.inf))),
+                    st.sampled_from([x[-1] + 0.25, x[-1] * 2.0 + 1.0]),
+                    st.floats(x[-1], x[-1] + 10.0).filter(lambda v: v > x[-1]),
+                )
+            )
+        )
+    x = np.array(x)
+    tie = draw(st.floats(-50.0, 50.0))
+    base_gain = np.array(
+        [
+            draw(
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, tie]),
+                    st.just(tie - p2 * xi),
+                    st.just(tie + p2 * xi),
+                    st.floats(-50.0, 50.0),
+                )
+            )
+            for xi in x
+        ]
+    )
+    return x, base_gain, p2
+
+
+class TestBestCommitmentsAdversarial:
+    @settings(max_examples=200, deadline=None)
+    @given(adversarial_axes(), st.sampled_from(["1", "2", "7", "n"]))
+    def test_equals_the_prefix_max_reference_bitwise(self, axis, rows):
+        # The left envelope is elementwise in the search and a prefix max in
+        # the reference; the best called payoff and its first commitment
+        # agree bit for bit, in blocks of one row up to one block of all n.
+        x, base_gain, p2 = axis
+        n = x.size
+        block = n * {"1": 1, "2": 2, "7": 7, "n": n}[rows]
+        with mock.patch.object(oracle, "_BLOCK_ELEMENTS", block):
+            called, commit = oracle._best_commitments(x, base_gain, p2)
+        want_called, want_commit = reference_best_commitments(x, base_gain, p2)
+        assert np.array_equal(called.view(np.int64), want_called.view(np.int64))
+        assert np.array_equal(commit, want_commit)
