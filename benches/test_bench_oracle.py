@@ -39,6 +39,16 @@ def test_grid_best_responses(benchmark, verify_draws, step):
     assert q.shape == (2000, 2)
 
 
+def test_grid_best_responses_reports_at_cap(benchmark, verify_draws):
+    # With every reported baseline at its cap, no row's grid points end
+    # before the cap, so this case times what ending them costs when it
+    # saves nothing.
+    report, params, prices = verify_draws
+    at_cap = Report(params.max_consumption, report.committed)
+    q, _ = benchmark(grid_best_responses, at_cap, SIGNALS, params, prices, 0.01)
+    assert q.shape == (2000, 2)
+
+
 @pytest.mark.parametrize("step", [0.01, 0.05])
 def test_grid_best_reports(benchmark, step):
     scenario = load_scenario(None)

@@ -57,10 +57,12 @@ _MAX_REPORT_PAIRS = 10**9
 # the longest of its block, and the rows' caps and kinks in chunks; its four
 # buffers of a block (1 MiB) fit in a core's 2 MiB L2 cache.
 _BLOCK_ELEMENTS = 2**15
-# grid_best_responses evaluates every point of every row's axis; 10**9
-# points take about 9 s on a 2-vCPU Xeon host (about 110 M points/s) in rows
-# of up to 7*10**4 points, and 18-36 s in rows of 10**6 to 4*10**6 points,
-# each a block whose buffers do not fit in a core's 2 MiB L2 cache.
+# grid_best_responses counts every point of every row's uncut axis against
+# this bound. With nothing cut (every report at its cap), 10**9 points take
+# about 6.5 s on a 2-vCPU Xeon host in rows of up to 7*10**4 points, 10 s in
+# rows of about 6*10**5 and 13-23 s in rows of 10**6 to 4*10**6 points, each
+# a block whose buffers do not fit in a core's 2 MiB L2 cache. verify's drawn
+# reports cut about a fifth of the points: about 5.5 s in the shortest rows.
 _MAX_STAGE2_POINTS = 10**9
 
 
@@ -172,11 +174,19 @@ def grid_best_responses(
     them the payoff carries an O(step^2) error, which the refinement tests
     rely on. Every row's range is checked once, before any search.
 
+    With kinks, a row whose peak utility ``0.5 * g * s * s`` is finite ends
+    its grid points at ``step * (floor(top / step) + 1)``, past the kink
+    ``top = max(bh, s)`` with ``s = b + p / g``, or at its cap if that comes
+    first. Past ``top`` the utility is its peak and neither payment, in
+    [0, inf] as ``Prices`` and ``Report`` hold 0 <= p <= p2 < inf and
+    qh <= bh, falls: the payoff never rises nor is NaN, and ``top`` wins ties.
+
     A row's grid points and its cap and kinks are searched apart. The grid
     points form an ascending run, searched longest run first, in blocks of
-    at most ``_BLOCK_ELEMENTS`` points or one row, each run padded with its
-    cap. The cap and kinks of every row are sorted once and searched in
-    chunks of at most ``_BLOCK_ELEMENTS`` points. The rows' columns are put
+    at most ``_BLOCK_ELEMENTS`` points or one row, each run padded with the
+    later points of its uncut run, then its cap. The cap and kinks of every
+    row are sorted once and searched in chunks of at most
+    ``_BLOCK_ELEMENTS`` points. The rows' columns are put
     in search order and their :func:`_block_operands` computed once, so a
     block or chunk takes contiguous slices of them and computes its utility
     once for all signals; each signal then costs its payment and one first
@@ -209,15 +219,30 @@ def grid_best_responses(
             f"{q_max.size} rows, over the limit of {_MAX_STAGE2_POINTS}; "
             f"use a coarser grid step"
         )
-    # From here on every column holds its rows in search order, longest
-    # grid run first; the winners are scattered back to row order at the end.
-    order = np.argsort(-last, kind="stable")
-    q_max, last, off_grid = q_max[order], last[order], off_grid[order]
-    operands = _block_operands(*(c[order] for c in (b, g, p, p2, bh, qh)))
     # Every point is min(x, cap) of a grid point step * j >= 0, the cap or a
     # kink, so all of a row's points lie in [0, cap] exactly when its cap and
-    # kinks are >= 0 (and not NaN).
-    require((0 <= off_grid).all(axis=1), "consumption must lie in [0, {}]", q_max)
+    # kinks are >= 0 (and not NaN). A refusal names the first row that fails
+    # in order of the uncut grid runs, longest first.
+    inside = (0 <= off_grid).all(axis=1)
+    if not inside.all():
+        by_last = np.argsort(-last, kind="stable")
+        require(inside[by_last], "consumption must lie in [0, {}]", q_max[by_last])
+    operands = _block_operands(b, g, p, p2, bh, qh)
+    run = last  # index of each row's last searched grid point
+    if inject_breakpoints:
+        # Past the kink max(bh, s) no point can win (see the docstring); a
+        # top at or above the cap cuts nothing, and is clipped to it first
+        # so that top / step cannot overflow.
+        s, peak = operands[:2]
+        top = np.minimum(np.maximum(bh, s), q_max)
+        run = np.where(
+            np.isfinite(peak), np.minimum(last, np.floor(top / step) + 1), last
+        )
+    # From here on every column holds its rows in search order, longest
+    # grid run first; the winners are scattered back to row order at the end.
+    order = np.argsort(-run, kind="stable")
+    q_max, run, off_grid = q_max[order], run[order], off_grid[order]
+    operands = [c[order] for c in operands]
     # Kinks above a row's cap become the cap; the stable sort keeps the cap
     # before its ties, as it stands before the kinks.
     cap = q_max[:, None]
@@ -226,7 +251,7 @@ def grid_best_responses(
     # The first block holds the longest row, so no block or chunk needs more
     # than max(_BLOCK_ELEMENTS, that row's length, one row's cap and kinks)
     # points of each buffer.
-    longest = int(last[0]) + 1 if last.size else 0
+    longest = int(run[0]) + 1 if run.size else 0
     grid = step * np.arange(longest)
     buffers = np.empty(
         (4, max(_BLOCK_ELEMENTS, longest, off_grid.shape[1]))
@@ -246,11 +271,12 @@ def grid_best_responses(
     with _ufunc_buffer():
         start = 0
         while start < q_max.size:
-            width = int(last[start]) + 1
+            width = int(run[start]) + 1
             stop = min(start + max(1, _BLOCK_ELEMENTS // width), q_max.size)
             q = buffers[0, : (stop - start) * width].reshape(-1, width)
             # Grid points past a row's last one become its cap: step * j
             # rounds to at least q_max once j exceeds the rounded q_max / step.
+            # Those past a shorter run's cut are points of its uncut axis.
             np.minimum(grid[:width], cap[start:stop], out=q)
             search(slice(start, stop), q, 0)
             start = stop

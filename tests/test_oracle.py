@@ -775,8 +775,12 @@ class TestManyRowStage2Oracle:
         reports = columns(
             Report, [Report(8.0, 2.0), Report(9.0, 0.0), Report(4.0, 4.0)]
         )
-        width = int(np.floor(household.max_consumption / 0.01)) + 1
-        for inject, chunks in ((True, [(1, 7)] * 3), (False, [(3, 1)])):
+        # With breakpoints each row's grid points end at index
+        # floor(13.2 / 0.01) + 1 = 1321, one past its saturation point 13.2,
+        # above every reported baseline; without them at its cap, 1600.
+        for inject, width, chunks in (
+            (True, 1322, [(1, 7)] * 3), (False, 1601, [(3, 1)])
+        ):
             seen.clear()
             grid_best_responses(reports, SIGNALS, household, prices, 0.01, inject)
             assert seen == [
@@ -1106,6 +1110,84 @@ class TestStage2TieBreaks:
                 ]
         for got, want in batches:
             assert np.array_equal(got, want, equal_nan=True)
+
+
+def assert_bits_equal_references(rows, step):
+    """One many-row search with breakpoints equals the one-row references
+    on ``rows`` bit for bit, NaN payoffs included."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = responses_and_references(rows, step, True)
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+
+@st.composite
+def cut_instances(draw):
+    """A consumer, prices and report around the end of the stage-2 grid
+    points at max(bh, s). The report and the commitment are the larger and
+    the smaller of two points, each 0, b, s, 0.5 kWh below the cap or
+    anywhere below that, with the cap 0.5 to 10 kWh above s. p is 0 or in
+    verify's box; p2 is in the box, or so large that the called payment is
+    -inf + inf where the consumption is over 1.06 to 1.8 kWh from both the
+    report and the commitment."""
+    b = draw(st.floats(0.5, 20.0))
+    g = draw(st.floats(0.01, 2.0))
+    p = draw(st.one_of(st.just(0.0), st.floats(0.05, 0.5)))
+    p2 = draw(st.one_of(st.floats(max(p, 0.05), 1.0), st.floats(1e308, 1.7e308)))
+    params = ConsumerParams(b, g, b + p / g + draw(st.floats(0.5, 10.0)))
+    prices = Prices(p, p2)
+    below_cap = params.max_consumption - 0.5
+    point = st.one_of(
+        st.sampled_from([0.0, b, saturation_point(params, prices), below_cap]),
+        st.floats(0.0, below_cap),
+    )
+    committed, reported = sorted([draw(point), draw(point)])
+    return params, prices, Report(reported, committed)
+
+
+class TestStage2GridCut:
+    """With breakpoints, a row whose peak utility is finite searches its grid
+    points only up to the first past max(bh, s), the larger of its report
+    and saturation point; nothing past it can win."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(cut_instances(), min_size=1, max_size=8),
+        st.sampled_from([0.01, 0.05, 0.25, 0.3]),
+        st.sampled_from([1, 64, oracle._BLOCK_ELEMENTS]),
+    )
+    def test_equals_one_row_references(self, rows, step, block):
+        with mock.patch.object(oracle, "_BLOCK_ELEMENTS", block):
+            assert_bits_equal_references(rows, step)
+
+    def test_a_nan_between_the_commitment_and_the_report_is_searched(self):
+        # Called, the incentive p2 * (14 - q) and the penalty p2 * (q - 1)
+        # both overflow for q in (4.6, 10.4), so the payment there is
+        # -inf + inf. The first such grid point, 4.75, lies past the
+        # saturation point 2.76 and the commitment but before the report:
+        # a grid ending past max(s, qh) would miss it and return (0.0, inf).
+        row = (ConsumerParams(2.5, 1.0, 16.0), Prices(0.26, 5e307), Report(14.0, 1.0))
+        assert_bits_equal_references([row], 0.25)
+        with np.errstate(over="ignore", invalid="ignore"):
+            best = grid_best_response(row[2], CallSignal.CALLED, *row[:2], 0.25)
+        assert best.consumption == 4.75 and np.isnan(best.payoff)
+
+    def test_a_row_with_an_infinite_peak_searches_its_whole_grid(self):
+        # The peak (0.5 * g * s) * s overflows while the utility at q = 0,
+        # peak - 0.5 * g * (s * s), is inf, not NaN, so no payoff is NaN
+        # until p * q overflows past the cap / 4 or so, far past max(bh, s).
+        # That first NaN wins; a grid cut at max(bh, s) would leave the cap's
+        # NaN, among the kinks, to win instead.
+        b = 8.01194058630986e153
+        p = 6.349183927504001e153
+        row = (
+            ConsumerParams(b, 3.853144176315566, 1.1325506744732322e155),
+            Prices(p, p),
+            Report(b, 0.0),
+        )
+        assert_bits_equal_references([row], 1e153)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, _ = grid_best_responses(row[2], SIGNALS, *row[:2], 1e153)
+        assert (q < row[0].max_consumption).all()
 
 
 def two_stage_axis(params, prices, step):
