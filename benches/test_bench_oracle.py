@@ -9,6 +9,9 @@ These are not tier-1 tests: ``testpaths`` in pyproject.toml names
 them.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,9 @@ from drcontract import CallSignal, ConsumerParams, Prices, Report
 from drcontract.cli import _draw_instances, main
 from drcontract.oracle import grid_best_reports, grid_best_responses
 from drcontract.scenario import load_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from mixed_scenario import mixed_scenario_text  # noqa: E402
 
 SIGNALS = (CallSignal.NOT_CALLED, CallSignal.CALLED)
 
@@ -63,6 +69,18 @@ def test_grid_best_reports(benchmark, step):
 def test_verify_end_to_end(benchmark, tmp_path):
     argv = [
         "verify", "--draws", "2000", "--grid-step", "0.01", "--seed", "1",
+        "--out", str(tmp_path / "verify.txt"),
+    ]
+    assert benchmark(main, argv) == 0
+
+
+def test_verify_many_consumers(benchmark, tmp_path):
+    # 20 000 consumers and 500 draws: verify's per-consumer continuity
+    # check, not its oracles, takes most of such a run.
+    scenario = tmp_path / "mixed.ini"
+    scenario.write_text(mixed_scenario_text(consumers=20000))
+    argv = [
+        "verify", "--scenario", str(scenario), "--draws", "500",
         "--out", str(tmp_path / "verify.txt"),
     ]
     assert benchmark(main, argv) == 0

@@ -1,9 +1,10 @@
 """Brute-force verification of the closed-form strategies.
 
-Two independent routes are provided: a dense grid search over decisions
-(exact once the objective's kinks and piece vertices are injected into the
-grid, because every smooth piece is a downward parabola or a constant), and
-the per-case optimal payoff expressions with their feasibility regions.
+Two independent routes are provided: a dense grid search over decisions,
+whose axis holds the objective's kinks and piece vertices besides its grid
+points (which makes it exact, because every smooth piece is a downward
+parabola or a constant), and the per-case optimal payoff expressions with
+their feasibility regions.
 Neither route consults the strategy module's region logic, so agreement
 between the three is a meaningful check.
 """
@@ -46,7 +47,8 @@ __all__ = [
 # Points-per-grid guard; a finer request is almost certainly a unit mistake.
 _MAX_POINTS = 10**7
 # grid_best_reports does O(N^2) work on an N-point axis; 10**9 report pairs
-# take about 6.5 s on a 2-vCPU Xeon host (about 155 M pairs/s at N = 16 003).
+# take about 4.5 s on a 2-vCPU Xeon host (about 225-235 M pairs/s at both
+# N = 16 003 and N = 31 563).
 _MAX_REPORT_PAIRS = 10**9
 # Both grid searches work in blocks of at most this many float64 entries
 # (256 KiB) or one row, so memory stays flat in the grid size.
@@ -80,7 +82,10 @@ def _check_step(step: float, q_max) -> None:
     ``_MAX_POINTS`` points on the grid over [0, max(q_max)]."""
     if not 0 < step < np.inf:
         raise ValueError(f"grid step must be finite and > 0, got {step}")
-    if np.max(q_max) / step > _MAX_POINTS:
+    # A tiny step overflows the quotient to inf, which the bound refuses.
+    with np.errstate(over="ignore"):
+        intervals = np.max(q_max) / step
+    if intervals > _MAX_POINTS:
         raise ValueError(f"grid would exceed {_MAX_POINTS} points; widen the step")
 
 
@@ -162,20 +167,18 @@ def grid_best_responses(
     params,
     prices,
     step: float = 0.01,
-    inject_breakpoints: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exhaustive-search best consumption for each call signal, row by row.
 
     ``report``, ``params`` and ``prices`` are single values or
     :func:`~drcontract.core.columns`, broadcast row by row. A row searches
-    the points ``step * k`` (in kWh) of its own [0, q_max], its cap and, by
-    default, every kink and piece vertex of its profit in [0, q_max], which
-    makes the search exact, as the profit is piecewise quadratic. Without
-    them the payoff carries an O(step^2) error, which the refinement tests
-    rely on. Every row's range is checked once, before any search.
+    the points ``step * k`` (in kWh) of its own [0, q_max], its cap and
+    every kink and piece vertex of its profit in [0, q_max], which makes the
+    search exact, as the profit is piecewise quadratic. Every row's range is
+    checked once, before any search.
 
-    With kinks, a row whose peak utility ``0.5 * g * s * s`` is finite ends
-    its grid points at ``step * (floor(top / step) + 1)``, past the kink
+    A row whose peak utility ``0.5 * g * s * s`` is finite ends its grid
+    points at ``step * (floor(top / step) + 1)``, past the kink
     ``top = max(bh, s)`` with ``s = b + p / g``, or at its cap if that comes
     first. Past ``top`` the utility is its peak and neither payment, in
     [0, inf] as ``Prices`` and ``Report`` hold 0 <= p <= p2 < inf and
@@ -206,10 +209,7 @@ def grid_best_responses(
     q_max, b, g, p, p2, bh, qh = (np.broadcast_to(v, shape).ravel() for v in given)
     _check_step(step, q_max)
     # A row's cap and kinks: the points of its axis that are not grid points.
-    off_grid = np.stack(
-        [q_max, bh, qh, *_kinks(b, g, p, p2)] if inject_breakpoints else [q_max],
-        axis=1,
-    )
+    off_grid = np.stack([q_max, bh, qh, *_kinks(b, g, p, p2)], axis=1)
     last = np.floor(q_max / step)  # index of each row's last grid point
     # A row's axis is its grid points up to the last, its cap and its kinks.
     points = int(last.sum()) + q_max.size * (1 + off_grid.shape[1])
@@ -228,16 +228,15 @@ def grid_best_responses(
         by_last = np.argsort(-last, kind="stable")
         require(inside[by_last], "consumption must lie in [0, {}]", q_max[by_last])
     operands = _block_operands(b, g, p, p2, bh, qh)
-    run = last  # index of each row's last searched grid point
-    if inject_breakpoints:
-        # Past the kink max(bh, s) no point can win (see the docstring); a
-        # top at or above the cap cuts nothing, and is clipped to it first
-        # so that top / step cannot overflow.
-        s, peak = operands[:2]
-        top = np.minimum(np.maximum(bh, s), q_max)
-        run = np.where(
-            np.isfinite(peak), np.minimum(last, np.floor(top / step) + 1), last
-        )
+    # The index of each row's last searched grid point. Past the kink
+    # max(bh, s) no point can win (see the docstring); a top at or above the
+    # cap cuts nothing, and is clipped to it first so that top / step cannot
+    # overflow.
+    s, peak = operands[:2]
+    top = np.minimum(np.maximum(bh, s), q_max)
+    run = np.where(
+        np.isfinite(peak), np.minimum(last, np.floor(top / step) + 1), last
+    )
     # From here on every column holds its rows in search order, longest
     # grid run first; the winners are scattered back to row order at the end.
     order = np.argsort(-run, kind="stable")
@@ -304,13 +303,10 @@ def grid_best_response(
     params: ConsumerParams,
     prices: Prices,
     step: float = 0.01,
-    inject_breakpoints: bool = True,
 ) -> Stage2Solution:
     """Exhaustive-search best consumption for one report and call signal;
     the one-row form of :func:`grid_best_responses`."""
-    q, payoff = grid_best_responses(
-        report, [signal], params, prices, step, inject_breakpoints
-    )
+    q, payoff = grid_best_responses(report, [signal], params, prices, step)
     return Stage2Solution(float(q[0]), None, float(payoff[0]))
 
 

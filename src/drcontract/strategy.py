@@ -242,14 +242,21 @@ def _optimal_report(call_probability, params, prices):
         import logging
 
         logger = logging.getLogger(__name__)
-        caps = np.broadcast_to(q_max, announced.shape)
-        for raw, cap in zip(announced[clamped].tolist(), caps[clamped].tolist()):
-            logger.warning(
-                "announced baseline %.6f clamped to the cap %.6f "
-                "(consumption cap below the saturation point?)",
-                raw,
-                cap,
-            )
+        caps, sats = (
+            np.broadcast_to(v, announced.shape)[clamped].tolist()
+            for v in (q_max, saturation_point(params, prices))
+        )
+        for raw, cap, sat in zip(announced[clamped].tolist(), caps, sats):
+            if cap <= sat:
+                message = (
+                    "announced baseline %.6f clamped to the cap %.6f "
+                    "(consumption cap below the saturation point?)"
+                )
+            else:
+                # A valid cap: the inflated baseline only rounded past it,
+                # so both values are printed in full.
+                message = "announced baseline %r clamped to the cap %r"
+            logger.warning(message, raw, cap)
         announced = np.where(clamped, q_max, announced)
     committed = ideal_consumption(params, prices, CallSignal.CALLED)
     return announced, committed, np.broadcast_to(above, announced.shape)
@@ -334,8 +341,9 @@ def best_report(
     inflated by p2*pr/(g*(1 - pr)); above it, the consumption cap. The
     committed consumption is the reduced optimum (b - p2/g)+ regardless.
     The announced baseline is clamped to the cap (reports must satisfy
-    baseline <= max_consumption); the clamp only fires when the cap
-    assumption is violated and is logged. The expected profit is that of
+    baseline <= max_consumption) and the clamp is logged. It fires when the
+    cap assumption is violated, or when the inflated baseline rounds past a
+    cap just above the saturation point. The expected profit is that of
     the best responses to this report.
     """
     solution = solve(params, prices, call_probability=call_probability)

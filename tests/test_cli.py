@@ -319,6 +319,8 @@ class TestVerifyCommand:
              "(160003 grid points squared), over the limit of 1000000000; use a "
              "coarser grid step"),
             ("1e-6", "grid would exceed 10000000 points; widen the step"),
+            # 16 kWh / 5e-324 overflows to inf, with no numpy warning.
+            ("5e-324", "grid would exceed 10000000 points; widen the step"),
         ],
     )
     def test_too_fine_grid_is_refused_before_the_run_header(

@@ -291,6 +291,23 @@ class TestKernelErrorsAndWarnings:
         ]
         assert solution.report_baseline.tolist() == [8.0, 10.0, 10.0]
 
+    def test_clamp_of_a_valid_cap_prints_both_values_in_full(self, caplog):
+        # The cap is one ulp above the saturation point 3.089909981826106,
+        # so it passes the cap check; at the threshold the inflated
+        # baseline rounds one ulp past it.
+        params = ConsumerParams(
+            1.5765741455869526, 0.14432336817456848, 3.0899099818261067
+        )
+        prices = Prices(0.21840972506531187, 0.23825284124321436)
+        check_consumption_cap(params, prices)
+        with caplog.at_level(logging.WARNING):
+            solution = best_report(call_threshold(prices), params, prices)
+        assert [m for m in caplog.messages if "clamped" in m] == [
+            "announced baseline 3.089909981826107 clamped to the cap "
+            "3.0899099818261067"
+        ]
+        assert solution.report.baseline == params.max_consumption
+
     def test_unused_inflated_baseline_near_one_warns_nothing(self):
         # p2/g = 1e307 passes the cap check; at pr = 0.999 the inflated
         # baseline p2*pr/(g*(1 - pr)) overflows, but above the threshold

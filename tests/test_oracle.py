@@ -221,40 +221,6 @@ class TestGridBestResponse:
                 assert abs(oracle.payoff - closed.payoff) <= 1e-6
                 assert abs(oracle.consumption - closed.consumption) <= 2 * step
 
-    def test_refinement_converges_quadratically(self, prices):
-        # Reports with off-grid optima at interior parabola vertices (an
-        # un-reported consumer when not called, an ignore-the-commitment
-        # consumer when called); without breakpoint injection the payoff
-        # error shrinks with the square of the step, bounded by the
-        # curvature times the squared half-step.
-        params = ConsumerParams(8.1337, 0.05, 21.0)
-        gamma = params.marginal_utility
-        cases = [
-            (Report(5.4321, 0.0), CallSignal.NOT_CALLED),  # optimum at 8.1337
-            (Report(1.25, 1.2345), CallSignal.CALLED),  # optimum at 2.1337
-        ]
-        for report, signal in cases:
-            exact = grid_best_response(report, signal, params, prices).payoff
-            for step in (0.04, 0.02, 0.01):
-                coarse = grid_best_response(
-                    report,
-                    signal,
-                    params,
-                    prices,
-                    step,
-                    inject_breakpoints=False,
-                ).payoff
-                halved = grid_best_response(
-                    report,
-                    signal,
-                    params,
-                    prices,
-                    step / 2,
-                    inject_breakpoints=False,
-                ).payoff
-                assert 0 <= exact - coarse <= gamma * step**2 / 8 + 1e-12
-                assert abs(halved - coarse) <= gamma * step**2 / 8 + 1e-12
-
 
 class TestCasePayoffs:
     def test_infeasible_subcases_never_emitted(self, household, prices):
@@ -539,9 +505,7 @@ class TestKernelOracleCaseTableAgree:
                 assert abs(case - payoff[s]) <= 1e-9
 
 
-def reference_grid_best_responses(
-    report, signals, params, prices, step, inject_breakpoints=True
-):
+def reference_grid_best_responses(report, signals, params, prices, step):
     """The stage-2 search one report at a time, over the sorted unique axis
     of its grid points, cap and kinks: the per-draw loop that the many-row
     form replaced, kept as the reference it must equal. One (consumption,
@@ -549,18 +513,14 @@ def reference_grid_best_responses(
     b = params.baseline
     g = params.marginal_utility
     p2 = prices.incentive_price
-    extra = (
-        [
-            report.baseline,
-            report.committed,
-            b,
-            saturation_point(params, prices),
-            max(b - p2 / g, 0.0),
-            max(b - 2 * p2 / g, 0.0),
-        ]
-        if inject_breakpoints
-        else ()
-    )
+    extra = [
+        report.baseline,
+        report.committed,
+        b,
+        saturation_point(params, prices),
+        max(b - p2 / g, 0.0),
+        max(b - 2 * p2 / g, 0.0),
+    ]
     q = reference_axis(params.max_consumption, step, extra)
     pairs = []
     for signal in signals:
@@ -628,7 +588,7 @@ def reference_case_payoffs(report, signal, params, prices):
     }
 
 
-def assert_rows_equal_references(rows, step, inject_breakpoints=True):
+def assert_rows_equal_references(rows, step):
     """The many-row oracle and case table on ``rows`` (consumer, prices,
     report) equal the one-row references, row by row. Floats are compared
     with ==: bit for bit, up to the sign of zero."""
@@ -639,9 +599,7 @@ def assert_rows_equal_references(rows, step, inject_breakpoints=True):
         columns(Report, reports),
     )
     bufsize = np.getbufsize()
-    q, payoff = grid_best_responses(
-        reports, SIGNALS, params, prices, step, inject_breakpoints
-    )
+    q, payoff = grid_best_responses(reports, SIGNALS, params, prices, step)
     assert np.getbufsize() == bufsize
     assert q.shape == payoff.shape == (len(rows), 2)
     for s in SIGNALS:
@@ -656,9 +614,7 @@ def assert_rows_equal_references(rows, step, inject_breakpoints=True):
             feasible = [value for value, ok in want.values() if ok]
             assert best[k] == max(feasible)
     for k, (one, price, report) in enumerate(rows):
-        want = reference_grid_best_responses(
-            report, SIGNALS, one, price, step, inject_breakpoints
-        )
+        want = reference_grid_best_responses(report, SIGNALS, one, price, step)
         assert list(zip(q[k].tolist(), payoff[k].tolist())) == want
 
 
@@ -678,15 +634,13 @@ class TestManyRowStage2Oracle:
     @given(
         st.lists(verify_box_instances(), min_size=1, max_size=8),
         st.sampled_from([0.01, 0.05, 0.3]),
-        st.booleans(),
         st.sampled_from([1, 64, oracle._BLOCK_ELEMENTS]),
     )
-    def test_equals_one_row_references(self, rows, step, inject, block):
+    def test_equals_one_row_references(self, rows, step, block):
         with mock.patch.object(oracle, "_BLOCK_ELEMENTS", block):
-            assert_rows_equal_references(rows, step, inject)
+            assert_rows_equal_references(rows, step)
 
-    @pytest.mark.parametrize("inject", [True, False])
-    def test_one_row_blocks_change_nothing(self, monkeypatch, inject):
+    def test_one_row_blocks_change_nothing(self, monkeypatch):
         rng = np.random.default_rng(11)
         rows = []
         for _ in range(6):
@@ -697,14 +651,13 @@ class TestManyRowStage2Oracle:
                 (ConsumerParams, Prices, Report), zip(*rows)
             )
         )
-        blocked = grid_best_responses(reports, SIGNALS, params, prices, 0.02, inject)
+        blocked = grid_best_responses(reports, SIGNALS, params, prices, 0.02)
         monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 1)
-        one_row = grid_best_responses(reports, SIGNALS, params, prices, 0.02, inject)
+        one_row = grid_best_responses(reports, SIGNALS, params, prices, 0.02)
         assert all(np.array_equal(a, b) for a, b in zip(blocked, one_row))
-        assert_rows_equal_references(rows, 0.02, inject)
+        assert_rows_equal_references(rows, 0.02)
 
-    @pytest.mark.parametrize("inject", [True, False])
-    def test_total_points_bounded_before_any_block(self, monkeypatch, inject):
+    def test_total_points_bounded_before_any_block(self, monkeypatch):
         rng = np.random.default_rng(5)
         rows = [draw_instance(rng) for _ in range(4)]
         params, prices, reports = (
@@ -714,23 +667,21 @@ class TestManyRowStage2Oracle:
         )
         # Each row's grid points 0 to floor(q_max / step), its cap and its
         # six kinks.
-        points = int(np.floor(params.max_consumption / 0.05).sum()) + 4 * (
-            2 + 6 * inject
-        )
+        points = int(np.floor(params.max_consumption / 0.05).sum()) + 4 * 8
         def refuse(*args):
             raise AssertionError("a block was searched before the bound")
 
         monkeypatch.setattr(oracle, "_search_block", refuse)
         monkeypatch.setattr(oracle, "_MAX_STAGE2_POINTS", points - 1)
         with pytest.raises(ValueError) as exc:
-            grid_best_responses(reports, SIGNALS, params, prices, 0.05, inject)
+            grid_best_responses(reports, SIGNALS, params, prices, 0.05)
         assert str(exc.value) == (
             f"the stage-2 grid search would evaluate {points} points over 4 "
             f"rows, over the limit of {points - 1}; use a coarser grid step"
         )
         monkeypatch.undo()
         monkeypatch.setattr(oracle, "_MAX_STAGE2_POINTS", points)
-        q, _ = grid_best_responses(reports, SIGNALS, params, prices, 0.05, inject)
+        q, _ = grid_best_responses(reports, SIGNALS, params, prices, 0.05)
         assert q.shape == (4, 2)
 
     # numpy's ufunc buffer holds 8192 elements by default, and the block
@@ -739,8 +690,7 @@ class TestManyRowStage2Oracle:
     # over 8192 points is a block of its own, and a block of 2^16 points
     # holds rows on both sides of 8192.
     @pytest.mark.parametrize("block", [oracle._BLOCK_ELEMENTS, 2**16])
-    @pytest.mark.parametrize("inject", [True, False])
-    def test_rows_on_both_sides_of_the_ufunc_buffer(self, block, inject):
+    def test_rows_on_both_sides_of_the_ufunc_buffer(self, block):
         rng = np.random.default_rng(17)
         rows = []
         for cap in (16.1, 16.3, 16.5, 18.0, 79.9):
@@ -754,14 +704,13 @@ class TestManyRowStage2Oracle:
         lengths = [np.floor(c / 0.002) + 8 for c in (16.1, 16.5, 79.9)]
         assert lengths[0] < np.getbufsize() < lengths[1] < lengths[2]
         with mock.patch.object(oracle, "_BLOCK_ELEMENTS", block):
-            assert_rows_equal_references(rows, 0.002, inject)
+            assert_rows_equal_references(rows, 0.002)
 
     def test_block_loop_runs_under_a_small_ufunc_buffer(
         self, household, prices, monkeypatch
     ):
         # Blocks of 8 points hold one row's grid points, or its cap and six
-        # kinks, or eight caps: three grid blocks, then three cap-and-kinks
-        # chunks with breakpoints and one chunk of caps without.
+        # kinks: three grid blocks, then three cap-and-kinks chunks.
         monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 8)
         default = np.getbufsize()
         seen = []
@@ -775,18 +724,13 @@ class TestManyRowStage2Oracle:
         reports = columns(
             Report, [Report(8.0, 2.0), Report(9.0, 0.0), Report(4.0, 4.0)]
         )
-        # With breakpoints each row's grid points end at index
-        # floor(13.2 / 0.01) + 1 = 1321, one past its saturation point 13.2,
-        # above every reported baseline; without them at its cap, 1600.
-        for inject, width, chunks in (
-            (True, 1322, [(1, 7)] * 3), (False, 1601, [(3, 1)])
-        ):
-            seen.clear()
-            grid_best_responses(reports, SIGNALS, household, prices, 0.01, inject)
-            assert seen == [
-                (shape, oracle._UFUNC_BUFFER) for shape in [(1, width)] * 3 + chunks
-            ]
-            assert np.getbufsize() == default
+        # Each row's grid points end at index floor(13.2 / 0.01) + 1 = 1321,
+        # one past its saturation point 13.2, above every reported baseline.
+        grid_best_responses(reports, SIGNALS, household, prices, 0.01)
+        assert seen == [
+            (shape, oracle._UFUNC_BUFFER) for shape in [(1, 1322)] * 3 + [(1, 7)] * 3
+        ]
+        assert np.getbufsize() == default
 
     def test_every_point_of_a_block_pays_cores_stage2_profit(self):
         # One block of rows with their own consumer, prices and report, each
@@ -884,8 +828,7 @@ class TestManyRowStage2Oracle:
             with pytest.raises(ValueError, match="no feasible subcase"):
                 max_feasible_case_payoff(reports, CallSignal.CALLED, household, prices)
 
-    @pytest.mark.parametrize("inject", [True, False])
-    def test_grid_points_rounded_above_the_cap_are_left_out(self, prices, inject):
+    def test_grid_points_rounded_above_the_cap_are_left_out(self, prices):
         # 0.1 * 17 rounds to 1.7000000000000002, above the cap 1.7, although
         # floor(1.7 / 0.1) is 17; likewise 0.01 * 35 against 0.35.
         rows = [
@@ -894,7 +837,7 @@ class TestManyRowStage2Oracle:
             (ConsumerParams(8.0, 0.05, 16.0), prices, Report(9.0, 2.0)),
         ]
         for step in (0.1, 0.01):
-            assert_rows_equal_references(rows, step, inject)
+            assert_rows_equal_references(rows, step)
 
     def test_one_row_equals_its_row_in_a_batch(self, household, prices):
         # For each of b, bh, qh, p and p2 Python's float ** 2 (libm pow)
@@ -923,7 +866,7 @@ class TestManyRowStage2Oracle:
             )
 
 
-def responses_and_references(rows, step, inject_breakpoints):
+def responses_and_references(rows, step):
     """(consumption, payoff) per signal of each row: from one many-row
     search, and from the one-row reference on the row's own axis."""
     params, prices, reports = (
@@ -931,20 +874,16 @@ def responses_and_references(rows, step, inject_breakpoints):
             (ConsumerParams, Prices, Report), zip(*rows)
         )
     )
-    q, payoff = grid_best_responses(
-        reports, SIGNALS, params, prices, step, inject_breakpoints
-    )
+    q, payoff = grid_best_responses(reports, SIGNALS, params, prices, step)
     got = [list(zip(qk.tolist(), pk.tolist())) for qk, pk in zip(q, payoff)]
     want = [
-        reference_grid_best_responses(
-            report, SIGNALS, one, price, step, inject_breakpoints
-        )
+        reference_grid_best_responses(report, SIGNALS, one, price, step)
         for one, price, report in rows
     ]
     return got, want
 
 
-def split_winners(row, signal, step, inject_breakpoints):
+def split_winners(row, signal, step):
     """The two winners that the many-row search weighs for one row and
     signal: the first best of its grid points, each at most its cap, and
     the first best of its sorted cap and kinks; each as (consumption,
@@ -952,11 +891,7 @@ def split_winners(row, signal, step, inject_breakpoints):
     params, prices, report = row
     q_max = params.max_consumption
     grid = np.minimum(step * np.arange(np.floor(q_max / step) + 1), q_max)
-    kinks = (
-        [report.baseline, report.committed, *two_stage_kinks(params, prices)]
-        if inject_breakpoints
-        else []
-    )
+    kinks = [report.baseline, report.committed, *two_stage_kinks(params, prices)]
     winners = []
     for axis in (grid, np.sort(np.minimum([q_max, *kinks], q_max))):
         payoff = stage2_profit(axis, report, signal, params, prices)
@@ -981,16 +916,8 @@ class TestStage2TieBreaks:
     # and the report at 14.1: flat from 12 to the kink at 14.1.
     ON_GRID = (ConsumerParams(8.0, 0.0625, 16.0), Prices(0.25, 0.30), Report(14.1, 2.0))
 
-    def test_saturated_plateau_goes_to_its_first_grid_point(self):
-        # Without kinks, 11 grid points and the cap tie.
-        got, want = responses_and_references([self.PLATEAU], self.STEP, False)
-        assert got == want
-        q, payoff = got[0][CallSignal.NOT_CALLED]
-        assert q == 13.5
-        assert payoff == utility(16.0, *self.PLATEAU[:2]) - 0.27 * 16.0
-
     def test_kink_tying_at_a_smaller_consumption_wins(self):
-        got, want = responses_and_references([self.PLATEAU], self.STEP, True)
+        got, want = responses_and_references([self.PLATEAU], self.STEP)
         assert got == want
         assert got[0][CallSignal.NOT_CALLED][0] == saturation_point(
             *self.PLATEAU[:2]
@@ -999,10 +926,9 @@ class TestStage2TieBreaks:
     def test_kink_tying_at_a_larger_consumption_loses(self):
         # The kink at 14.1 ties the grid points 12 to 14 at a larger
         # consumption (the kink at 12 ties at the same one).
-        for inject in (True, False):
-            got, want = responses_and_references([self.ON_GRID], self.STEP, inject)
-            assert got == want
-            assert got[0][CallSignal.NOT_CALLED][0] == 12.0
+        got, want = responses_and_references([self.ON_GRID], self.STEP)
+        assert got == want
+        assert got[0][CallSignal.NOT_CALLED][0] == 12.0
 
     def test_cap_on_a_grid_point(self):
         # A cap below the saturation point, on the grid, is the unique best
@@ -1012,62 +938,56 @@ class TestStage2TieBreaks:
             ConsumerParams(15.5, 0.05, 16.0), Prices(0.26, 0.30), Report(16.0, 2.0)
         )
         longer = (ConsumerParams(8.0, 0.05, 17.0), Prices(0.26, 0.30), Report(9.0, 2.0))
-        for inject in (True, False):
-            got, want = responses_and_references(
-                [low_cap, longer], self.STEP, inject
-            )
-            assert got == want
-            assert got[0][CallSignal.NOT_CALLED][0] == 16.0
-
+        got, want = responses_and_references([low_cap, longer], self.STEP)
+        assert got == want
+        assert got[0][CallSignal.NOT_CALLED][0] == 16.0
 
     # Rows whose two winners tie at one signal, at step 0.25: (consumer,
     # prices, report), the signal, and where the cap-and-kinks winner lies
-    # against the grid winner, with breakpoints and without. Without them
-    # it is the cap, which no grid point exceeds.
+    # against the grid winner.
     TIES = {
         # The plateau from the saturation point 13.4 to the cap.
-        "plateau": (PLATEAU, CallSignal.NOT_CALLED, "smaller", "larger"),
+        "plateau": (PLATEAU, CallSignal.NOT_CALLED, "smaller"),
         # The plateau from the saturation point 12, on the grid, to 14.1.
-        "plateau-on-grid": (ON_GRID, CallSignal.NOT_CALLED, "same", None),
+        "plateau-on-grid": (ON_GRID, CallSignal.NOT_CALLED, "same"),
         # The best consumption is the cap 16, on the grid.
         "cap": (
             (ConsumerParams(15.5, 0.05, 16.0), Prices(0.26, 0.30), Report(16.0, 2.0)),
-            CallSignal.NOT_CALLED, "same", "same",
+            CallSignal.NOT_CALLED, "same",
         ),
         # With p2 = 1e303 the incentive p2 * (1e6 - q) overflows at every
         # consumption, so every payoff is inf; the smallest kink is the
         # commitment, at 0 or past the first grid point.
         "inf": (
             (ConsumerParams(8.0, 1e304, 16.0), Prices(0.26, 1e303), Report(1e6, 0.0)),
-            CallSignal.CALLED, "same", "larger",
+            CallSignal.CALLED, "same",
         ),
         "inf-past-zero": (
             (ConsumerParams(8.0, 1e304, 16.0), Prices(0.26, 1e303), Report(1e6, 3.3)),
-            CallSignal.CALLED, "larger", "larger",
+            CallSignal.CALLED, "larger",
         ),
         # With p2 = 1e308 the incentive and the penalty both overflow past
         # q = 1 + 1.7977 and up to 14 - 1.7977, so the payment there is
         # -inf + inf, a NaN. Its first grid point is 3.0, and the baseline
-        # b is a kink before it, on it or after it. Without breakpoints the
-        # cap's payoff is -inf, and nothing ties.
+        # b is a kink before it, on it or after it.
         "nan-kink-before": (
             (ConsumerParams(2.9, 0.05, 16.0), Prices(0.26, 1e308), Report(14.0, 1.0)),
-            CallSignal.CALLED, "smaller", None,
+            CallSignal.CALLED, "smaller",
         ),
         "nan-kink-on": (
             (ConsumerParams(3.0, 0.05, 16.0), Prices(0.26, 1e308), Report(14.0, 1.0)),
-            CallSignal.CALLED, "same", None,
+            CallSignal.CALLED, "same",
         ),
         "nan-kink-after": (
             (ConsumerParams(3.1, 0.05, 16.0), Prices(0.26, 1e308), Report(14.0, 1.0)),
-            CallSignal.CALLED, "larger", None,
+            CallSignal.CALLED, "larger",
         ),
         # No kink in the NaN: b = 2.5 and the saturation point 2.76 are
         # below it, so the best cap or kink is an inf at 0, and the grid's
         # first NaN, at 3.0, beats it.
         "nan-after-inf": (
             (ConsumerParams(2.5, 1.0, 16.0), Prices(0.26, 1e308), Report(14.0, 1.0)),
-            CallSignal.CALLED, None, None,
+            CallSignal.CALLED, None,
         ),
     }
 
@@ -1076,47 +996,42 @@ class TestStage2TieBreaks:
         # kink on the grid point 0.0. The grid point comes first on a merged
         # axis, so the result is 0.0, not -0.0.
         row = (ConsumerParams(1.0, 0.05, 16.0), Prices(0.26, 0.30), Report(2.0, -0.0))
-        got, want = responses_and_references([row], self.STEP, True)
+        got, want = responses_and_references([row], self.STEP)
         assert got == want
         q, _ = got[0][CallSignal.CALLED]
         assert q == 0.0 and not np.signbit(q)
 
     @pytest.mark.parametrize("name", TIES)
-    @pytest.mark.parametrize("inject", [True, False])
-    def test_tied_winners_are_the_rows_case(self, name, inject):
-        row, signal, *where = self.TIES[name]
+    def test_tied_winners_are_the_rows_case(self, name):
+        row, signal, where = self.TIES[name]
         with np.errstate(over="ignore", invalid="ignore"):
             (q_grid, grid_payoff), (q_off, off_payoff) = split_winners(
-                row, signal, self.STEP, inject
+                row, signal, self.STEP
             )
-        if where[not inject] is None:
+        if where is None:
             assert grid_payoff != off_payoff
             return
         assert grid_payoff == off_payoff or np.isnan([grid_payoff, off_payoff]).all()
-        assert np.sign(q_off - q_grid) == {"smaller": -1, "same": 0, "larger": 1}[
-            where[not inject]
-        ]
+        assert np.sign(q_off - q_grid) == {"smaller": -1, "same": 0, "larger": 1}[where]
 
     @pytest.mark.parametrize("block", [1, 64, oracle._BLOCK_ELEMENTS])
-    @pytest.mark.parametrize("inject", [True, False])
-    def test_tied_winners_equal_the_one_row_reference(self, block, inject):
+    def test_tied_winners_equal_the_one_row_reference(self, block):
         # Every tie row alone and all in one search, a NaN equal to a NaN.
         rows = [row for row, *_ in self.TIES.values()]
         with mock.patch.object(oracle, "_BLOCK_ELEMENTS", block):
             with np.errstate(over="ignore", invalid="ignore"):
-                batches = [responses_and_references(rows, self.STEP, inject)] + [
-                    responses_and_references([row], self.STEP, inject)
-                    for row in rows
+                batches = [responses_and_references(rows, self.STEP)] + [
+                    responses_and_references([row], self.STEP) for row in rows
                 ]
         for got, want in batches:
             assert np.array_equal(got, want, equal_nan=True)
 
 
 def assert_bits_equal_references(rows, step):
-    """One many-row search with breakpoints equals the one-row references
-    on ``rows`` bit for bit, NaN payoffs included."""
+    """One many-row search equals the one-row references on ``rows`` bit for
+    bit, NaN payoffs included."""
     with np.errstate(over="ignore", invalid="ignore"):
-        got, want = responses_and_references(rows, step, True)
+        got, want = responses_and_references(rows, step)
     assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
 
 
@@ -1145,9 +1060,9 @@ def cut_instances(draw):
 
 
 class TestStage2GridCut:
-    """With breakpoints, a row whose peak utility is finite searches its grid
-    points only up to the first past max(bh, s), the larger of its report
-    and saturation point; nothing past it can win."""
+    """A row whose peak utility is finite searches its grid points only up
+    to the first past max(bh, s), the larger of its report and saturation
+    point; nothing past it can win."""
 
     @settings(max_examples=200, deadline=None)
     @given(
