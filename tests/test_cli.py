@@ -319,8 +319,10 @@ class TestVerifyCommand:
              "(160003 grid points squared), over the limit of 1000000000; use a "
              "coarser grid step"),
             ("1e-6", "grid would exceed 10000000 points; widen the step"),
-            # 16 kWh / 5e-324 overflows to inf, with no numpy warning.
+            # 16 kWh / 5e-324 (or 1e-310) overflows to inf, with no numpy
+            # warning.
             ("5e-324", "grid would exceed 10000000 points; widen the step"),
+            ("1e-310", "grid would exceed 10000000 points; widen the step"),
         ],
     )
     def test_too_fine_grid_is_refused_before_the_run_header(
@@ -923,6 +925,20 @@ class TestFlagValidation:
         err = capsys.readouterr().err
         assert "key 'grid_step_kwh' in [simulation] must be > 0, got 0.0" in err
         assert "scenario_hash=" not in err
+
+    def test_scenario_grid_step_whose_point_count_overflows(self, tmp_path, capsys):
+        # 16 kWh / 1e-320 overflows to inf, with no numpy warning.
+        path = tmp_path / "step.ini"
+        path.write_text(GOOD_SCENARIO + "[simulation]\ngrid_step_kwh = 1e-320\n")
+        out = tmp_path / "v.txt"
+        code = main(
+            ["verify", "--scenario", str(path), "--draws", "3", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "drcontract: grid would exceed 10000000 points; widen the step\n"
+        )
+        assert not out.exists()
 
 
 class TestSeedValidation:

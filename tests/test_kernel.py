@@ -308,6 +308,26 @@ class TestKernelErrorsAndWarnings:
         ]
         assert solution.report.baseline == params.max_consumption
 
+    def test_each_clamped_row_in_a_batch_gets_its_own_message(self, prices, caplog):
+        # A cap below the saturation point keeps the hint; the valid cap one
+        # ulp above it prints both values in full, in the same batch.
+        valid = ConsumerParams(
+            1.5765741455869526, 0.14432336817456848, 3.0899099818261067
+        )
+        valid_prices = Prices(0.21840972506531187, 0.23825284124321436)
+        rows = columns(ConsumerParams, [self.cap_below_saturation(), valid])
+        row_prices = columns(Prices, [prices, valid_prices])
+        pr = np.array([0.4, call_threshold(valid_prices)])
+        with caplog.at_level(logging.WARNING):
+            solution = solve(rows, row_prices, call_probability=pr)
+        assert [m for m in caplog.messages if "clamped" in m] == [
+            "announced baseline 12.000000 clamped to the cap 10.000000 "
+            "(consumption cap below the saturation point?)",
+            "announced baseline 3.089909981826107 clamped to the cap "
+            "3.0899099818261067",
+        ]
+        assert solution.report_baseline.tolist() == [10.0, 3.0899099818261067]
+
     def test_unused_inflated_baseline_near_one_warns_nothing(self):
         # p2/g = 1e307 passes the cap check; at pr = 0.999 the inflated
         # baseline p2*pr/(g*(1 - pr)) overflows, but above the threshold

@@ -107,6 +107,17 @@ class TestGridStep:
             SEARCHES[search](household, prices, 1e-6)
         assert str(exc.value) == "grid would exceed 10000000 points; widen the step"
 
+    @pytest.mark.parametrize("search", SEARCHES)
+    @pytest.mark.parametrize("step", [5e-324, 1e-310, 1e-320])
+    def test_a_step_whose_point_count_overflows_is_refused(
+        self, household, prices, search, step
+    ):
+        # 16 kWh / step overflows to inf. The suite turns warnings into
+        # errors, so a numpy overflow warning would raise RuntimeWarning.
+        with pytest.raises(ValueError) as exc:
+            SEARCHES[search](household, prices, step)
+        assert str(exc.value) == "grid would exceed 10000000 points; widen the step"
+
     def test_report_axis_holds_zero_the_cap_and_the_kinks_on_it(self, prices):
         # The kinks are b = 8, b - p2/g (about 2) and b - 2 p2/g clipped to
         # 0; the saturation point 13.2 lies above the cap 12.1, which is no
@@ -220,6 +231,60 @@ class TestGridBestResponse:
                 assert oracle.payoff <= closed.payoff + 1e-6
                 assert abs(oracle.payoff - closed.payoff) <= 1e-6
                 assert abs(oracle.consumption - closed.consumption) <= 2 * step
+
+    # Rows whose best consumption at step 0.25 is one point of their axis
+    # that is not a grid point: (consumer, report, signal, that point). With
+    # b = 8.1, g = 0.04 and these prices the saturation point is 10.6 and
+    # the reduced optima b - p2/g and b - 2 p2/g are 5.1 and 2.1.
+    KINK_PRICES = Prices(0.1, 0.12)
+    WIDE = ConsumerParams(8.1, 0.04, 16.0)
+    OFF_GRID_OPTIMA = {
+        "not-called-b": (WIDE, Report(5.0, 1.0), CallSignal.NOT_CALLED, "b"),
+        "not-called-bh": (WIDE, Report(9.3, 1.0), CallSignal.NOT_CALLED, "bh"),
+        "not-called-s": (WIDE, Report(14.9, 1.0), CallSignal.NOT_CALLED, "s"),
+        "not-called-cap": (
+            ConsumerParams(8.1, 0.04, 7.1), Report(5.0, 1.0),
+            CallSignal.NOT_CALLED, "cap",
+        ),
+        "called-qh": (WIDE, Report(9.3, 3.3), CallSignal.CALLED, "qh"),
+        "called-b": (WIDE, Report(9.3, 8.9), CallSignal.CALLED, "b"),
+        "called-reduced": (WIDE, Report(3.7, 3.7), CallSignal.CALLED, "reduced"),
+        "called-doubly-reduced": (
+            WIDE, Report(9.3, 1.3), CallSignal.CALLED, "doubly-reduced"
+        ),
+        "called-cap": (
+            ConsumerParams(8.1, 0.04, 4.6), Report(3.7, 3.7),
+            CallSignal.CALLED, "cap",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", OFF_GRID_OPTIMA)
+    def test_an_optimum_off_the_grid_is_found_exactly(self, name):
+        params, report, signal, point = self.OFF_GRID_OPTIMA[name]
+        prices, step = self.KINK_PRICES, 0.25
+        b, s, reduced, doubly_reduced = two_stage_kinks(params, prices)
+        want = {
+            "b": b, "s": s, "reduced": reduced, "doubly-reduced": doubly_reduced,
+            "bh": report.baseline, "qh": report.committed,
+            "cap": params.max_consumption,
+        }[point]
+        got = grid_best_response(report, signal, params, prices, step)
+        assert got.consumption == want
+        assert got.payoff == stage2_profit(want, report, signal, params, prices)
+        # No grid point pays more and each one below it pays less (past the
+        # saturation point the grid ties), so the point itself was searched.
+        grid = step * np.arange(np.floor(params.max_consumption / step) + 1)
+        paid = stage2_profit(grid, report, signal, params, prices)
+        assert paid.max() <= got.payoff
+        assert (paid[grid < want] < got.payoff).all()
+        # Where the cap admits the closed form, it names the same point.
+        if point != "cap":
+            closed = (
+                best_response_called(report, params, prices)
+                if signal == CallSignal.CALLED
+                else best_response_not_called(report.baseline, params, prices)
+            )
+            assert closed.consumption == want
 
 
 class TestCasePayoffs:
